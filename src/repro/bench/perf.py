@@ -938,18 +938,18 @@ def run_gate(
     failures: List[str] = []
     checks: List[str] = []
 
-    columnar = benchmarks.get("mailbox_messages", {}).get("median")
+    bulk = benchmarks.get("mailbox_messages", {}).get("median")
     scalar = benchmarks.get("mailbox_scalar_send", {}).get("median")
-    if not columnar or not scalar:
+    if not bulk or not scalar:
         failures.append(
             "ratio check needs both mailbox_messages and mailbox_scalar_send "
             f"in {report_path} (run without --perf-only, or include both)"
         )
     else:
-        ratio = columnar / scalar
+        ratio = bulk / scalar
         line = (
             f"columnar/scalar ratio {ratio:.2f}x (floor {min_ratio:.2f}x): "
-            f"{columnar:,.0f} vs {scalar:,.0f} messages/sec"
+            f"{bulk:,.0f} vs {scalar:,.0f} messages/sec"
         )
         if ratio < min_ratio:
             failures.append(line)
@@ -1007,8 +1007,8 @@ def run_gate(
                 f"baseline check skipped: {why} differs from {baseline_path} "
                 "(absolute medians are not comparable)"
             )
-        elif columnar and base_med:
-            frac = columnar / base_med
+        elif bulk and base_med:
+            frac = bulk / base_med
             line = (
                 f"mailbox_messages at {frac:.2f}x of baseline median "
                 f"{base_med:,.0f} (floor {fraction:.2f}x)"

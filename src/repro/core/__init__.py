@@ -4,7 +4,7 @@ This package is the reproduction of the paper's primary contribution
 (Sections III and IV).
 """
 
-from .coalescing import ENTRY_HEADER_BYTES, BatchEntry, BcastEntry, CoalescingBuffer, P2PEntry
+from .coalescing import ENTRY_HEADER_BYTES, BatchEntry, BcastEntry, CoalescingBuffer
 from .config import MailboxConfig
 from .context import Occupancy, YgmContext, YgmResult, YgmWorld
 from .mailbox import Mailbox
@@ -30,7 +30,6 @@ __all__ = [
     "MailboxConfig",
     "MailboxStats",
     "Occupancy",
-    "P2PEntry",
     "PAPER_SCHEMES",
     "RoutingScheme",
     "SCHEMES",

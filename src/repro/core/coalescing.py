@@ -2,13 +2,14 @@
 
 When sending many small messages, per-message metadata would dominate the
 wire; YGM therefore bundles all messages sharing a next hop into one
-packet.  Each buffered *entry* is one application message (or one
-broadcast copy, or a whole batch of fixed-width records); a flush turns a
+packet.  Each buffered *entry* is a run of scalar messages
+(:class:`P2PColumns`), one broadcast copy (:class:`BcastEntry`) or a
+batch of fixed-width records (:class:`BatchEntry`); a flush turns a
 buffer into a single transport packet.
 
-Every entry is charged :data:`ENTRY_HEADER_BYTES` of wire overhead on top
-of its payload -- identical for the scalar and the batch path, so routing
-schemes are compared on equal terms.
+Every message is charged :data:`ENTRY_HEADER_BYTES` of wire overhead on
+top of its payload -- identical for the scalar and the batch path, so
+routing schemes are compared on equal terms.
 """
 
 from __future__ import annotations
@@ -23,34 +24,13 @@ import numpy as np
 ENTRY_HEADER_BYTES = 8
 
 
-class P2PEntry:
-    """One buffered point-to-point message.
-
-    ``lin`` is the message's lineage id when the causal profiler is
-    enabled (:mod:`repro.trace.profile`), ``None`` otherwise; it rides
-    along through forwarding hops at no simulated cost.
-    """
-
-    __slots__ = ("dest", "payload", "nbytes", "lin")
-    kind = "p2p"
-
-    def __init__(self, dest: int, payload: Any, nbytes: int, lin=None):
-        self.dest = dest
-        self.payload = payload
-        self.nbytes = nbytes
-        self.lin = lin
-
-    @property
-    def count(self) -> int:
-        return 1
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.nbytes + ENTRY_HEADER_BYTES
-
-
 class BcastEntry:
-    """One buffered broadcast copy (still fanning out)."""
+    """One buffered broadcast copy (still fanning out).
+
+    ``lin`` is the copy's lineage id when the causal profiler is enabled
+    (:mod:`repro.trace.profile`), ``None`` otherwise; it rides along
+    through forwarding hops at no simulated cost.
+    """
 
     __slots__ = ("origin", "payload", "nbytes", "lin")
     kind = "bcast"
@@ -103,17 +83,18 @@ class BatchEntry:
 class P2PColumns:
     """A run of point-to-point messages in struct-of-arrays layout.
 
-    The columnar counterpart of a run of :class:`P2PEntry` objects: one
-    NumPy array per field instead of one Python object per message.
-    ``dests[i]`` is the final destination rank of message ``i``,
+    The only representation of a scalar ``send``/``post`` between the
+    send call and the receive callback: one NumPy array per field, never
+    one Python object per message.  ``dests[i]`` is the final
+    destination rank of message ``i``,
     ``payloads[i]`` its payload (an object column -- payloads stay
     arbitrary Python values until a handler boundary), ``nbytes[i]`` its
     wire size, and ``lins`` the parallel lineage-id column when the
     causal profiler is enabled (``None`` otherwise).
 
     All columns are plain contiguous ndarrays, so a whole run pickles as
-    four buffers -- the layout a future PDES engine can ship between
-    worker processes without touching individual messages.
+    four buffers, and the PDES wire codec (:mod:`repro.pdes.wire`) ships
+    it between worker processes without touching individual messages.
     """
 
     __slots__ = ("dests", "payloads", "nbytes", "lins", "count", "wire_bytes")
@@ -225,13 +206,13 @@ class ListPool:
 class CoalescingBuffer:
     """Aggregation buffer for one next hop.
 
-    Besides whole entries (:meth:`add`), the buffer accumulates scalar
-    point-to-point messages into an open *columnar run* (:meth:`add_p2p`):
-    consecutive scalars are appended to plain per-field Python lists and
-    materialised as one :class:`P2PColumns` entry only when the run is
-    interrupted (a non-scalar entry arrives) or the buffer is drained.
-    Entry order -- and therefore packet content order -- is exactly the
-    order of the ``add*`` calls.
+    Two ways in.  :meth:`add` appends a whole entry (a broadcast copy, a
+    record batch, or a pre-built :class:`P2PColumns` run re-binned at an
+    intermediary).  :meth:`add_p2p` appends one scalar message to the
+    open *columnar run*: plain per-field Python lists, materialised as
+    one :class:`P2PColumns` entry only when the run is interrupted (an
+    :meth:`add`) or the buffer is drained.  Entry order -- and therefore
+    packet content order -- is exactly the order of the calls.
     """
 
     __slots__ = (
@@ -251,6 +232,7 @@ class CoalescingBuffer:
         self._run_lins: List[Any] = []
 
     def add(self, entry) -> None:
+        """Append a whole entry, closing the open scalar run first."""
         if self._run_dests:
             self._close_run()
         self.entries.append(entry)
@@ -265,14 +247,6 @@ class CoalescingBuffer:
         self._run_lins.append(lin)
         self.nbytes += nbytes + ENTRY_HEADER_BYTES
         self.count += 1
-
-    def add_columns(self, cols: P2PColumns) -> None:
-        """Append a pre-built columnar run (intermediary re-binning)."""
-        if self._run_dests:
-            self._close_run()
-        self.entries.append(cols)
-        self.nbytes += cols.wire_bytes
-        self.count += cols.count
 
     def _close_run(self) -> None:
         n = len(self._run_dests)

@@ -18,15 +18,6 @@ class MailboxConfig:
     enters its communication context (flush + receive).  The paper's
     experiments use 2^18; the scaled benchmarks default to 2^14.
 
-    ``columnar`` selects the struct-of-arrays hot path: runs of scalar
-    point-to-point messages ride coalescing buffers, packets and routing
-    intermediaries as NumPy columns (one :class:`~repro.core.coalescing.
-    P2PColumns` entry per run) and are materialised as per-message Python
-    values only at handler boundaries.  ``False`` keeps the historical
-    one-object-per-message path; the two are bit-identical in results and
-    simulated time (pinned by ``tests/core/test_columnar.py``), so the
-    flag exists for differential testing, not tuning.
-
     ``combiner`` attaches an in-network combining algebra
     (:class:`~repro.core.routing.combiner.Combiner`): mergeable batch
     records with equal ``(destination, key)`` collapse during re-binning
@@ -36,7 +27,6 @@ class MailboxConfig:
     """
 
     capacity: int = 2**14
-    columnar: bool = True
     combiner: Optional["Combiner"] = None
 
     def __post_init__(self):

@@ -2,7 +2,8 @@
 
 A :class:`Mailbox` is created with a receive callback and a message
 capacity.  User code queues messages with ``send`` / ``send_bcast`` (or
-the vectorized ``send_batch``); when the mailbox is full the rank enters
+the vectorized ``send_many`` for arbitrary payloads and ``send_batch``
+for fixed-width records); when the mailbox is full the rank enters
 its *communication context* -- it flushes all coalescing buffers along the
 routing scheme's next hops and processes every packet that has already
 arrived (delivering to the callback, forwarding intermediary traffic) --
@@ -15,8 +16,14 @@ Conventions:
 * methods that can block or take simulated time are generators -- drive
   them with ``yield from`` inside the rank program;
 * receive callbacks are plain functions; to emit messages from inside a
-  callback use the nonblocking ``post`` / ``post_bcast`` (the surrounding
-  communication context flushes them).
+  callback use the nonblocking ``post`` / ``post_many`` / ``post_batch``
+  / ``post_bcast`` (the surrounding communication context flushes them).
+
+Scalar point-to-point messages have one representation between the send
+call and the receive callback: struct-of-arrays runs
+(:class:`~repro.core.coalescing.P2PColumns`) that ride coalescing
+buffers, packets and routing intermediaries as NumPy columns and
+materialise as Python values only at the handler boundary.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .coalescing import (
     CoalescingBuffer,
     ListPool,
     P2PColumns,
-    P2PEntry,
 )
 from .config import MailboxConfig
 from .stats import MailboxStats
@@ -86,14 +92,12 @@ class Mailbox:
         self._prof = tracer.lineage if tracer is not None else None
         #: Recycles handled packets' entry lists into fresh buffers.
         self._pool = ListPool()
-        #: Columnar (struct-of-arrays) scalar-message hot path toggle.
-        self._columnar = self.config.columnar
         #: In-network combining algebra (``None`` = pure re-binning).
         self._combiner = self.config.combiner
         self._queued = 0  # messages across all buffers
         self._pending_handle_cost = 0.0
         #: Forwards deferred while a mixed columnar run delivers (see
-        #: :meth:`_handle_packet`): the run's columns plus the indices
+        #: :meth:`_handle_mixed_run`): the run's columns plus the indices
         #: of not-yet-binned forwards.  Any post from inside a receive
         #: callback flushes them first, preserving buffer order.
         self._deferred_cols = None
@@ -122,13 +126,24 @@ class Mailbox:
         self.stats.app_messages_sent += 1
         prof = self._prof
         if dest == self.rank:
-            if prof is not None:
-                self._deliver_p2p(
-                    payload,
-                    prof.new_message(self.rank, dest, self.ctx.sim.now),
-                )
-            else:
-                self._deliver_p2p(payload)
+            self.stats.app_messages_delivered += 1
+            self._pending_handle_cost += (
+                self.ctx.machine.config.compute.per_message_handle
+            )
+            if self.recv is None:
+                raise RuntimeError("mailbox has no scalar receive callback")
+            if prof is None:
+                self.recv(payload)
+                return
+            # Messages posted from inside the callback are caused by this one.
+            now = self.ctx.sim.now
+            lid = prof.new_message(self.rank, dest, now)
+            prof.delivered(lid, self.rank, now)
+            prev, prof.cause = prof.cause, lid
+            try:
+                self.recv(payload)
+            finally:
+                prof.cause = prev
             return
         size = payload_nbytes(payload, nbytes)
         hop = self.scheme.next_hop(self.rank, dest)
@@ -137,12 +152,9 @@ class Mailbox:
             t = self.ctx.sim.now
             lid = prof.new_message(self.rank, dest, t)
             prof.enqueue(lid, self.rank, hop, t)
-        if self._columnar:
-            # Struct-of-arrays hot path: the message joins the buffer's
-            # open columnar run; no per-message entry object exists.
-            self._buffer_for(hop).add_p2p(dest, payload, size, lid)
-        else:
-            self._buffer_for(hop).add(P2PEntry(dest, payload, size, lid))
+        # The message joins the buffer's open columnar run; no
+        # per-message entry object exists.
+        self._buffer_for(hop).add_p2p(dest, payload, size, lid)
         self._queued += 1
 
     def send(self, dest: int, payload: Any, nbytes: Optional[int] = None) -> Generator:
@@ -179,13 +191,6 @@ class Mailbox:
             return
         if dests.min() < 0 or dests.max() >= self.comm.size:
             raise ValueError(f"destination rank out of range [0, {self.comm.size})")
-        if not self._columnar:
-            # Reference (one-object-per-message) path: semantically a
-            # loop of ``post``; sizes resolve identically either way.
-            sizes = payload_nbytes_many(payloads, nbytes)
-            for i in range(n):
-                self.post(int(dests[i]), payloads[i], nbytes=int(sizes[i]))
-            return
         self.stats.app_messages_sent += n
         sizes = payload_nbytes_many(payloads, nbytes)
         # ``fromiter`` with object dtype stores the caller's exact
@@ -206,7 +211,7 @@ class Mailbox:
                 lins = lins[keep]
             if len(dests) == 0:
                 return
-        self._bin_columns(dests, cols, sizes, lins, at_injection=True)
+        self._bin_by_hop(dests, cols, sizes, lins, at_injection=True)
 
     def send_many(self, dests, payloads, nbytes=None) -> Generator:
         """Vectorized scalar send; may enter the communication context."""
@@ -311,38 +316,26 @@ class Mailbox:
         if comb is not None and len(dests) > 1:
             dests, batch, lins, eliminated = comb.combine(dests, batch, lins)
             self.stats.entries_combined += eliminated
-        if not at_injection:
-            self.stats.entries_forwarded += len(dests)
-        hops, order, starts, ends = self.scheme.bin_by_hop(self.rank, dests)
-        if order is not None:
-            dests = dests[order]
-            batch = batch[order]
-            if lins is not None:
-                lins = lins[order]
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            hop = int(hops[s])
-            seg_lins = None if lins is None else lins[s:e]
-            if seg_lins is not None:
-                self._prof.enqueue_batch(seg_lins, self.rank, hop, self.ctx.sim.now)
-            entry = BatchEntry(dests[s:e], batch[s:e], seg_lins)
-            self._buffer_for(hop).add(entry)
-            self._queued += entry.count
+        self._bin_by_hop(dests, batch, None, lins, at_injection)
 
-    def _bin_columns(
+    def _bin_by_hop(
         self,
         dests: np.ndarray,
         payloads: np.ndarray,
-        sizes: np.ndarray,
+        sizes: Optional[np.ndarray],
         lins: Optional[np.ndarray],
         at_injection: bool,
     ) -> None:
-        """Bin a columnar scalar-message run by next hop.
+        """Queue a run of messages, one entry per next hop.
 
-        The struct-of-arrays twin of :meth:`_bin_batch`: the whole run is
-        regrouped with one vectorized routing call plus one stable sort
-        (skipped when all destinations share a hop); no per-message
-        Python objects are created.  ``at_injection`` has the same
-        meaning as in :meth:`_bin_batch`.
+        The whole run is regrouped with one vectorized routing call plus
+        one stable sort (skipped when all destinations share a hop); no
+        per-message Python objects are created.  ``sizes`` says how a
+        per-hop segment becomes an entry: scalar messages carry a wire
+        size column and become :class:`P2PColumns`; fixed-width records
+        (``sizes=None``, the dtype is the size) become
+        :class:`BatchEntry`.  ``at_injection`` and ``lins`` mean what
+        they mean in :meth:`_bin_batch`.
         """
         if not at_injection:
             self.stats.entries_forwarded += len(dests)
@@ -350,7 +343,8 @@ class Mailbox:
         if order is not None:
             dests = dests[order]
             payloads = payloads[order]
-            sizes = sizes[order]
+            if sizes is not None:
+                sizes = sizes[order]
             if lins is not None:
                 lins = lins[order]
         prof = self._prof
@@ -359,9 +353,11 @@ class Mailbox:
             seg_lins = None if lins is None else lins[s:e]
             if seg_lins is not None:
                 prof.enqueue_batch(seg_lins, self.rank, hop, self.ctx.sim.now)
-            self._buffer_for(hop).add_columns(
-                P2PColumns(dests[s:e], payloads[s:e], sizes[s:e], seg_lins)
-            )
+            if sizes is None:
+                entry = BatchEntry(dests[s:e], payloads[s:e], seg_lins)
+            else:
+                entry = P2PColumns(dests[s:e], payloads[s:e], sizes[s:e], seg_lins)
+            self._buffer_for(hop).add(entry)
             self._queued += e - s
 
     def _maybe_communicate(self) -> Generator:
@@ -521,18 +517,7 @@ class Mailbox:
         prof = self._prof
         for entry in pkt.payload:
             kind = entry.kind
-            if kind == "p2p":
-                stats.entries_received += 1
-                if entry.dest == rank:
-                    self._deliver_p2p(entry.payload, entry.lin)
-                else:
-                    stats.entries_forwarded += 1
-                    hop = self.scheme.next_hop(rank, entry.dest)
-                    if prof is not None and entry.lin is not None:
-                        prof.enqueue(entry.lin, rank, hop, self.ctx.sim.now)
-                    self._buffer_for(hop).add(entry)
-                    self._queued += 1
-            elif kind == "p2p_cols":
+            if kind == "p2p_cols":
                 stats.entries_received += entry.count
                 dests = entry.dests
                 here = dests == rank
@@ -542,7 +527,7 @@ class Mailbox:
                     self._deliver_p2p_run(entry.payloads, entry.lins)
                 elif not here.any():
                     # Pure intermediary: re-bin the whole run vectorized.
-                    self._bin_columns(
+                    self._bin_by_hop(
                         dests, entry.payloads, entry.nbytes, entry.lins,
                         at_injection=False,
                     )
@@ -592,17 +577,19 @@ class Mailbox:
     def _handle_mixed_run(self, entry: P2PColumns, here: np.ndarray) -> None:
         """Handle a columnar run mixing terminal deliveries and forwards.
 
+        The specified order: a mixed run is processed in index order.
         Deliveries run per message (the handler boundary); forwards are
         *deferred* -- only their column indices accumulate -- and re-bin
-        in one vectorized call afterwards.  The deferral is what keeps
-        the interleaving bit-identical to the per-entry path: a receive
-        callback may post follow-on messages whose buffer position
-        depends on the deliver-vs-forward order, so every ``post*``
-        entry point first flushes the forwards deferred *so far*
-        (:meth:`_flush_deferred`), landing them in the buffers before
-        the callback's own message exactly as a per-entry walk would.
-        When callbacks post nothing -- the common case -- the whole
-        forward set is binned once at the end.
+        in one vectorized call afterwards.  A receive callback may post
+        follow-on messages whose buffer position depends on the
+        deliver-vs-forward order, so every ``post*`` entry point first
+        flushes the forwards deferred *so far* (:meth:`_flush_deferred`):
+        forwards seen before a callback's post land in the buffers
+        before that post.  When callbacks post nothing -- the common
+        case -- the whole forward set is binned once at the end.
+
+        If a callback raises, the deferred state is dropped with the
+        packet: no later ``post*`` re-bins forwards from a dead run.
         """
         recv = self.recv
         if recv is None:
@@ -618,32 +605,35 @@ class Mailbox:
         idx = self._deferred_idx
         append = idx.append
         prof = self._prof
-        if prof is None or lins is None:
-            for i, h in enumerate(here.tolist()):
-                if h:
-                    recv(plist[i])
-                else:
-                    append(i)
-        else:
-            # Callbacks are plain functions (no yields): simulated time
-            # cannot advance inside the loop.
-            now = self.ctx.sim.now
-            rank = self.rank
-            llist = lins.tolist()
-            prev = prof.cause
-            try:
+        try:
+            if prof is None or lins is None:
                 for i, h in enumerate(here.tolist()):
                     if h:
-                        lin = llist[i]
-                        prof.delivered(lin, rank, now)
-                        prof.cause = lin
                         recv(plist[i])
                     else:
                         append(i)
-            finally:
-                prof.cause = prev
-        self._flush_deferred()
-        self._deferred_cols = None
+            else:
+                # Callbacks are plain functions (no yields): simulated time
+                # cannot advance inside the loop.
+                now = self.ctx.sim.now
+                rank = self.rank
+                llist = lins.tolist()
+                prev = prof.cause
+                try:
+                    for i, h in enumerate(here.tolist()):
+                        if h:
+                            lin = llist[i]
+                            prof.delivered(lin, rank, now)
+                            prof.cause = lin
+                            recv(plist[i])
+                        else:
+                            append(i)
+                finally:
+                    prof.cause = prev
+            self._flush_deferred()
+        finally:
+            idx.clear()
+            self._deferred_cols = None
 
     def _flush_deferred(self) -> None:
         """Re-bin the forwards deferred by :meth:`_handle_mixed_run`."""
@@ -654,7 +644,7 @@ class Mailbox:
         take = np.asarray(idx, dtype=np.int64)
         idx.clear()
         lins = entry.lins
-        self._bin_columns(
+        self._bin_by_hop(
             entry.dests[take],
             entry.payloads[take],
             entry.nbytes[take],
@@ -662,32 +652,15 @@ class Mailbox:
             at_injection=False,
         )
 
-    def _deliver_p2p(self, payload: Any, lin=None) -> None:
-        self.stats.app_messages_delivered += 1
-        self._pending_handle_cost += self.ctx.machine.config.compute.per_message_handle
-        if self.recv is None:
-            raise RuntimeError("mailbox has no scalar receive callback")
-        prof = self._prof
-        if prof is None or lin is None:
-            self.recv(payload)
-            return
-        # Messages posted from inside the callback are caused by this one.
-        prof.delivered(lin, self.rank, self.ctx.sim.now)
-        prev, prof.cause = prof.cause, lin
-        try:
-            self.recv(payload)
-        finally:
-            prof.cause = prev
-
     def _deliver_p2p_run(
         self, payloads: np.ndarray, lins: Optional[np.ndarray] = None
     ) -> None:
         """Deliver a columnar run of scalar messages (handler boundary).
 
         Stats and handler cost accrue in bulk; the receive callback (and
-        the per-message causal bookkeeping, identical to
-        :meth:`_deliver_p2p`) still runs once per message -- this is
-        where the columns materialise back into Python values.
+        the per-message causal bookkeeping: follow-on posts are caused
+        by the message being delivered) still runs once per message --
+        this is where the columns materialise back into Python values.
         """
         n = len(payloads)
         if n == 0:

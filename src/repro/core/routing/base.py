@@ -85,8 +85,8 @@ class RoutingScheme(ABC):
         identity, so callers skip the gather), and ``hops[starts[k]]`` is
         the hop of segment ``k`` = ``[starts[k], ends[k])`` *after*
         applying ``order``.  Stability keeps per-hop message order equal
-        to input order, which is what makes the columnar and the
-        one-object-per-message paths bit-identical.
+        to input order, which is what makes ``send_many`` deliver exactly
+        what a loop of ``send`` would.
         """
         hops = self.next_hop_vec(cur, dests)
         n = len(hops)

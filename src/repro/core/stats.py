@@ -15,7 +15,8 @@ from typing import Dict, Iterable, List
 class MailboxStats:
     """Counters for one rank's mailbox."""
 
-    #: Application messages injected via ``send``/``send_batch``.
+    #: Application messages injected via ``send``/``send_many``/``send_batch``
+    #: (and their ``post*`` forms); broadcasts are counted separately.
     app_messages_sent: int = 0
     #: Application messages delivered to this rank's receive callback.
     app_messages_delivered: int = 0

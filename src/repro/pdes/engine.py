@@ -133,7 +133,6 @@ class PdesWorld:
         cores_per_node: int = 8,
         tracer=None,
         tiebreaker=None,
-        columnar: bool = MailboxConfig().columnar,
         workers: int = 2,
         window_timeout: float = 120.0,
         transport: Optional[str] = None,
@@ -152,9 +151,7 @@ class PdesWorld:
         elif (scheme.nodes, scheme.cores) != (machine.nodes, machine.cores_per_node):
             raise ValueError("routing scheme shape does not match the machine")
         self.scheme = scheme
-        self.default_config = MailboxConfig(
-            capacity=mailbox_capacity, columnar=columnar
-        )
+        self.default_config = MailboxConfig(capacity=mailbox_capacity)
         self.partition = NodePartition(
             machine.nodes, machine.cores_per_node, workers
         )

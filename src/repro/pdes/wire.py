@@ -57,7 +57,7 @@ from typing import List
 
 import numpy as np
 
-from ..core.coalescing import BatchEntry, BcastEntry, P2PColumns, P2PEntry
+from ..core.coalescing import BatchEntry, BcastEntry, P2PColumns
 from ..mpi.envelope import Packet
 from ..serde.packer import (
     SerdeError,
@@ -75,10 +75,9 @@ PAYLOAD_COLS1 = 3  # the common case: exactly [one P2PColumns]
 
 #: Coalescing-entry tags inside a PAYLOAD_ENTRIES list.
 E_OBJ = 0  # not an entry object: generic serde element
-E_P2P = 1
-E_BCAST = 2
-E_BATCH = 3
-E_COLS = 4
+E_BCAST = 1
+E_BATCH = 2
+E_COLS = 3
 
 #: P2PColumns object-payload column encodings.
 COL_INT64 = 0
@@ -86,7 +85,6 @@ COL_FLOAT64 = 1
 COL_OBJECTS = 2
 
 _ENTRY_TAGS = {
-    P2PEntry: E_P2P,
     BcastEntry: E_BCAST,
     BatchEntry: E_BATCH,
     P2PColumns: E_COLS,
@@ -285,9 +283,6 @@ def _pack_entry(rec: bytearray, ibuf: bytearray, fbuf: bytearray, entry):
     rec.append(tag)
     if tag == E_COLS:
         _pack_cols(rec, ibuf, fbuf, entry)
-    elif tag == E_P2P:
-        pack_into(rec, (entry.dest, entry.nbytes, entry.lin))
-        _pack_obj(rec, entry.payload)
     elif tag == E_BCAST:
         pack_into(rec, (entry.origin, entry.nbytes, entry.lin))
         _pack_obj(rec, entry.payload)
@@ -304,10 +299,6 @@ def _unpack_entry(buf, pos, istream, fstream, io, fo):
     pos += 1
     if tag == E_COLS:
         return _unpack_cols(buf, pos, istream, fstream, io, fo)
-    if tag == E_P2P:
-        (dest, nbytes, lin), pos = unpack_from(buf, pos)
-        payload, pos = _unpack_obj(buf, pos)
-        return P2PEntry(dest, payload, nbytes, lin), pos, io, fo
     if tag == E_BCAST:
         (origin, nbytes, lin), pos = unpack_from(buf, pos)
         payload, pos = _unpack_obj(buf, pos)

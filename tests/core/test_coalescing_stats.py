@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import ENTRY_HEADER_BYTES, MailboxStats, aggregate
-from repro.core.coalescing import BatchEntry, BcastEntry, CoalescingBuffer, P2PEntry
+from repro.core.coalescing import BatchEntry, BcastEntry, CoalescingBuffer
 from repro.core.config import MailboxConfig
 
 
 # ---------------------------------------------------------------- entries
-def test_p2p_entry_accounting():
-    e = P2PEntry(dest=3, payload="x", nbytes=10)
-    assert e.count == 1
-    assert e.wire_bytes == 10 + ENTRY_HEADER_BYTES
-    assert e.kind == "p2p"
-
-
 def test_bcast_entry_accounting():
     e = BcastEntry(origin=1, payload=b"abc", nbytes=3)
     assert e.count == 1
@@ -40,8 +33,8 @@ def test_batch_entry_length_mismatch():
 # ---------------------------------------------------------------- buffer
 def test_buffer_accumulates_and_takes():
     buf = CoalescingBuffer(hop=7)
-    buf.add(P2PEntry(1, "a", 4))
-    buf.add(P2PEntry(2, "b", 6))
+    buf.add(BcastEntry(1, "a", 4))
+    buf.add(BcastEntry(2, "b", 6))
     assert len(buf) == 2
     assert bool(buf)
     entries, nbytes, count = buf.take()
@@ -54,7 +47,7 @@ def test_buffer_accumulates_and_takes():
 
 def test_buffer_mixed_entry_kinds():
     buf = CoalescingBuffer(hop=0)
-    buf.add(P2PEntry(1, "a", 4))
+    buf.add_p2p(1, "a", 4)
     batch = np.zeros(3, dtype=[("v", "u4")])
     buf.add(BatchEntry(np.arange(3, dtype=np.int64), batch))
     buf.add(BcastEntry(0, "b", 2))

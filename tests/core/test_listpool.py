@@ -1,10 +1,10 @@
 """Tests for the coalescing-buffer list pool (flush-path allocation reuse)."""
 
-from repro.core.coalescing import CoalescingBuffer, ListPool, P2PEntry
+from repro.core.coalescing import BcastEntry, CoalescingBuffer, ListPool
 
 
-def _entry(dest=0, nbytes=4):
-    return P2PEntry(dest, payload=None, nbytes=nbytes)
+def _entry(origin=0, nbytes=4):
+    return BcastEntry(origin, payload=None, nbytes=nbytes)
 
 
 def test_pool_recycles_lists():
@@ -56,10 +56,10 @@ def test_pooled_round_trip_preserves_contents():
     seen = []
     for round_no in range(10):
         for i in range(round_no + 1):
-            buf.add(_entry(dest=i))
+            buf.add(_entry(origin=i))
         entries, _, count = buf.take()
         assert count == round_no + 1
-        assert [e.dest for e in entries] == list(range(round_no + 1))
+        assert [e.origin for e in entries] == list(range(round_no + 1))
         seen.append(len(entries))
         pool.put(entries)  # what Mailbox._handle_packet does
     assert seen == [n + 1 for n in range(10)]
@@ -78,7 +78,7 @@ def test_debug_pool_poisons_recycled_lists():
 
     pool = ListPool(debug=True)
     entries = pool.get()
-    entries.append(_entry(dest=1))
+    entries.append(_entry(origin=1))
     leaked = entries  # a reference that outlives the recycle
     pool.put(entries)
     assert len(leaked) == 1  # length survives; contents are poisoned

@@ -3,13 +3,12 @@
 Cross-partition packets are shipped between processes as serialized
 batches -- pickled over the pipe on the legacy transport, serde-encoded
 through shared-memory rings on the default one.  Two layers of proof:
-the batch entry types round-trip through pickle field-for-field
+the three entry types round-trip through pickle field-for-field
 (including the columnar struct-of-arrays runs), and a mixed-traffic
 workload (scalar p2p + reentrant echo + broadcast + fixed-width record
-batches) is bit-identical to serial in both columnar and object layouts
-under *both* transports -- i.e. whatever layout the mailbox chose, the
-process crossing preserved it.  (The ring codec itself is exercised
-in depth by test_wire.py.)
+batches) is bit-identical to serial under *both* transports -- i.e.
+the process crossing preserved every entry.  (The ring codec itself
+is exercised in depth by test_wire.py.)
 """
 
 import pickle
@@ -18,20 +17,13 @@ import numpy as np
 import pytest
 
 from repro.check.fuzz import quiescence_rank_main
-from repro.core.coalescing import BatchEntry, BcastEntry, P2PColumns, P2PEntry
+from repro.core.coalescing import BatchEntry, BcastEntry, P2PColumns
 from repro.core.context import YgmWorld
 from repro.pdes import PdesWorld, assert_equivalent
 
 
 def roundtrip(obj):
     return pickle.loads(pickle.dumps(obj))
-
-
-def test_p2p_entry_roundtrips():
-    e = roundtrip(P2PEntry(dest=5, payload=("x", 3), nbytes=17, lin=9))
-    assert (e.kind, e.dest, e.payload, e.nbytes, e.lin) == (
-        "p2p", 5, ("x", 3), 17, 9,
-    )
 
 
 def test_bcast_entry_roundtrips():
@@ -71,14 +63,11 @@ def test_p2p_columns_roundtrip_preserves_all_columns_and_derived_fields():
 
 
 @pytest.mark.parametrize("transport", ["shm", "pipe"])
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "objects"])
-def test_mixed_traffic_crosses_the_transport_bit_identically(columnar, transport):
+def test_mixed_traffic_crosses_the_transport_bit_identically(transport):
     rank_main = quiescence_rank_main()
-    serial = YgmWorld(
-        4, scheme="nlnr", seed=3, cores_per_node=2, columnar=columnar
-    ).run(rank_main)
+    serial = YgmWorld(4, scheme="nlnr", seed=3, cores_per_node=2).run(rank_main)
     engine = PdesWorld(
-        4, scheme="nlnr", seed=3, cores_per_node=2, columnar=columnar,
+        4, scheme="nlnr", seed=3, cores_per_node=2,
         workers=2, transport=transport,
     )
     parallel = engine.run(rank_main)

@@ -74,7 +74,7 @@ def test_tiny_ring_spills_but_stays_bit_identical():
     serial = YgmWorld(8, scheme="nlnr", seed=1, cores_per_node=2).run(bursty)
     engine = PdesWorld(
         8, scheme="nlnr", seed=1, cores_per_node=2, workers=2,
-        ring_bytes=4096,  # far below one window's traffic
+        transport="shm", ring_bytes=4096,  # far below one window's traffic
     )
     parallel = engine.run(bursty)
     assert_equivalent(parallel, serial)

@@ -12,7 +12,7 @@ batch fails loudly instead of delivering wrong traffic.
 import numpy as np
 import pytest
 
-from repro.core.coalescing import BatchEntry, BcastEntry, P2PColumns, P2PEntry
+from repro.core.coalescing import BatchEntry, BcastEntry, P2PColumns
 from repro.mpi.envelope import Packet
 from repro.pdes import WireError, decode_batch, encode_batch
 
@@ -126,7 +126,12 @@ def test_decoded_column_slices_are_independently_mutable():
 def test_mixed_entry_list_roundtrips():
     dtype = np.dtype([("u", np.int64), ("v", np.int64)])
     entries = [
-        P2PEntry(dest=5, payload=("x", 3), nbytes=17, lin=9),
+        P2PColumns(
+            dests=np.array([5], dtype=np.int64),
+            payloads=np.fromiter([("x", 3)], dtype=object, count=1),
+            nbytes=np.array([17], dtype=np.int64),
+            lins=np.array([9], dtype=np.int64),
+        ),
         BcastEntry(origin=2, payload=b"abc", nbytes=3),
         BatchEntry(
             np.array([6, 7], dtype=np.int64),
@@ -141,8 +146,8 @@ def test_mixed_entry_list_roundtrips():
     pkt = Packet(src=0, dst=1, ctx=3, kind="k", tag=7,
                  payload=entries, nbytes=99)
     ((*_, back),) = roundtrip([(1.0, 0, 1, 99, pkt)])
-    p2p, bcast, batch, cols = back.payload
-    assert (p2p.dest, p2p.payload, p2p.nbytes, p2p.lin) == (5, ("x", 3), 17, 9)
+    objs, bcast, batch, cols = back.payload
+    assert_cols_equal(entries[0], objs)
     assert (bcast.origin, bcast.payload, bcast.nbytes) == (2, b"abc", 3)
     np.testing.assert_array_equal(batch.batch, entries[2].batch)
     assert batch.batch.dtype == dtype

@@ -59,3 +59,43 @@ def test_paper_schemes_all_constructible():
         scheme = get_scheme(name, 8, 4)
         assert scheme.nranks == 32
     assert set(PAPER_SCHEMES) <= set(SCHEMES)
+
+
+# ------------------------------------------------------------ API budget
+# These lists can only shrink.  A new export, config field or constructor
+# parameter fails here until its name is added in the same diff -- which
+# puts the growth in front of the reviewer.
+CORE_EXPORTS = {
+    "BatchEntry", "BcastEntry", "CoalescingBuffer", "Combiner",
+    "ENTRY_HEADER_BYTES", "EXTENDED_SCHEMES", "Mailbox", "MailboxConfig",
+    "MailboxStats", "Occupancy", "PAPER_SCHEMES", "RoutingScheme", "SCHEMES",
+    "TerminationDetector", "YgmContext", "YgmResult", "YgmWorld", "aggregate",
+    "binomial_children", "binomial_parent", "get_scheme",
+}
+YGM_WORLD_PARAMS = {
+    "machine", "scheme", "seed", "mailbox_capacity", "cores_per_node",
+    "tracer", "tiebreaker",
+}
+MAILBOX_FACTORY_PARAMS = {"recv", "recv_batch", "recv_bcast", "capacity", "combiner"}
+PDES_WORLD_PARAMS = YGM_WORLD_PARAMS | {
+    "workers", "window_timeout", "transport", "window_batch", "ring_bytes",
+    "flight",
+}
+
+
+def _params(func):
+    return set(inspect.signature(func).parameters) - {"self"}
+
+
+def test_core_surface_stays_within_budget():
+    import dataclasses
+
+    from repro import core
+    from repro.pdes import PdesWorld
+
+    assert set(core.__all__) <= CORE_EXPORTS
+    fields = {f.name for f in dataclasses.fields(core.MailboxConfig)}
+    assert fields == {"capacity", "combiner"}
+    assert _params(core.YgmWorld.__init__) <= YGM_WORLD_PARAMS
+    assert _params(core.YgmContext.mailbox) <= MAILBOX_FACTORY_PARAMS
+    assert _params(PdesWorld.__init__) <= PDES_WORLD_PARAMS

@@ -1,4 +1,4 @@
-"""The hot-path lint guards the columnar refactor against regressions."""
+"""The hot-path lint guards the columnar data plane against regressions."""
 
 import subprocess
 import sys
@@ -36,10 +36,12 @@ def test_flags_entry_construction_outside_allowlist(tmp_path):
     root = _write_tree(
         tmp_path,
         "class Mailbox:\n"
-        "    def post(self, dest):\n"
-        "        e = P2PEntry(dest, None, 0)\n"  # allowed boundary
-        "    def _bin_columns(self, dests):\n"
-        "        return [P2PEntry(d, None, 0) for d in dests]\n"  # violation
+        "    def post_bcast(self, payload):\n"
+        "        e = BcastEntry(0, payload, 0)\n"  # allowed boundary
+        "    def post(self, dest):\n"  # no longer a boundary: violation
+        "        return BcastEntry(dest, None, 0)\n"
+        "    def _bin_by_hop(self, dests):\n"
+        "        return [BcastEntry(d, None, 0) for d in dests]\n"  # violation
         "    def _handle_packet(self, pkt):\n"
         "        b = BcastEntry(0, None, 0)\n"  # allowed boundary
         "        def helper():\n"
@@ -47,9 +49,10 @@ def test_flags_entry_construction_outside_allowlist(tmp_path):
     )
     violations = hotpath_lint.lint(root)
     sites = [(qual, name) for _f, _line, qual, name in violations]
-    assert ("Mailbox._bin_columns", "P2PEntry") in sites
+    assert ("Mailbox.post", "BcastEntry") in sites
+    assert ("Mailbox._bin_by_hop", "BcastEntry") in sites
     assert ("Mailbox._handle_packet.helper", "BcastEntry") in sites
-    assert len(violations) == 2
+    assert len(violations) == 3
 
 
 def test_attribute_qualified_construction_is_caught(tmp_path):
@@ -57,10 +60,10 @@ def test_attribute_qualified_construction_is_caught(tmp_path):
         tmp_path,
         "from repro.core import coalescing\n"
         "def flush():\n"
-        "    return coalescing.P2PEntry(0, None, 0)\n",
+        "    return coalescing.BcastEntry(0, None, 0)\n",
     )
     ((_f, _line, qual, name),) = hotpath_lint.lint(root)
-    assert (qual, name) == ("flush", "P2PEntry")
+    assert (qual, name) == ("flush", "BcastEntry")
 
 
 def _write_pdes_tree(tmp_path, wire_src):
@@ -124,7 +127,7 @@ def test_cli_reports_pickle_violation(tmp_path):
 def test_cli_reports_violations_and_exits_nonzero(tmp_path):
     root = _write_tree(
         tmp_path,
-        "def rebin():\n    return P2PEntry(0, None, 0)\n",
+        "def rebin():\n    return BcastEntry(0, None, 0)\n",
     )
     proc = subprocess.run(
         [
@@ -137,7 +140,7 @@ def test_cli_reports_violations_and_exits_nonzero(tmp_path):
         text=True,
     )
     assert proc.returncode == 1
-    assert "P2PEntry() constructed in rebin" in proc.stderr
+    assert "BcastEntry() constructed in rebin" in proc.stderr
 
 
 def _write_combiner_tree(tmp_path, combiner_src):

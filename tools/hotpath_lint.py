@@ -1,15 +1,14 @@
 #!/usr/bin/env python
-"""Hot-path lint: no per-message entry objects in the columnar fast path.
+"""Hot-path lint: no per-message entry objects in the mailbox data plane.
 
-PR 6 moved the injection -> coalescing -> packet -> delivery pipeline to
-struct-of-arrays columns (``P2PColumns``); per-message ``P2PEntry`` /
-``BcastEntry`` objects are only allowed at *handler boundaries* -- the
-object-path fallback in ``Mailbox.post``, broadcast injection in
-``Mailbox.post_bcast``, and broadcast re-forwarding in
+Scalar messages travel the injection -> coalescing -> packet -> delivery
+pipeline as struct-of-arrays columns (``P2PColumns``) and nothing else;
+the one per-message entry class left, ``BcastEntry``, is only allowed at
+its two *handler boundaries* -- broadcast injection in
+``Mailbox.post_bcast`` and broadcast re-forwarding in
 ``Mailbox._handle_packet``.  Anywhere else in the mailbox or coalescing
-layers, constructing one silently reintroduces the per-message
-allocation cost the columnar refactor removed -- results stay correct,
-so only this lint catches the regression.
+layers, constructing one silently reintroduces a per-message allocation
+-- results stay correct, so only this lint catches the regression.
 
 PR 8 added a second rule for the PDES export path: the shared-memory
 ring transport (``repro.pdes.rings`` / ``wire`` / ``worker`` /
@@ -53,7 +52,7 @@ import sys
 from pathlib import Path
 
 #: Entry classes that must not be built per-message on the fast path.
-FORBIDDEN = {"P2PEntry", "BcastEntry"}
+FORBIDDEN = {"BcastEntry"}
 
 #: Files that make up the batch fast path, relative to the repo root.
 HOT_FILES = (
@@ -62,9 +61,8 @@ HOT_FILES = (
 )
 
 #: ``(file, qualname)`` sites where per-message objects are legitimate:
-#: the handler-boundary fallbacks of the object path.
+#: the broadcast handler boundaries.
 ALLOWED_SITES = {
-    ("src/repro/core/mailbox.py", "Mailbox.post"),
     ("src/repro/core/mailbox.py", "Mailbox.post_bcast"),
     ("src/repro/core/mailbox.py", "Mailbox._handle_packet"),
 }
@@ -381,7 +379,7 @@ def main(argv=None) -> int:
         else:
             print(
                 f"{relpath}:{lineno}: {name}() constructed in {qualname} -- "
-                f"the columnar fast path must not allocate per-message entry "
+                f"the mailbox data plane must not allocate per-message entry "
                 f"objects (allowed only at handler boundaries: "
                 f"{', '.join(sorted(q for _, q in ALLOWED_SITES))})",
                 file=sys.stderr,
