@@ -11,11 +11,29 @@ two transport paths of the paper's cost analysis:
 Delivery is a callback (``deliver(packet)``) supplied by the transport
 layer above (the simulated MPI matching engine), so the machine layer
 knows nothing about ranks' inboxes.
+
+A remote packet costs five kernel events, each pushed -- push order breaks
+timestamp ties, see :mod:`repro.sim.resources` -- at the instant its
+counterparts in the nine-event process-per-packet protocol were:
+
+==========================================  ==================  ===========
+nine events (before)                        five events         pushed at
+==========================================  ==================  ===========
+``timeout(send_overhead)``                  same                call
+TX acquire, TX hold timeout                 TX hold completion  TX grant
+in-flight init, wire timeout                arrival callback    on-wire
+RX acquire, RX hold timeout                 RX hold completion  RX grant
+``timeout(recv_overhead)``, process end     delivery callback   RX hold end
+==========================================  ==================  ===========
+
+Five is the floor under that rule; ``send_overhead`` and ``recv_overhead``
+are not folded into the holds next to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, List
 
 from ..sim import Resource, Simulator
@@ -139,53 +157,39 @@ class Machine:
         """Send a packet over the wire (different nodes).
 
         Generator run inside the *sending* rank's process.  It charges the
-        sender-core overhead and the source-NIC occupancy, then hands the
-        in-flight remainder (wire delay, destination-NIC occupancy,
-        delivery) to a detached process so the sender regains its core --
-        buffered-send semantics.
+        sender-core overhead and the source-NIC occupancy, then schedules
+        the in-flight remainder (wire delay, :meth:`_arrive`) as callbacks
+        so the sender regains its core -- buffered-send semantics.  Every
+        event is pushed at the instant the module docstring's table names.
         """
         net = self.config.net
-        src_node = self.node_of(src)
-        dst_node = self.node_of(dst)
+        sim = self.sim
+        nic_time, delay, _ = net.packet_costs(nbytes)
         self.remote_packets += 1
         self.remote_bytes += nbytes
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         trace = tracer is not None and tracer.wants("mpi")
         if trace:
             tracer.instant(
-                self.sim.now, "mpi", "packet_injected", f"rank {src}",
+                sim.now, "mpi", "packet_injected", f"rank {src}",
                 dst=dst, nbytes=nbytes,
                 protocol="rendezvous" if net.is_rendezvous(nbytes) else "eager",
             )
         if net.send_overhead > 0:
-            yield self.sim.timeout(net.send_overhead)
-        yield from self.nic_tx[src_node].timed(net.packet_costs(nbytes)[0])
+            yield sim.timeout(net.send_overhead)
+        yield self.nic_tx[self.node_of(src)].hold(nic_time)
         if trace:
             tracer.instant(
-                self.sim.now, "mpi", "packet_on_wire", f"rank {src}",
+                sim.now, "mpi", "packet_on_wire", f"rank {src}",
                 dst=dst, nbytes=nbytes,
             )
         if tracer is not None and tracer.lineage is not None and packet.lin is not None:
-            tracer.lineage.packet_wire(packet.lin, self.sim.now)
+            tracer.lineage.packet_wire(packet.lin, sim.now)
         exporter = self.on_remote_export
-        if exporter is not None and exporter(self.sim.now, src, dst, nbytes, packet):
+        if exporter is not None and exporter(sim.now, src, dst, nbytes, packet):
             return
-        self.sim.process(
-            self._in_flight(dst, dst_node, nbytes, packet, deliver),
-            name=f"pkt:{src}->{dst}",
-        )
-
-    def _in_flight(
-        self,
-        dst: int,
-        dst_node: int,
-        nbytes: int,
-        packet: Any,
-        deliver: Callable[[Any], None],
-    ) -> Generator:
-        """Wire delay + destination NIC + delivery (detached process)."""
-        yield self.sim.timeout(self.config.net.packet_costs(nbytes)[1])
-        yield from self._arrive(dst, dst_node, nbytes, packet, deliver)
+        arrive = partial(self._arrive, dst, nbytes, nic_time, packet, deliver)
+        sim.schedule(delay, arrive)
 
     def inject_arrival(
         self,
@@ -198,53 +202,47 @@ class Machine:
     ) -> None:
         """Replay a cross-partition packet's arrival (PDES import side).
 
-        The exporting partition observed the packet on the wire at
-        ``t_wire`` and skipped its in-flight remainder; this reconstructs
-        it here at ``t_wire + remote_delay(nbytes)`` -- the same float
-        expression the serial :meth:`_in_flight` timeout would have
-        produced, so arrival timestamps (and everything downstream:
-        NIC-RX contention, delivery order, stats) are bit-identical.
+        The exporting partition saw the packet on the wire at ``t_wire``
+        and skipped the rest; it resumes here at ``t_wire + delay``, the
+        float expression of :meth:`transmit_remote`'s ``schedule``, so the
+        arrival instant and everything downstream (NIC-RX contention,
+        delivery order, stats) are bit-identical.
         """
-        t_arr = t_wire + self.config.net.packet_costs(nbytes)[1]
-        self.sim.process_at(
-            self._arrive(dst, self.node_of(dst), nbytes, packet, deliver),
-            t_arr,
-            name=f"pkt:{src}->{dst}",
-        )
+        nic_time, delay, _ = self.config.net.packet_costs(nbytes)
+        arrive = partial(self._arrive, dst, nbytes, nic_time, packet, deliver)
+        self.sim.schedule_at(t_wire + delay, arrive)
 
     def _arrive(
         self,
         dst: int,
-        dst_node: int,
         nbytes: int,
+        nic_time: float,
         packet: Any,
         deliver: Callable[[Any], None],
-    ) -> Generator:
-        """Destination-side tail of a remote packet: NIC-RX + delivery.
-
-        Runs at the instant the packet reaches the destination node --
-        either resumed from :meth:`_in_flight`'s wire-delay timeout
-        (serial) or started there directly by :meth:`inject_arrival`
-        (PDES import).
-        """
-        net = self.config.net
-        nic_time = net.packet_costs(nbytes)[0]
-        tracer = self.sim.tracer
+    ) -> None:
+        """Arrival callback: the destination-side NIC-RX hold, then delivery."""
+        sim = self.sim
+        tracer = sim.tracer
         prof = tracer.lineage if tracer is not None else None
         if prof is not None and packet.lin is not None:
-            prof.packet_rx(packet.lin, self.sim.now)
-        yield from self.nic_rx[dst_node].timed(nic_time)
-        if net.recv_overhead > 0:
-            yield self.sim.timeout(net.recv_overhead)
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("mpi"):
-            tracer.instant(
-                self.sim.now, "mpi", "packet_delivered", f"rank {dst}",
-                nbytes=nbytes,
-            )
-        if prof is not None and packet.lin is not None:
-            prof.packet_delivered(packet.lin, self.sim.now)
-        deliver(packet)
+            prof.packet_rx(packet.lin, sim.now)
+
+        def delivered() -> None:
+            if tracer is not None and tracer.wants("mpi"):
+                tracer.instant(
+                    sim.now, "mpi", "packet_delivered", f"rank {dst}",
+                    nbytes=nbytes,
+                )
+            if prof is not None and packet.lin is not None:
+                prof.packet_delivered(packet.lin, sim.now)
+            deliver(packet)
+
+        hold = self.nic_rx[self.node_of(dst)].hold(nic_time)
+        recv_overhead = self.config.net.recv_overhead
+        if recv_overhead > 0:
+            hold.callbacks.append(lambda _h: sim.schedule(recv_overhead, delivered))
+        else:
+            hold.callbacks.append(lambda _h: delivered())
 
     def transmit(
         self,

@@ -230,7 +230,7 @@ class PartitionRuntime:
         the push times: native pushes use the local clock (matching
         serial, because intra-partition event order is preserved), and
         an injected arrival uses the wire instant its serial push
-        (``_in_flight``'s timeout) would have happened at.  Keying the
+        (``transmit_remote``'s ``schedule(delay, ...)``) happens at.  Keying the
         heap this way restores the serial interleaving of an import
         against local events pushed *after* its wire instant but landing
         on the same timestamp -- the one tie the barrier's injection

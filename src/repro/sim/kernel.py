@@ -22,6 +22,10 @@ the no-tiebreaker hot path never branches on the hook.  The run loops
 likewise pop and dispatch inline rather than calling :meth:`step` per
 event; :meth:`step` remains the single-step API.
 
+Either way the key is taken when an event is *pushed*: a layer standing
+one event in for several (a NIC hold, a remote packet's arrival) pushes it
+at the instant those were -- the contract in :mod:`repro.sim.resources`.
+
 The kernel is intentionally tiny -- the whole simulated-MPI/YGM stack is
 expressed in terms of :class:`~repro.sim.events.Event`,
 :class:`~repro.sim.process.Process`, :class:`~repro.sim.stores.Store` and
@@ -35,6 +39,7 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from .errors import DeadlockError
 from .events import AllOf, AnyOf, Callback, Event, Timeout
+from .process import Process
 
 
 #: Type of a same-timestamp ordering hook: ``tiebreaker(time, seq)``
@@ -124,15 +129,13 @@ class Simulator:
         """An event triggering when all of ``events`` have triggered."""
         return AllOf(self, events)
 
-    def process(self, gen: Generator, name: str = "") -> "Process":  # noqa: F821
+    def process(self, gen: Generator, name: str = "") -> Process:
         """Launch *gen* as a simulated process; returns its Process event."""
-        from .process import Process
-
         return Process(self, gen, name=name)
 
     def process_batch(
         self, gens: Iterable[Generator], names: Optional[Sequence[str]] = None
-    ) -> List["Process"]:  # noqa: F821
+    ) -> List[Process]:
         """Launch many processes whose init events share one timestamp.
 
         Equivalent to calling :meth:`process` in order (identical
@@ -140,8 +143,6 @@ class Simulator:
         events go through one batched enqueue pass -- the fast path for
         launching a whole machine's rank programs at once.
         """
-        from .process import Process
-
         gens = list(gens)
         if names is None:
             names = [""] * len(gens)
@@ -189,43 +190,6 @@ class Simulator:
                 push(heap, (t, tb(t, seq), seq, ev))
         self._seq = seq
 
-    def _enqueue_abs(self, event: Event, at: float) -> None:
-        """Enqueue a triggered event at the *absolute* time ``at``.
-
-        The parallel-DES engine (:mod:`repro.pdes`) uses this to place
-        cross-partition packet arrivals at their exact simulated
-        timestamp: computing the time as ``delay = at - now`` and going
-        through :meth:`_enqueue` would round-trip through float
-        subtraction and lose bit-identity with the serial kernel, which
-        computed the same instant as ``t_wire + remote_delay``.  ``at``
-        may not be in the past (events before ``now`` have already been
-        processed; injecting one would violate causality).
-        """
-        if at < self._now:
-            raise ValueError(
-                f"cannot enqueue at t={at!r}: simulator already at {self._now!r}"
-            )
-        self._seq = seq = self._seq + 1
-        if self._tiebreaker is None:
-            heapq.heappush(self._heap, (at, seq, event))
-        else:
-            heapq.heappush(self._heap, (at, self._tiebreaker(at, seq), seq, event))
-
-    def process_at(self, gen: Generator, at: float, name: str = "") -> "Process":  # noqa: F821
-        """Launch *gen* as a process whose first step runs at time ``at``.
-
-        Exactly one kernel event is consumed at ``at`` (the process init
-        event), mirroring how a timeout completion resumes a suspended
-        generator -- this is what keeps an injected cross-partition
-        arrival's event footprint identical to the serial
-        ``timeout(remote_delay)`` resume it replaces.
-        """
-        from .process import Process
-
-        proc = Process(self, gen, name=name, _defer_start=True)
-        self._enqueue_abs(proc._make_init_event(), at)
-        return proc
-
     def run_window(self, limit: float) -> Optional[float]:
         """Process every queued event with timestamp strictly below ``limit``.
 
@@ -257,6 +221,27 @@ class Simulator:
         no Timeout + closure pair per call.
         """
         return Callback(self, delay, callback)
+
+    def schedule_at(self, at: float, callback: Callable[[], None]) -> Event:
+        """Run ``callback()`` at the *absolute* time ``at``; returns the event.
+
+        The absolute-time twin of :meth:`schedule`: :mod:`repro.pdes`
+        replays a cross-partition packet arrival with it at its exact
+        timestamp (``delay = at - now`` would round-trip through float
+        subtraction and lose bit-identity with the serial ``t_wire +
+        remote_delay``).  ``at`` may not be in the past.
+        """
+        if at < self._now:
+            raise ValueError(
+                f"cannot schedule at t={at!r}: simulator already at {self._now!r}"
+            )
+        event = Callback(self, 0.0, callback, _defer=True)
+        self._seq = seq = self._seq + 1
+        if self._tiebreaker is None:
+            heapq.heappush(self._heap, (at, seq, event))
+        else:
+            heapq.heappush(self._heap, (at, self._tiebreaker(at, seq), seq, event))
+        return event
 
     def schedule_batch(
         self, delay: float, callbacks: Iterable[Callable[[], None]]
@@ -332,7 +317,7 @@ class Simulator:
         if tracer is not None:
             tracer.progress(self._now, self._steps)
 
-    def run_until_complete(self, *processes: "Process") -> None:  # noqa: F821
+    def run_until_complete(self, *processes: Process) -> None:
         """Run until every given process has finished.
 
         Unlike :meth:`run`, other still-live processes (e.g. daemon-like

@@ -120,3 +120,70 @@ def test_nic_utilisation_report():
     assert util["local_packets"] == 1
     assert util["tx_busy"] > 0
     assert util["rx_busy"] > 0
+
+
+# ------------------------------------------------- kernel-event budget
+def _steps_for_packets(npackets, **net_overrides):
+    sim, m = make_machine(**net_overrides)
+
+    def sender(sim):
+        for i in range(npackets):
+            yield from m.transmit(0, 2, 4096, i, lambda p: None)
+
+    sim.process(sender(sim))
+    sim.run()
+    assert m.remote_packets == npackets
+    return sim.steps
+
+
+@pytest.mark.parametrize(
+    "overrides, per_packet",
+    [
+        ({}, 5),  # send overhead, TX hold, arrival, RX hold, delivery
+        ({"recv_overhead": 0.0}, 4),  # delivery runs inline in the RX completion
+        ({"send_overhead": 0.0, "recv_overhead": 0.0}, 3),
+    ],
+)
+def test_remote_packet_costs_exactly_five_kernel_events(overrides, per_packet):
+    """One more remote packet is exactly five more kernel events.
+
+    Host-independent: a process, an acquire event or a second timeout
+    put back on the per-packet path fails here, not in a timing.
+    """
+    steps = [_steps_for_packets(k, **overrides) for k in (1, 2, 7)]
+    assert steps[1] - steps[0] == per_packet
+    assert steps[2] - steps[1] == 5 * per_packet
+
+
+# ------------------------------------------------------- same-instant ties
+def test_same_instant_tx_grants_deliver_in_grant_order_not_request_order():
+    """Two TX engines free at the same float instant, each with one waiter.
+
+    Ranks 0 (node 0) and 2 (node 1) start equal-sized sends at t=0, so
+    both TX holds complete at the same instant, node 0's first.  Their
+    waiters requested in the *opposite* order: rank 3 (node 1) before
+    rank 1 (node 0).  Both waiters' packets go to node 2.  The waiters
+    are *granted* in their predecessors' completion order (node 0 then
+    node 1), and that -- not the request order -- decides who reaches
+    node 2's RX engine first.
+
+    ``EXPECTED`` was recorded at the parent commit (426bd28, the
+    acquire/timeout/release resource).  A server that pushes a waiter's
+    completion at request time (``busy_until`` arithmetic) keeps every
+    timestamp and counter and delivers ``[3, 1]``.
+    """
+    EXPECTED = [1, 3]
+    sim, m = make_machine(nodes=4, cores=2)
+    delivered = []
+
+    def sender(sim, src, dst, start, nbytes):
+        yield sim.timeout(start)
+        yield from m.transmit(src, dst, nbytes, src, delivered.append)
+
+    sim.process(sender(sim, 0, 6, 0.0, 8192))  # predecessor on nic_tx[0]
+    sim.process(sender(sim, 2, 7, 0.0, 8192))  # predecessor on nic_tx[1]
+    sim.process(sender(sim, 3, 4, 0.25e-6, 1024))  # waiter on nic_tx[1], first
+    sim.process(sender(sim, 1, 4, 0.5e-6, 1024))  # waiter on nic_tx[0], second
+    sim.run()
+    assert [m.nic_tx[n].holds for n in (0, 1)] == [2, 2]
+    assert [src for src in delivered if src in (1, 3)] == EXPECTED

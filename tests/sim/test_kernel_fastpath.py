@@ -70,6 +70,46 @@ def test_callback_event_waitable_by_process():
     assert got == [3.0]
 
 
+# ---------------------------------------------------------- schedule_at()
+def test_schedule_at_matches_schedule_with_the_same_instant():
+    """One Callback event at the absolute time, sequenced like ``schedule``."""
+
+    def run(absolute: bool, tiebreaker=None):
+        sim = Simulator(tiebreaker=tiebreaker)
+        order = []
+
+        def starter():
+            for i in range(3):
+                fn = lambda i=i: order.append((sim.now, i))  # noqa: E731
+                if absolute:
+                    ev = sim.schedule_at(sim.now + 0.3, fn)
+                else:
+                    ev = sim.schedule(0.3, fn)
+                assert isinstance(ev, Callback) and not ev.triggered
+
+        sim.schedule(0.1, starter)
+        sim.schedule(0.4, lambda: order.append((sim.now, "native")))
+        sim.run()
+        return order, sim.steps, sim._seq
+
+    assert run(absolute=True) == run(absolute=False)
+    assert run(absolute=True)[0][-1] == (0.4, 2)
+    reverse = lambda t, seq: -seq  # noqa: E731
+    assert run(True, reverse) == run(False, reverse)
+    assert run(True, reverse)[0][0] == (0.4, 2)
+
+
+def test_schedule_at_rejects_the_past():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.schedule_at(0.5, lambda: None)
+    sim.schedule_at(1.0, lambda: None)  # "now" is not the past
+    sim.run()
+    assert sim.now == 1.0
+
+
 # ------------------------------------------------------- schedule_batch()
 def test_schedule_batch_matches_sequential_schedules():
     def run(batched: bool):

@@ -192,12 +192,12 @@ def test_any_of_both_children_usable():
 # ------------------------------------------------------------- resources
 def test_resource_serializes_holds():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     spans = []
 
     def user(sim, label):
         start = sim.now
-        yield from res.timed(1.0)
+        yield res.hold(1.0)
         spans.append((label, start, sim.now))
 
     for label in "abc":
@@ -209,26 +209,14 @@ def test_resource_serializes_holds():
     assert ends == [1.0, 2.0, 3.0]
 
 
-def test_resource_capacity_two_runs_pairs_concurrently():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-
-    def user(sim):
-        yield from res.timed(1.0)
-
-    procs = [sim.process(user(sim)) for _ in range(4)]
-    sim.run_until_complete(*procs)
-    assert sim.now == pytest.approx(2.0)
-
-
 def test_resource_fifo_grant_order():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     order = []
 
     def user(sim, label, delay):
         yield sim.timeout(delay)
-        yield from res.timed(1.0)
+        yield res.hold(1.0)
         order.append(label)
 
     sim.process(user(sim, "first", 0.0))
@@ -238,20 +226,13 @@ def test_resource_fifo_grant_order():
     assert order == ["first", "second", "third"]
 
 
-def test_resource_release_when_idle_raises():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(RuntimeError):
-        res.release()
-
-
 def test_resource_utilisation_counters():
     sim = Simulator()
     res = Resource(sim)
 
     def user(sim):
-        yield from res.timed(2.0)
-        yield from res.timed(3.0)
+        yield res.hold(2.0)
+        yield res.hold(3.0)
 
     p = sim.process(user(sim))
     sim.run_until_complete(p)
@@ -259,7 +240,58 @@ def test_resource_utilisation_counters():
     assert res.holds == 2
 
 
-def test_resource_bad_capacity():
+def test_resource_hold_is_one_event_and_serves_callbacks():
+    """A hold costs exactly its completion event, process or not."""
     sim = Simulator()
+    res = Resource(sim)
+    seen = []
+    first = res.hold(1.0)
+    second = res.hold(0.5)  # queued behind ``first``
+    first.callbacks.append(lambda ev: seen.append(("first", sim.now, ev.value)))
+    second.callbacks.append(lambda ev: seen.append(("second", sim.now, ev.value)))
+    assert (res.in_use, res.queue_length) == (1, 1)
+    assert not first.triggered and not second.triggered
+    sim.run()
+    assert seen == [("first", 1.0, None), ("second", 1.5, None)]
+    assert sim.steps == 2
+    assert (res.in_use, res.queue_length) == (0, 0)
+
+
+def test_resource_grants_next_hold_before_holder_callbacks_run():
+    """The waiter is in service by the time the finished holder resumes."""
+    sim = Simulator()
+    res = Resource(sim)
+    observed = []
+    first = res.hold(1.0)
+    res.hold(1.0)
+    first.callbacks.append(
+        lambda _ev: observed.append((res.in_use, res.queue_length, res.holds))
+    )
+    sim.run()
+    assert observed == [(1, 0, 1)]
+
+
+def test_resource_zero_duration_hold():
+    sim = Simulator()
+    res = Resource(sim)
+    done = []
+
+    def user(sim):
+        yield res.hold(0.0)
+        done.append(sim.now)
+        yield res.hold(0.0)
+        done.append(sim.now)
+
+    p = sim.process(user(sim))
+    sim.run_until_complete(p)
+    assert done == [0.0, 0.0]
+    assert res.holds == 2 and res.busy_time == 0.0
+    assert res.in_use == 0
+
+
+def test_resource_negative_duration_raises():
+    sim = Simulator()
+    res = Resource(sim)
     with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
+        res.hold(-1.0)
+    assert (res.in_use, res.queue_length) == (0, 0)

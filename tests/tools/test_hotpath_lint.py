@@ -277,3 +277,72 @@ def test_cli_reports_combining_violation(tmp_path):
     )
     assert proc.returncode == 1
     assert "must stay vectorized" in proc.stderr
+
+
+def _write_topology_tree(tmp_path, topology_src):
+    root = tmp_path / "repo"
+    pkg = root / "src" / "repro" / "machine"
+    pkg.mkdir(parents=True)
+    (pkg / "topology.py").write_text(topology_src)
+    return root
+
+
+def test_flags_process_per_packet_on_the_remote_path(tmp_path):
+    root = _write_topology_tree(
+        tmp_path,
+        "class Machine:\n"
+        "    def transmit_remote(self, src, dst):\n"
+        "        yield self.nic_tx[0].hold(1.0)\n"  # sender's generator: fine
+        "        self.sim.process(self._in_flight(dst))\n"  # violation
+        "    def inject_arrival(self, t_wire, dst):\n"
+        "        Process(self.sim, self._arrive(dst))\n"  # violation
+        "    def _arrive(self, dst):\n"
+        "        def delivered():\n"
+        "            self.sim.process_batch([self.tail(dst)])\n"  # nested: violation
+        "        yield self.nic_rx[0].hold(1.0)\n",  # violation: generator callback
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("Machine._arrive", "packet-path process_batch"),
+        ("Machine._arrive", "packet-path yield"),
+        ("Machine.inject_arrival", "packet-path Process"),
+        ("Machine.transmit_remote", "packet-path process"),
+    ]
+
+
+def test_packet_rule_ignores_other_methods_and_classes(tmp_path):
+    root = _write_topology_tree(
+        tmp_path,
+        "class Machine:\n"
+        "    def transmit_local(self, src, dst):\n"
+        "        yield self.sim.timeout(1.0)\n"
+        "    def warm_up(self):\n"
+        "        return self.sim.process(self.transmit_local(0, 1))\n"
+        "class Other:\n"
+        "    def _arrive(self):\n"
+        "        yield self.sim.process(x)\n",
+    )
+    assert hotpath_lint.lint(root) == []
+
+
+def test_cli_reports_packet_path_violation(tmp_path):
+    root = _write_topology_tree(
+        tmp_path,
+        "class Machine:\n"
+        "    def _arrive(self, dst):\n"
+        "        yield from self.nic_rx[0].timed(1.0)\n",
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(REPO / "tools" / "hotpath_lint.py"),
+            "--root",
+            str(root),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "no process per packet" in proc.stderr

@@ -37,6 +37,17 @@ free of clock reads and recorder calls -- no ``perf_counter`` /
 bumps are the only telemetry allowed there; a timing call on that path
 taxes every batch whether or not anyone is recording.
 
+PR 20 added a fifth rule for the remote-packet path
+(``repro.machine.topology``): no process per packet.  The in-flight leg
+of a remote packet is two scheduled callbacks, so inside
+``Machine.transmit_remote``, ``Machine._arrive`` and
+``Machine.inject_arrival`` a call to ``.process(``, ``.process_batch(``
+or ``Process(`` is a violation, and ``_arrive`` / ``inject_arrival``
+contain no ``yield`` (a generator there needs a process to drive it).
+Results stay bit-identical if someone puts the detached process back,
+so only this lint and the event-budget test in
+``tests/machine/test_topology.py`` would notice.
+
 Usage::
 
     python tools/hotpath_lint.py [--root PATH]
@@ -107,6 +118,17 @@ RING_FORBIDDEN_CALLS = {
     "record",
     "progress",
 }
+
+#: Remote-packet path file, the methods that must not spawn a process per
+#: packet, and the subset that must stay plain (non-generator) callbacks.
+PACKET_FILES = ("src/repro/machine/topology.py",)
+PACKET_METHODS = {
+    "Machine.transmit_remote",
+    "Machine._arrive",
+    "Machine.inject_arrival",
+}
+PACKET_CALLBACKS = {"Machine._arrive", "Machine.inject_arrival"}
+PACKET_FORBIDDEN_CALLS = {"process", "process_batch", "Process"}
 
 
 def _call_name(node: ast.Call) -> str:
@@ -290,6 +312,49 @@ class _RingFastPathVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+class _PacketPathVisitor(ast.NodeVisitor):
+    """Flags process launches and generator callbacks on the packet path.
+
+    Nested helpers count as part of their method (``Machine._arrive``'s
+    closures run per packet too).
+    """
+
+    def __init__(self, relpath: str) -> None:
+        self.relpath = relpath
+        self.stack: list[str] = []
+        self.violations: list[tuple[str, int, str, str]] = []
+
+    def _scoped(self, node) -> None:
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_ClassDef = _scoped
+    visit_FunctionDef = _scoped
+    visit_AsyncFunctionDef = _scoped
+
+    def _method(self) -> str:
+        return ".".join(self.stack[:2])
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = _call_name(node)
+        if name in PACKET_FORBIDDEN_CALLS and self._method() in PACKET_METHODS:
+            self.violations.append(
+                (self.relpath, node.lineno, self._method(), f"packet-path {name}")
+            )
+        self.generic_visit(node)
+
+    def _yield(self, node) -> None:
+        if self._method() in PACKET_CALLBACKS:
+            self.violations.append(
+                (self.relpath, node.lineno, self._method(), "packet-path yield")
+            )
+        self.generic_visit(node)
+
+    visit_Yield = _yield
+    visit_YieldFrom = _yield
+
+
 def lint_file(path: Path, relpath: str) -> list[tuple[str, int, str, str]]:
     tree = ast.parse(path.read_text(), filename=str(path))
     visitor = _HotPathVisitor(relpath)
@@ -320,6 +385,15 @@ def lint_ring_fast_path(
     return visitor.violations
 
 
+def lint_packet_path(
+    path: Path, relpath: str
+) -> list[tuple[str, int, str, str]]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    visitor = _PacketPathVisitor(relpath)
+    visitor.visit(tree)
+    return visitor.violations
+
+
 def lint(root: Path) -> list[tuple[str, int, str, str]]:
     violations = []
     for rel in HOT_FILES:
@@ -338,6 +412,10 @@ def lint(root: Path) -> list[tuple[str, int, str, str]]:
         path = root / rel
         if path.exists():
             violations.extend(lint_ring_fast_path(path, rel))
+    for rel in PACKET_FILES:
+        path = root / rel
+        if path.exists():
+            violations.extend(lint_packet_path(path, rel))
     return violations
 
 
@@ -368,6 +446,14 @@ def main(argv=None) -> int:
                 f"bumps are the only telemetry allowed here)",
                 file=sys.stderr,
             )
+        elif name.startswith("packet-path "):
+            print(
+                f"{relpath}:{lineno}: {name[len('packet-path '):]} in "
+                f"{qualname} -- no process per packet: the in-flight leg of "
+                f"a remote packet is scheduled callbacks (sim.schedule / "
+                f"Resource.hold), never a Process or a generator",
+                file=sys.stderr,
+            )
         elif "pickle" in name:
             print(
                 f"{relpath}:{lineno}: {name} in {qualname} -- the PDES "
@@ -387,7 +473,7 @@ def main(argv=None) -> int:
     if not violations:
         nfiles = (
             len(HOT_FILES) + len(PICKLE_FREE_FILES) + len(VECTORIZED_FILES)
-            + len(RING_FILES)
+            + len(RING_FILES) + len(PACKET_FILES)
         )
         print(f"hotpath lint: OK ({nfiles} files)")
     return 1 if violations else 0
