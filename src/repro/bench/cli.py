@@ -43,21 +43,19 @@ on, and the overhead-attribution report (JSON + self-contained HTML;
 into named phase buckets.  Adding ``--trace out.json`` also writes the
 merged Chrome trace with one host wall-clock process group per worker.
 
-``--perf`` switches to the wall-clock performance harness (see
-:mod:`repro.bench.perf` and EXPERIMENTS.md): micro- and macrobenchmarks
-of the DES stack itself, written to a schema-versioned
-``BENCH_perf.json`` for cross-PR trajectory tracking.  ``--smoke``
-shrinks it to one repeat at tiny scale (the CI ``perf-smoke`` job).
+Nothing here reads a host clock to make a claim: host-time performance
+is measured by ``benchmarks/ygmbench`` alone (see its README.md and
+EXPERIMENTS.md, "Host-time performance").
 
-Multi-simulation modes (figures, ablations, ``--check``, ``--perf``)
-fan their independent simulations out over a process pool
-(:mod:`repro.exec`): ``--jobs N`` sets the worker count (default: all
-visible CPUs; ``--jobs 1`` is the serial path and produces
-byte-identical tables).  Completed cells land in an on-disk
-content-addressed cache (``.repro-cache/``; keyed by config *and* a
-hash of the ``repro`` sources, so code edits invalidate it
-automatically), making re-runs of unchanged sweeps near-instant.
-``--no-cache`` disables it, ``--clear-cache`` empties it first.
+Multi-simulation modes (figures, ablations, ``--check``) fan their
+independent simulations out over a process pool (:mod:`repro.exec`):
+``--jobs N`` sets the worker count (default: all visible CPUs;
+``--jobs 1`` is the serial path and produces byte-identical tables).
+Completed cells land in an on-disk content-addressed cache
+(``.repro-cache/``; keyed by config *and* a hash of the ``repro``
+sources, so code edits invalidate it automatically), making re-runs of
+unchanged sweeps near-instant.  ``--no-cache`` disables it,
+``--clear-cache`` empties it first.
 """
 
 from __future__ import annotations
@@ -136,7 +134,8 @@ def expand_figs(figs: List[str]) -> List[str]:
             expanded.append(f)
         else:
             panels = [k for k in FIGS if k.startswith(f)]
-            if not panels:
+            # "" is a prefix of every id: a bare "fig" names no figure.
+            if not f or not panels:
                 raise ValueError(
                     f"unknown figure {raw!r}; known: {known + ['all', 'ablations']}"
                 )
@@ -144,7 +143,8 @@ def expand_figs(figs: List[str]) -> List[str]:
     return expanded
 
 
-def main(argv: List[str] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-bench`` parser: every settable flag of the CLI."""
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Regenerate the paper's figures on the simulated machine.",
@@ -297,51 +297,11 @@ def main(argv: List[str] = None) -> int:
         metavar="SCALE",
         help="restrict the --check oracle to a machine scale (repeatable)",
     )
-    parser.add_argument(
-        "--perf",
-        action="store_true",
-        help="performance-harness mode: wall-clock micro/macro benchmarks "
-        "of the DES stack, written to BENCH_perf.json",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="with --perf: 1 repeat at tiny scale (harness sanity, not timing)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="with --perf: repeats per benchmark (default 5)",
-    )
-    parser.add_argument(
-        "--perf-out",
-        metavar="PATH",
-        default="BENCH_perf.json",
-        help="with --perf: output JSON path (default: ./BENCH_perf.json)",
-    )
-    parser.add_argument(
-        "--perf-baseline",
-        metavar="PATH",
-        help="with --perf: previous BENCH_perf.json to embed medians "
-        "and speedups against",
-    )
-    parser.add_argument(
-        "--perf-only",
-        action="append",
-        dest="perf_only",
-        metavar="NAME",
-        help="with --perf: run only this benchmark (repeatable)",
-    )
-    parser.add_argument(
-        "--perf-gate",
-        metavar="REPORT",
-        nargs="?",
-        const="BENCH_perf.json",
-        help="regression-gate a perf report (default: ./BENCH_perf.json): "
-        "fail if the columnar mailbox bench loses its floor over the "
-        "scalar bench, or drops >20%% below a comparable --perf-baseline",
-    )
+    return parser
+
+
+def main(argv: List[str] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -368,40 +328,6 @@ def main(argv: List[str] = None) -> int:
         default_timeout=args.job_timeout,
         progress=stderr_progress,
     )
-
-    if args.perf_gate and not args.perf:
-        from .perf import run_gate
-
-        try:
-            return run_gate(args.perf_gate, baseline_path=args.perf_baseline)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    if args.perf:
-        from .perf import DEFAULT_REPEATS, run_gate, run_perf
-
-        try:
-            rc = run_perf(
-                out_path=args.perf_out,
-                repeats=args.repeats or DEFAULT_REPEATS,
-                smoke=args.smoke,
-                baseline_path=args.perf_baseline,
-                only=args.perf_only,
-                # Timing cells must not be cached: a stale wall-clock
-                # measurement is worse than no measurement.
-                pool=Pool(
-                    jobs=pool.jobs, cache=None, progress=stderr_progress
-                ),
-            )
-            if rc == 0 and args.perf_gate:
-                # --perf --perf-gate: gate the report just written.
-                rc = run_gate(args.perf_out, baseline_path=args.perf_baseline)
-            return rc
-        except (ValueError, OSError) as exc:
-            parser.error(str(exc))
-        except KeyboardInterrupt:
-            print("\n# interrupted; workers terminated", file=sys.stderr)
-            return 130
 
     if args.check:
         from ..check import ORACLE_APPS, ORACLE_SCALES

@@ -4,7 +4,7 @@ Each figure module builds workloads, sweeps ``(scheme, nodes)`` grids and
 returns :class:`~repro.bench.report.Table` objects whose rows mirror the
 series plotted in the paper.  Simulated seconds are the measured
 quantity; wall-clock time of the simulation itself is what
-pytest-benchmark tracks.
+``benchmarks/ygmbench`` measures.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """``repro.exec``: parallel sweep execution for the repo's drivers.
 
 Every top-level workload here -- figure sweeps, the routing-differential
-oracle, the schedule fuzzer, perf repeats -- is a bag of independent
+oracle, the schedule fuzzer -- is a bag of independent
 deterministic simulations.  This package turns those bags into
 :class:`Job` cells and runs them on a :class:`Pool` of worker processes
 with an on-disk content-addressed :class:`ResultCache`, so sweeps scale

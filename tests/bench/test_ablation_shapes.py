@@ -1,19 +1,6 @@
-"""Ablation benchmarks (design-choice studies from DESIGN.md section 4)."""
-
-import pytest
+"""Ablation shapes (design-choice studies from DESIGN.md section 4)."""
 
 from repro.bench import ablations
-
-
-def test_benchmark_capacity_sweep(benchmark):
-    table = benchmark(
-        ablations.run_capacity_sweep,
-        nodes=4,
-        cores=4,
-        capacities=(2**6, 2**10, 2**14),
-        edges_per_rank=2**11,
-    )
-    assert len(table.rows) == 3
 
 
 def test_shape_capacity_bigger_mailbox_bigger_packets():

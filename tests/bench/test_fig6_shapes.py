@@ -1,27 +1,6 @@
 """Fig 6: degree-counting weak (6a) and strong (6b) scaling."""
 
-import pytest
-
-from repro.apps import make_degree_counting
 from repro.bench import fig6
-from repro.bench.harness import SweepConfig, run_ygm
-from repro.graph import er_stream
-
-
-def test_benchmark_degree_counting_nlnr(benchmark, tiny_sweep):
-    """Wall-clock of one representative configuration (NLNR, 8 nodes)."""
-    stream = er_stream(num_vertices=2**13, edges_per_rank=2**11, seed=0)
-
-    def run():
-        return run_ygm(
-            make_degree_counting(stream, batch_size=2**11),
-            tiny_sweep.machine(8),
-            "nlnr",
-            tiny_sweep.mailbox_capacity,
-        )
-
-    res = benchmark(run)
-    assert res.mailbox_stats.app_messages_sent == 2 * 2**11 * 32
 
 
 def test_shape_fig6a_weak(quick_sweep):

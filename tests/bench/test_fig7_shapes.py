@@ -1,28 +1,6 @@
 """Fig 7: connected-components weak (7a) and strong (7b) scaling."""
 
-import pytest
-
-from repro.apps import make_connected_components
 from repro.bench import fig7
-from repro.bench.harness import SweepConfig, run_ygm
-from repro.graph import rmat_stream
-
-
-def test_benchmark_cc_with_delegates(benchmark, tiny_sweep):
-    """Wall-clock of one CC configuration with delegates (NLNR, 4 nodes)."""
-    stream = rmat_stream(scale=10, edges_per_rank=2**10, seed=0)
-
-    def run():
-        return run_ygm(
-            make_connected_components(stream, delegate_threshold=30.0, batch_size=2**11),
-            tiny_sweep.machine(4),
-            "nlnr",
-            tiny_sweep.mailbox_capacity,
-        )
-
-    res = benchmark(run)
-    assert res.values[0].delegate_count > 0
-    assert res.mailbox_stats.bcasts_initiated > 0
 
 
 def test_shape_fig7a_weak(tiny_sweep):

@@ -1,23 +1,6 @@
 """Fig 8: SpMV scaling -- YGM vs the CombBLAS-style 2D baseline."""
 
-import numpy as np
-import pytest
-
 from repro.bench import fig8
-from repro.bench.harness import SweepConfig
-
-
-def test_benchmark_spmv_ygm_vs_combblas(benchmark, tiny_sweep):
-    """Wall-clock of one (YGM + CombBLAS) configuration at 8 nodes."""
-
-    def run():
-        return fig8.run_weak(
-            SweepConfig(cores_per_node=4, node_counts=(8,), mailbox_capacity=2**12),
-            skewed=True,
-        )
-
-    table = benchmark(run)
-    assert len(table.rows) >= 2
 
 
 def test_shape_fig8a_8b_weak_rmat(tiny_sweep):

@@ -7,19 +7,23 @@ this is exactly what intermediate hops do).  The ``min`` algebras must
 additionally be idempotent, which is what makes their combining
 bit-exact end to end.  Float ``sum`` (SpMV) holds the same structure up
 to rounding only, so its re-grouping equivalences are checked with a
-tolerance.
+tolerance.  Last, two fixed panels pin what combining removes end to end.
 """
 
 import numpy as np
 import pytest
 
+from repro.apps import make_connected_components, make_degree_counting
 from repro.apps.bfs import BFS_COMBINER, BFS_SPEC
 from repro.apps.connected_components import CC_COMBINER, CC_SPEC
 from repro.apps.degree_count import DEGREE_COMBINER, DEGREE_COUNT_SPEC
 from repro.apps.kmer_count import KMER_COMBINER, KMER_COUNT_SPEC
 from repro.apps.sssp import SSSP_COMBINER, SSSP_SPEC
+from repro.core import YgmWorld
 from repro.core.routing.combiner import REDUCE_OPS, Combiner
+from repro.graph import er_stream, rmat_stream
 from repro.linalg.spmv import SPMV_COMBINER, SPMV_SPEC
+from repro.machine import bench_machine
 
 
 def _random_case(app, rng, n):
@@ -210,3 +214,52 @@ def test_reduce_ops_registry_is_algebraically_sound():
         a, b, c = xs[:10], xs[10:20], xs[20:]
         assert np.array_equal(op(op(a, b), c), op(a, op(b, c)))
         assert np.array_equal(op(a, b), op(b, a))
+
+
+# ------------------------------------------------- end-to-end reduction floors
+#: In-network combining must remove at least this share of forwarded
+#: entries *and* remote wire bytes on both representative panels (the
+#: PR 9 acceptance bar).  Simulated counters of paired off/on runs: exact
+#: on any host.
+MIN_COMBINING_REDUCTION = 0.25
+
+
+def _panel_counters(app, combining):
+    """(entries_combined, entries_forwarded, remote_bytes_sent) of one panel
+    run: NLNR, 2 nodes x 2 cores, capacity 2^8."""
+    if app == "degree_count":
+        # Fig 6 shape with a concentrated key space: duplicate-rich windows.
+        stream = er_stream(num_vertices=64, edges_per_rank=512, seed=5)
+        program = make_degree_counting(
+            stream, batch_size=1024, capacity=2**8, combining=combining
+        )
+    else:
+        # Fig 7's RMAT workload; only extreme hubs are delegated, so label
+        # updates ride the combinable point-to-point mailbox.
+        stream = rmat_stream(8, 512, seed=5)
+        mean_degree = 2.0 * 512 * 4 / stream.num_vertices
+        program = make_connected_components(
+            stream, delegate_threshold=16.0 * mean_degree, batch_size=1024,
+            capacity=2**8, combining=combining,
+        )
+    world = YgmWorld(
+        bench_machine(2, cores_per_node=2), scheme="nlnr", seed=0,
+        mailbox_capacity=2**8,
+    )
+    stats = world.run(program).mailbox_stats
+    return stats.entries_combined, stats.entries_forwarded, stats.remote_bytes_sent
+
+
+@pytest.mark.parametrize(
+    "app, off, on",
+    [
+        ("degree_count", (0, 2116, 33440), (2958, 128, 3072)),
+        ("connected_components", (0, 9053, 200796), (6832, 5281, 103932)),
+    ],
+)
+def test_combining_reduction_floor(app, off, on):
+    assert _panel_counters(app, combining=False) == off
+    assert _panel_counters(app, combining=True) == on
+    forwarded = 1.0 - on[1] / off[1]  # 0.9395 / 0.4167
+    wire = 1.0 - on[2] / off[2]  # 0.9081 / 0.4824
+    assert min(forwarded, wire) >= MIN_COMBINING_REDUCTION

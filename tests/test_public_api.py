@@ -81,6 +81,14 @@ PDES_WORLD_PARAMS = YGM_WORLD_PARAMS | {
     "workers", "window_timeout", "transport", "window_batch", "ring_bytes",
     "flight",
 }
+#: Every settable flag of ``python -m repro.bench``, plus its positional.
+BENCH_CLI_FLAGS = {
+    "FIG", "--fig", "--full", "--seed", "--jobs", "--pdes-workers",
+    "--pdes-transport", "--no-cache", "--clear-cache", "--cache-dir",
+    "--job-timeout", "--trace", "--metrics", "--metrics-interval",
+    "--profile", "--profile-out", "--attribute", "--attribute-out",
+    "--check", "--fuzz-runs", "--check-app", "--check-scale",
+}
 
 
 def _params(func):
@@ -99,3 +107,17 @@ def test_core_surface_stays_within_budget():
     assert _params(core.YgmWorld.__init__) <= YGM_WORLD_PARAMS
     assert _params(core.YgmContext.mailbox) <= MAILBOX_FACTORY_PARAMS
     assert _params(PdesWorld.__init__) <= PDES_WORLD_PARAMS
+
+
+def test_bench_cli_flags_stay_within_budget():
+    from repro.bench.cli import build_parser, main
+
+    flags = set()
+    for action in build_parser()._actions:
+        if action.dest != "help":
+            flags.update(action.option_strings or [action.metavar])
+    assert flags == BENCH_CLI_FLAGS  # 21 flags and the positional
+    # The wall-clock harness is gone, not hidden: its flag does not parse.
+    with pytest.raises(SystemExit) as exc:
+        main(["--perf"])
+    assert exc.value.code == 2

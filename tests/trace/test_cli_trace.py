@@ -29,6 +29,16 @@ def test_expand_figs_unknown_raises():
         expand_figs(["fig99"])
 
 
+@pytest.mark.parametrize("raw", ["fig", "", "FIG"])
+def test_expand_figs_empty_id_raises(raw):
+    """The empty string is a prefix of every id; it names no figure."""
+    with pytest.raises(ValueError, match="unknown figure"):
+        expand_figs([raw])
+    with pytest.raises(SystemExit) as exc:
+        main([raw])
+    assert exc.value.code == 2
+
+
 # ------------------------------------------------------------- traced mode
 def test_cli_traced_mode_outputs(tmp_path, capsys):
     trace = tmp_path / "trace.json"
