@@ -8,12 +8,18 @@ cereal.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Optional
 
 import numpy as np
 
-from ..serde import packed_size, packed_size_many
-from ..serde.packer import int64_packed_sizes
+from ..serde import packed_size
+from ..serde.packer import _SIZE_HANDLERS, int64_packed_sizes
+
+# Exact-type dispatch: serde's size column, except that raw buffers are
+# charged their own length (they travel without serde framing).
+_SIZERS = {**_SIZE_HANDLERS, np.ndarray: attrgetter("nbytes"),
+           bytes: len, bytearray: len, memoryview: len}
 
 
 def payload_nbytes(payload: Any, nbytes: Optional[int] = None) -> int:
@@ -26,6 +32,9 @@ def payload_nbytes(payload: Any, nbytes: Optional[int] = None) -> int:
         if nbytes < 0:
             raise ValueError(f"negative payload size: {nbytes}")
         return nbytes
+    sizer = _SIZERS.get(type(payload))
+    if sizer is not None:
+        return sizer(payload)
     if isinstance(payload, np.ndarray):
         return payload.nbytes
     if isinstance(payload, (bytes, bytearray, memoryview)):
@@ -39,8 +48,7 @@ def payload_nbytes_many(payloads, nbytes=None) -> np.ndarray:
     ``nbytes`` may be ``None`` (measure every payload), one int (all
     payloads share the size) or a parallel array of per-payload sizes.
     Element-for-element equal to calling :func:`payload_nbytes` in a
-    loop; the all-``int`` payload case is measured in bulk through
-    :func:`repro.serde.packed_size_many`.
+    loop; an all-``int`` payload column is measured in bulk.
     """
     n = len(payloads)
     if nbytes is not None:
@@ -56,15 +64,7 @@ def payload_nbytes_many(payloads, nbytes=None) -> np.ndarray:
         if n and sizes.min() < 0:
             raise ValueError(f"negative payload size: {int(sizes.min())}")
         return sizes
-    if n and set(map(type, payloads)) == {int}:
-        # The type scan runs in C (one frame, no generator); ``bool``
-        # and NumPy scalars fall through to the generic path.  Straight
-        # to the int64 kernel: ``packed_size_many`` would rescan the
-        # column for the same all-int precondition.
-        sizes = int64_packed_sizes(payloads, n)
-        if sizes is not None:
-            return sizes
-        return packed_size_many(payloads)  # beyond-int64 values
-    return np.fromiter(
-        (payload_nbytes(p) for p in payloads), dtype=np.int64, count=n
-    )
+    sizes = int64_packed_sizes(payloads)
+    if sizes is None:  # mixed types or beyond int64: one payload at a time
+        sizes = np.fromiter(map(payload_nbytes, payloads), dtype=np.int64, count=n)
+    return sizes

@@ -16,11 +16,12 @@ zigzag varint encoding; containers are length-prefixed.  ``pickle`` is
 deliberately not used: its output size is noisy (memoisation, protocol
 framing) and the whole point here is faithful message-size accounting.
 
-Packing dispatches on exact type through a handler table rather than an
+Packing dispatches on exact type through one type table rather than an
 ``elif`` chain, and unpacking through a 256-entry tag table; both produce
 the same bytes as the original chain for every input (pinned by the
-reference-encoding property tests).  :func:`pack_many`/:func:`unpack_many`
-batch a whole message stream through one reused buffer.
+reference-encoding property tests).  Each table row pairs the writer of an
+encoding with a function that computes its length without writing it.
+:func:`pack_many`/:func:`unpack_many` batch a stream through one buffer.
 """
 
 from __future__ import annotations
@@ -83,25 +84,17 @@ def _read_uvarint(buf: memoryview, pos: int) -> Tuple[int, int]:
         shift += 7
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if -(2**63) <= value < 2**63 else _big_zigzag(value)
-
-
-def _big_zigzag(value: int) -> int:
-    # Arbitrary-precision zigzag for ints outside int64.
-    return value * 2 if value >= 0 else -value * 2 - 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
+def _uvarint_len(value: int) -> int:
+    """Bytes :func:`_write_uvarint` emits for ``value``."""
+    return (value.bit_length() + 6) // 7 or 1
 
 
 # ------------------------------------------------------------------ packing
 #
-# One handler per exact built-in type, dispatched through a dict keyed on
-# ``type(obj)``.  Anything not in the table (NumPy values, registered user
-# types, unknown types) falls through to :func:`_pack_other`, which keeps
-# the original chain's check order.
+# The pack column: one handler per exact type, dispatched through a dict
+# keyed on ``type(obj)``.  Anything not in the table (NumPy scalars, array
+# subclasses, registered user types, unknown types) falls through to
+# :func:`_pack_other`, which keeps the original chain's check order.
 
 def _pack_none(out: bytearray, obj: Any) -> None:
     out.append(T_NONE)
@@ -146,21 +139,8 @@ def _pack_str(out: bytearray, obj: Any) -> None:
     out += raw
 
 
-def _pack_list(out: bytearray, obj: Any) -> None:
-    out.append(T_LIST)
-    n = len(obj)
-    if n < 0x80:
-        out.append(n)
-    else:
-        _write_uvarint(out, n)
-    handlers = _PACK_HANDLERS
-    other = _pack_other
-    for item in obj:
-        handlers.get(type(item), other)(out, item)
-
-
-def _pack_tuple(out: bytearray, obj: Any) -> None:
-    out.append(T_TUPLE)
+def _pack_seq(out: bytearray, obj: Any) -> None:
+    out.append(T_LIST if type(obj) is list else T_TUPLE)
     n = len(obj)
     if n < 0x80:
         out.append(n)
@@ -195,6 +175,16 @@ def _pack_set(out: bytearray, obj: Any) -> None:
         out += enc
 
 
+def _custom_entry(obj: Any):
+    entry = lookup_by_type(type(obj))
+    if entry is None:
+        raise SerdeError(
+            f"cannot serialize {type(obj).__name__}; register it with "
+            "repro.serde.register()"
+        )
+    return entry
+
+
 def _pack_other(out: bytearray, obj: Any) -> None:
     """Fallback for types outside the dispatch table (original chain tail)."""
     if isinstance(obj, np.ndarray):
@@ -206,38 +196,10 @@ def _pack_other(out: bytearray, obj: Any) -> None:
         out += descr
         out += obj.tobytes()
     else:
-        entry = lookup_by_type(type(obj))
-        if entry is None:
-            raise SerdeError(
-                f"cannot serialize {type(obj).__name__}; register it with "
-                "repro.serde.register()"
-            )
+        entry = _custom_entry(obj)
         out.append(T_CUSTOM)
         _write_uvarint(out, entry.type_id)
-        _pack_into(out, entry.to_state(obj))
-
-
-_PACK_HANDLERS: Dict[type, Callable[[bytearray, Any], None]] = {
-    type(None): _pack_none,
-    bool: _pack_bool,
-    int: _pack_int,
-    float: _pack_float,
-    bytes: _pack_bytes,
-    str: _pack_str,
-    list: _pack_list,
-    tuple: _pack_tuple,
-    dict: _pack_dict,
-    set: _pack_set,
-    frozenset: _pack_set,
-}
-
-# Registered after its definition below; exact-type dispatch spares the
-# PDES wire hot path an isinstance chain per column.
-# (np.ndarray subclasses still reach _pack_ndarray via _pack_other.)
-
-
-def _pack_into(out: bytearray, obj: Any) -> None:
-    _PACK_HANDLERS.get(type(obj), _pack_other)(out, obj)
+        pack_into(out, entry.to_state(obj))
 
 
 # Hot-path caches: a run ships the same handful of dtypes millions of
@@ -253,7 +215,7 @@ def _pack_dtype(out: bytearray, dtype: np.dtype) -> None:
     if dtype.names:
         out.append(1)
         # descr is a nested list/tuple/str structure; reuse the packer.
-        _pack_into(out, _descr_to_plain(dtype.descr))
+        pack_into(out, _descr_to_plain(dtype.descr))
     else:
         enc = _DTYPE_PACK_CACHE.get(dtype)
         if enc is None:
@@ -305,7 +267,94 @@ def _pack_ndarray(out: bytearray, arr: np.ndarray) -> None:
     out += np.ascontiguousarray(arr).tobytes()
 
 
-_PACK_HANDLERS[np.ndarray] = _pack_ndarray
+# ------------------------------------------------------------------- sizing
+#
+# The size column: ``size_fn(obj) == len(pack_fn(obj))`` by arithmetic on
+# what the pack column would write (tools/hotpath_lint.py, rule 6).
+
+def _size_tag(obj: Any) -> int:
+    return 1
+
+
+def _size_int(obj: Any) -> int:
+    zz = obj * 2 if obj >= 0 else -obj * 2 - 1
+    return 2 if zz < 0x80 else 1 + (zz.bit_length() + 6) // 7
+
+
+def _size_float(obj: Any) -> int:
+    return 9
+
+
+def _size_bytes(obj: Any) -> int:
+    n = len(obj)  # tag, uvarint length, that many bytes
+    return n + 2 if n < 0x80 else n + 1 + _uvarint_len(n)
+
+
+def _size_str(obj: Any) -> int:
+    n = len(obj) if obj.isascii() else len(obj.encode("utf-8"))
+    return n + 2 if n < 0x80 else n + 1 + _uvarint_len(n)
+
+
+def _size_items(obj: Any) -> int:
+    """list, tuple, set, frozenset: tag + count + items, in any order."""
+    total = 2 if len(obj) < 0x80 else 1 + _uvarint_len(len(obj))
+    sizes = _SIZE_HANDLERS
+    other = _size_other
+    for item in obj:
+        total += sizes.get(type(item), other)(item)
+    return total
+
+
+def _size_dict(obj: Any) -> int:
+    total = 2 if len(obj) < 0x80 else 1 + _uvarint_len(len(obj))
+    sizes = _SIZE_HANDLERS
+    other = _size_other
+    for key, val in obj.items():
+        total += sizes.get(type(key), other)(key) + sizes.get(type(val), other)(val)
+    return total
+
+
+def _size_ndarray(arr: np.ndarray) -> int:
+    dtype = arr.dtype
+    if dtype.hasobject:
+        raise SerdeError("object-dtype arrays are not serialisable")
+    if dtype.names:  # flag byte + the packed plain descr
+        descr = 1 + _size_items(_descr_to_plain(dtype.descr))
+    else:  # flag byte standing where the string's own tag would
+        descr = _size_bytes(dtype.str)
+    return 1 + descr + sum(map(_uvarint_len, (arr.ndim, *arr.shape))) + arr.nbytes
+
+
+def _size_other(obj: Any) -> int:
+    if isinstance(obj, np.ndarray):
+        return _size_ndarray(obj)
+    if isinstance(obj, np.generic):
+        # tobytes() widens a zero-width str_/bytes_ to one character.
+        body = obj.dtype.itemsize or np.asarray(obj).nbytes
+        return _size_bytes(obj.dtype.str) + body
+    entry = _custom_entry(obj)
+    return 1 + _uvarint_len(entry.type_id) + packed_size(entry.to_state(obj))
+
+
+# One row per exact type: (pack column, size column).  The two dispatch
+# dicts are derived from this literal, so a hot lookup stays one dict.get;
+# everything else goes through _pack_other / _size_other.
+_TYPE_TABLE: Dict[type, Tuple[Callable[[bytearray, Any], None], Callable[[Any], int]]] = {
+    type(None): (_pack_none, _size_tag),
+    bool: (_pack_bool, _size_tag),
+    int: (_pack_int, _size_int),
+    float: (_pack_float, _size_float),
+    bytes: (_pack_bytes, _size_bytes),
+    str: (_pack_str, _size_str),
+    list: (_pack_seq, _size_items),
+    tuple: (_pack_seq, _size_items),
+    dict: (_pack_dict, _size_dict),
+    set: (_pack_set, _size_items),
+    frozenset: (_pack_set, _size_items),
+    np.ndarray: (_pack_ndarray, _size_ndarray),
+}
+_PACK_HANDLERS = {tp: row[0] for tp, row in _TYPE_TABLE.items()}
+_SIZE_HANDLERS = {tp: row[1] for tp, row in _TYPE_TABLE.items()}
 
 
 def pack(obj: Any) -> bytes:
@@ -335,24 +384,22 @@ def pack_many(objs: Iterable[Any], out: "bytearray | None" = None) -> bytes:
     return bytes(buf)
 
 
-_SIZE_SCRATCH = bytearray()
-
-
 def packed_size(obj: Any) -> int:
     """The encoded size of ``obj`` in bytes (== ``len(pack(obj))``)."""
-    scratch = _SIZE_SCRATCH
-    scratch.clear()
-    _PACK_HANDLERS.get(type(obj), _pack_other)(scratch, obj)
-    return len(scratch)
+    return _SIZE_HANDLERS.get(type(obj), _size_other)(obj)
 
 
-def int64_packed_sizes(objs, n: int) -> "np.ndarray | None":
-    """Encoded sizes of ``n`` plain ``int`` objects, or ``None``.
+def int64_packed_sizes(objs) -> "np.ndarray | None":
+    """Encoded sizes of a column of plain ``int`` objects, or ``None``.
 
-    The caller guarantees every element is a plain ``int`` (``type`` is
-    exactly ``int``, not bool or a NumPy scalar); returns ``None`` when a
-    value exceeds int64, in which case the per-element packer must run.
+    ``None`` sends the caller to its per-element loop: for an empty column,
+    a value beyond int64, or an element whose ``type`` is not exactly
+    ``int`` (bool packs as a tag byte, NumPy scalars through their own
+    handler -- hence the exact-type scan, run in C by ``set(map(...))``).
     """
+    n = len(objs)
+    if not n or set(map(type, objs)) != {int}:
+        return None
     try:
         v = np.fromiter(objs, dtype=np.int64, count=n)
     except OverflowError:
@@ -375,20 +422,13 @@ def packed_size_many(objs) -> np.ndarray:
     Element-for-element equal to ``[packed_size(o) for o in objs]``.  The
     all-``int`` case -- the dominant payload shape of scalar mailbox
     traffic -- is computed with NumPy zigzag/varint arithmetic instead of
-    running the packer per element; anything else (mixed types, ints
-    beyond int64) falls back to the per-element packer.
+    one size walk per element; anything else (mixed types, ints
+    beyond int64) falls back to :func:`packed_size` per element.
     """
-    n = len(objs)
-    # Exact-type scan (in C, via ``set(map(type, ...))``) on purpose:
-    # bool is an int subclass but packs as a tag byte, and NumPy scalars
-    # pack through their own handler -- both must take the fallback loop.
-    if n and set(map(type, objs)) == {int}:
-        sizes = int64_packed_sizes(objs, n)
-        if sizes is not None:
-            return sizes
-    return np.fromiter(
-        (packed_size(o) for o in objs), dtype=np.int64, count=n
-    )
+    sizes = int64_packed_sizes(objs)
+    if sizes is None:
+        sizes = np.fromiter(map(packed_size, objs), dtype=np.int64, count=len(objs))
+    return sizes
 
 
 # ---------------------------------------------------------------- unpacking

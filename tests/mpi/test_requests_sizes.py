@@ -34,6 +34,34 @@ def test_payload_nbytes_objects_use_serde():
     assert payload_nbytes(obj) == packed_size(obj)
 
 
+def test_payload_nbytes_subclasses_size_like_their_base():
+    # Exact-type dispatch misses a subclass; the isinstance checks behind
+    # it must still charge raw buffers their length, not a serde framing.
+    class Blob(bytes):
+        pass
+
+    class Buf(bytearray):
+        pass
+
+    class Grid(np.ndarray):
+        pass
+
+    assert payload_nbytes(Blob(b"12345")) == 5
+    assert payload_nbytes(Buf(7)) == 7
+    assert payload_nbytes(np.zeros((3, 4), dtype="f8").view(Grid)) == 96
+    assert payload_nbytes(np.zeros((4, 4), dtype="f8")[::2, ::2]) == 32
+
+
+def test_payload_nbytes_bool_is_not_an_int():
+    assert payload_nbytes(True) == payload_nbytes(False) == 1
+    assert payload_nbytes(1) == 2
+
+
+def test_payload_nbytes_explicit_zero_wins():
+    assert payload_nbytes({"k": [1, 2, 3]}, 0) == 0
+    assert payload_nbytes(np.zeros(8), nbytes=0) == 0
+
+
 # -------------------------------------------------------------- requests
 def test_irecv_cancel_releases_matching_slot():
     def main(ctx):

@@ -84,6 +84,26 @@ def test_packed_size_matches_len():
         assert packed_size(obj) == len(pack(obj))
 
 
+def test_packed_size_is_reentrant_through_to_state():
+    # A length-prefixed state: to_state itself measures its field.  With a
+    # shared scratch buffer the inner call wiped what the outer one had
+    # written so far (20 instead of 23 here).
+    from repro.serde import register
+    from repro.serde.registry import clear_registry
+
+    class P:
+        def __init__(self, x):
+            self.x = x
+
+    register(P, 901, lambda p: (p.x, packed_size(p.x)), lambda s: P(s[0]))
+    try:
+        obj = ["abc", P("hello"), 5]
+        assert len(pack(obj)) == 23
+        assert packed_size(obj) == 23
+    finally:
+        clear_registry()
+
+
 def test_small_ints_are_compact():
     assert packed_size(0) == 2  # tag + 1 varint byte
     assert packed_size(63) == 2

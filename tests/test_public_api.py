@@ -72,6 +72,11 @@ CORE_EXPORTS = {
     "TerminationDetector", "YgmContext", "YgmResult", "YgmWorld", "aggregate",
     "binomial_children", "binomial_parent", "get_scheme",
 }
+SERDE_EXPORTS = {
+    "RecordSpec", "SerdeError", "clear_registry", "pack", "pack_into",
+    "pack_many", "packed_size", "packed_size_many", "register", "registered",
+    "unpack", "unpack_from", "unpack_many",
+}
 YGM_WORLD_PARAMS = {
     "machine", "scheme", "seed", "mailbox_capacity", "cores_per_node",
     "tracer", "tiebreaker",
@@ -107,6 +112,12 @@ def test_core_surface_stays_within_budget():
     assert _params(core.YgmWorld.__init__) <= YGM_WORLD_PARAMS
     assert _params(core.YgmContext.mailbox) <= MAILBOX_FACTORY_PARAMS
     assert _params(PdesWorld.__init__) <= PDES_WORLD_PARAMS
+
+
+def test_serde_surface_stays_within_budget():
+    from repro import serde
+
+    assert set(serde.__all__) <= SERDE_EXPORTS
 
 
 def test_bench_cli_flags_stay_within_budget():

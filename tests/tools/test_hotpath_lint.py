@@ -346,3 +346,130 @@ def test_cli_reports_packet_path_violation(tmp_path):
     )
     assert proc.returncode == 1
     assert "no process per packet" in proc.stderr
+
+
+def _write_packer_tree(tmp_path, packer_src):
+    root = tmp_path / "repo"
+    pkg = root / "src" / "repro" / "serde"
+    pkg.mkdir(parents=True)
+    (pkg / "packer.py").write_text(packer_src)
+    return root
+
+
+_PACKER_TABLE = (
+    "_TYPE_TABLE = {\n"
+    "    int: (_pack_int, _size_int),\n"
+    "    str: (_pack_str, _size_str),\n"
+    "    list: (_pack_list, _size_items),\n"
+    "}\n"
+    "_PACK_HANDLERS = {tp: row[0] for tp, row in _TYPE_TABLE.items()}\n"
+    "_SIZE_HANDLERS = {tp: row[1] for tp, row in _TYPE_TABLE.items()}\n"
+    "def pack(obj):\n"
+    "    out = bytearray()\n"  # the pack column may allocate: not sizing code
+    "    _PACK_HANDLERS[type(obj)](out, obj)\n"
+    "    return bytes(out)\n"
+)
+
+
+def test_arithmetic_size_column_is_allowed(tmp_path):
+    root = _write_packer_tree(
+        tmp_path,
+        "def _pack_str(out, obj):\n"
+        "    out += obj.encode('utf-8')\n"  # pack column: free to encode
+        "def _varint_len(n):\n"
+        "    return (n.bit_length() + 6) // 7 or 1\n"
+        "def _size_int(obj):\n"
+        "    return 1 + _varint_len(obj)\n"
+        "def _size_str(obj):\n"
+        "    n = len(obj)\n"
+        "    if not obj.isascii():\n"
+        "        n = len(obj.encode('utf-8'))\n"  # the one allowed encode
+        "    return 1 + _varint_len(n) + n\n"
+        "def _size_items(obj):\n"
+        "    return 2 + sum(_SIZE_HANDLERS.get(type(o), _size_other)(o) for o in obj)\n"
+        "def _size_other(obj):\n"
+        "    return 1 + packed_size(obj.state)\n"
+        "def packed_size(obj):\n"
+        "    return _SIZE_HANDLERS.get(type(obj), _size_other)(obj)\n"
+        + _PACKER_TABLE,
+    )
+    assert hotpath_lint.lint(root) == []
+
+
+def test_flags_packing_and_allocation_in_the_size_column(tmp_path):
+    root = _write_packer_tree(
+        tmp_path,
+        "def _scratch_len(obj):\n"  # reached by name from the size column
+        "    out = bytearray()\n"  # violation: buffer
+        "    _PACK_HANDLERS[type(obj)](out, obj)\n"  # violation: pack column
+        "    return len(out)\n"
+        "def _size_int(obj):\n"
+        "    return len(pack(obj))\n"  # violation: packs to measure
+        "def _size_str(obj):\n"
+        "    if obj.isascii():\n"
+        "        return 2 + len(obj.encode('ascii'))\n"  # violation: ASCII branch
+        "    return 2 + len(obj.encode('utf-8'))\n"  # violation: outside the branch
+        "def _size_items(obj):\n"
+        "    return sum(len(e) for e in sorted(bytes(o) for o in obj))\n"  # two
+        "def _size_other(obj):\n"
+        "    return _scratch_len(obj) if obj else _pack_other(None, obj)\n"
+        "def packed_size(obj):\n"
+        "    return _SIZE_HANDLERS.get(type(obj), _size_other)(obj)\n"
+        + _PACKER_TABLE,
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("_scratch_len", "sizing call bytearray"),
+        ("_scratch_len", "sizing pack-column reference _PACK_HANDLERS"),
+        ("_size_int", "sizing call pack"),
+        ("_size_items", "sizing call bytes"),
+        ("_size_items", "sizing call sorted"),
+        ("_size_other", "sizing call _pack_other"),
+        ("_size_str", "sizing call encode"),
+        ("_size_str", "sizing call encode"),
+    ]
+
+
+def test_encode_outside_the_str_row_is_flagged(tmp_path):
+    root = _write_packer_tree(
+        tmp_path,
+        "def _size_int(obj):\n"
+        "    return 1\n"
+        "def _size_str(obj):\n"
+        "    return 2 + len(obj)\n"
+        "def _size_items(obj):\n"
+        "    if not obj[0].isascii():\n"
+        "        return len(obj[0].encode('utf-8'))\n"  # violation: not the str row
+        "    return 2\n"
+        "def packed_size(obj):\n"
+        "    return _SIZE_HANDLERS[type(obj)](obj)\n"
+        + _PACKER_TABLE,
+    )
+    ((_f, _line, qual, what),) = hotpath_lint.lint(root)
+    assert (qual, what) == ("_size_items", "sizing call encode")
+
+
+def test_cli_reports_sizing_violation(tmp_path):
+    # The parent commit's shape: pack into a scratch buffer, take len().
+    root = _write_packer_tree(
+        tmp_path,
+        "_SCRATCH = bytearray()\n"
+        "def packed_size(obj):\n"
+        "    _SCRATCH.clear()\n"
+        "    _PACK_HANDLERS.get(type(obj), _pack_other)(_SCRATCH, obj)\n"
+        "    return len(_SCRATCH)\n",
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(REPO / "tools" / "hotpath_lint.py"),
+            "--root",
+            str(root),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "sizing allocates nothing" in proc.stderr

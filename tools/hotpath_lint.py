@@ -48,6 +48,17 @@ Results stay bit-identical if someone puts the detached process back,
 so only this lint and the event-budget test in
 ``tests/machine/test_topology.py`` would notice.
 
+PR 22 added a sixth rule for scalar payload sizing
+(``repro.serde.packer``): sizing allocates nothing.  The mailbox needs
+only the encoded *length* of a scalar payload, so ``packed_size`` and
+every function in the size column of ``_TYPE_TABLE`` (and whatever
+module-level helpers they reach) compute it by arithmetic: no
+``bytearray(`` / ``bytes(`` / ``sorted(``, no call to ``pack`` /
+``pack_into`` / ``pack_many`` / ``_pack_*`` and no reference to the pack
+column, and ``.encode(`` only in the non-ASCII branch of the ``str``
+row.  Packing into a scratch buffer and taking ``len()`` gives the same
+number, so only this lint (and the clock) would notice it coming back.
+
 Usage::
 
     python tools/hotpath_lint.py [--root PATH]
@@ -129,6 +140,16 @@ PACKET_METHODS = {
 }
 PACKET_CALLBACKS = {"Machine._arrive", "Machine.inject_arrival"}
 PACKET_FORBIDDEN_CALLS = {"process", "process_batch", "Process"}
+
+
+#: Serde file whose size column must stay arithmetic, the table literal
+#: that names the column, and the public entry point into it.
+SIZING_FILES = ("src/repro/serde/packer.py",)
+SIZING_TABLE = "_TYPE_TABLE"
+SIZING_ENTRY = "packed_size"
+SIZING_FORBIDDEN_CALLS = {
+    "bytearray", "bytes", "sorted", "pack", "pack_into", "pack_many",
+}
 
 
 def _call_name(node: ast.Call) -> str:
@@ -355,6 +376,101 @@ class _PacketPathVisitor(ast.NodeVisitor):
     visit_YieldFrom = _yield
 
 
+def _isascii_sense(test) -> "bool | None":
+    """True for ``x.isascii()``, False for ``not x.isascii()``, else None."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        inner = _isascii_sense(test.operand)
+        return None if inner is None else not inner
+    if isinstance(test, ast.Call) and _call_name(test) == "isascii":
+        return True
+    return None
+
+
+class _SizingVisitor(ast.NodeVisitor):
+    """Flags buffers, sorts and the pack column inside one sizing function."""
+
+    def __init__(self, relpath: str, qualname: str, pack_names: set,
+                 is_str_row: bool) -> None:
+        self.relpath = relpath
+        self.qualname = qualname
+        self.pack_names = pack_names
+        self.is_str_row = is_str_row
+        self.nonascii = False
+        #: Every other name the function loads: what it reaches is sizing too.
+        self.names: set = set()
+        self.violations: list[tuple[str, int, str, str]] = []
+
+    def _flag(self, node, what: str) -> None:
+        self.violations.append(
+            (self.relpath, node.lineno, self.qualname, f"sizing {what}")
+        )
+
+    def _is_pack_name(self, name: str) -> bool:
+        return name.startswith("_pack") or name in self.pack_names
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = _call_name(node)
+        if name in SIZING_FORBIDDEN_CALLS or self._is_pack_name(name):
+            self._flag(node, f"call {name}")
+            for arg in node.args:  # the callee is already reported
+                self.visit(arg)
+            return
+        if name == "encode" and not (self.is_str_row and self.nonascii):
+            self._flag(node, "call encode")
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if self._is_pack_name(node.id):
+            self._flag(node, f"pack-column reference {node.id}")
+        else:
+            self.names.add(node.id)
+
+    def _branch(self, node) -> None:
+        sense = _isascii_sense(node.test) if self.is_str_row else None
+        self.visit(node.test)
+        for branch, nonascii in ((node.body, sense is False),
+                                 (node.orelse, sense is True)):
+            self.nonascii, outer = nonascii or self.nonascii, self.nonascii
+            for child in branch if isinstance(branch, list) else [branch]:
+                self.visit(child)
+            self.nonascii = outer
+
+    visit_If = _branch
+    visit_IfExp = _branch
+
+
+def lint_sizing(path: Path, relpath: str) -> list[tuple[str, int, str, str]]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    pack_names, size_names, str_row = {"_PACK_HANDLERS"}, {SIZING_ENTRY}, None
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if SIZING_TABLE not in {getattr(t, "id", None) for t in targets}:
+            continue
+        for key, row in zip(node.value.keys, node.value.values):
+            pack_fn, size_fn = (elt.id for elt in row.elts)
+            pack_names.add(pack_fn)
+            size_names.add(size_fn)
+            if isinstance(key, ast.Name) and key.id == "str":
+                str_row = size_fn
+    # Everything the size column reaches by name is sizing code too.
+    todo, reached = size_names & funcs.keys(), set()
+    violations = []
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        visitor = _SizingVisitor(relpath, name, pack_names, name == str_row)
+        visitor.visit(funcs[name])
+        violations.extend(visitor.violations)
+        todo |= (visitor.names & funcs.keys()) - reached
+    return sorted(violations)
+
+
 def lint_file(path: Path, relpath: str) -> list[tuple[str, int, str, str]]:
     tree = ast.parse(path.read_text(), filename=str(path))
     visitor = _HotPathVisitor(relpath)
@@ -416,6 +532,10 @@ def lint(root: Path) -> list[tuple[str, int, str, str]]:
         path = root / rel
         if path.exists():
             violations.extend(lint_packet_path(path, rel))
+    for rel in SIZING_FILES:
+        path = root / rel
+        if path.exists():
+            violations.extend(lint_sizing(path, rel))
     return violations
 
 
@@ -454,6 +574,14 @@ def main(argv=None) -> int:
                 f"Resource.hold), never a Process or a generator",
                 file=sys.stderr,
             )
+        elif name.startswith("sizing "):
+            print(
+                f"{relpath}:{lineno}: {name[len('sizing '):]} in {qualname} "
+                f"-- sizing allocates nothing: packed_size and the size "
+                f"column compute lengths by arithmetic (no buffers, no "
+                f"sorting, no pack column; .encode only for non-ASCII str)",
+                file=sys.stderr,
+            )
         elif "pickle" in name:
             print(
                 f"{relpath}:{lineno}: {name} in {qualname} -- the PDES "
@@ -473,7 +601,7 @@ def main(argv=None) -> int:
     if not violations:
         nfiles = (
             len(HOT_FILES) + len(PICKLE_FREE_FILES) + len(VECTORIZED_FILES)
-            + len(RING_FILES) + len(PACKET_FILES)
+            + len(RING_FILES) + len(PACKET_FILES) + len(SIZING_FILES)
         )
         print(f"hotpath lint: OK ({nfiles} files)")
     return 1 if violations else 0
