@@ -304,6 +304,11 @@ class Mailbox:
         they are tallied in ``stats.entries_combined``.
         """
         here = dests == self.rank
+        if not at_injection and here.all():
+            # Terminal hop for a whole received batch: the packet owns its
+            # columns, so deliver them as they are (no masked copies).
+            self._deliver_batch(batch, lins)
+            return
         if here.any():
             self._deliver_batch(batch[here], None if lins is None else lins[here])
             dests = dests[~here]
@@ -347,6 +352,13 @@ class Mailbox:
                 sizes = sizes[order]
             if lins is not None:
                 lins = lins[order]
+        elif at_injection:
+            # One hop for the whole run: no gather made copies, so take
+            # them here -- the caller may reuse its arrays after the send.
+            dests = dests.copy()
+            payloads = payloads.copy()
+            if sizes is not None:
+                sizes = sizes.copy()
         prof = self._prof
         for s, e in zip(starts.tolist(), ends.tolist()):
             hop = int(hops[s])

@@ -81,6 +81,14 @@ class Adaptive(RoutingScheme):
             return self._nlnr.next_hop_vec(cur, dests)
         return np.asarray(dests, dtype=np.int64)
 
+    def _hop_keys(self, cur: int, dests: np.ndarray) -> np.ndarray:
+        # Live occupancy cannot be tabulated: decide per call as
+        # next_hop_vec does, with the congested branch reading the
+        # embedded (static) NLNR's table.
+        if self._congested(cur // self.cores):
+            return self._nlnr._hop_keys(cur, dests)
+        return np.asarray(dests, dtype=self._key_dtype)
+
     def max_hops(self) -> int:
         return 3
 

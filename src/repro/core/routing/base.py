@@ -8,13 +8,17 @@ bandwidth analysis of Section III-E.
 
 All schemes are pure functions of the machine shape ``(N nodes, C cores)``
 -- the paper's point versus NAPSpMV is precisely that the routing depends
-only on topology, not on the application (Section II).
+only on topology, not on the application (Section II).  That is also what
+makes re-binning O(n): the route from a rank is tabulated once (Traeff et
+al.'s "precompute the permutation input for an isomorphic pattern") in
+the narrowest unsigned dtype that holds a rank id, and NumPy's stable
+``argsort`` radix-sorts keys of 16 bits or fewer.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -35,6 +39,11 @@ class RoutingScheme(ABC):
         self.nodes = nodes
         self.cores = cores_per_node
         self.nranks = nodes * cores_per_node
+        #: Hop-key dtype: ``uint8`` up to 256 ranks, ``uint16`` up to 65,536.
+        self._key_dtype = np.min_scalar_type(self.nranks - 1)
+        #: ``cur`` -> hop table (``table[dest]`` is the next hop), built on
+        #: first use: nranks * itemsize bytes per rank that re-bins.
+        self._hop_tables: Dict[int, np.ndarray] = {}
 
     # -- shape helpers (hot path: inline arithmetic, no Addr objects) --------
     def _node(self, rank: int) -> int:
@@ -76,6 +85,19 @@ class RoutingScheme(ABC):
             count=len(dests),
         )
 
+    def _hop_keys(self, cur: int, dests: np.ndarray) -> np.ndarray:
+        """The next hop of every entry of ``dests``, as ``_key_dtype`` keys.
+
+        A static route depends on the machine shape alone, so the route
+        from ``cur`` is tabulated once -- :meth:`next_hop_vec` over every
+        rank -- and each call is a single ``take``.
+        """
+        table = self._hop_tables.get(cur)
+        if table is None:
+            table = self.next_hop_vec(cur, np.arange(self.nranks))
+            table = self._hop_tables[cur] = table.astype(self._key_dtype)
+        return table.take(dests)
+
     def bin_by_hop(self, cur: int, dests: np.ndarray):
         """Group a destination column by next hop (batch re-binning kernel).
 
@@ -86,9 +108,11 @@ class RoutingScheme(ABC):
         the hop of segment ``k`` = ``[starts[k], ends[k])`` *after*
         applying ``order``.  Stability keeps per-hop message order equal
         to input order, which is what makes ``send_many`` deliver exactly
-        what a loop of ``send`` would.
+        what a loop of ``send`` would.  ``hops`` has the unsigned
+        ``_key_dtype``, so up to 65,536 ranks the sort is a radix sort:
+        O(n) per re-bin.
         """
-        hops = self.next_hop_vec(cur, dests)
+        hops = self._hop_keys(cur, dests)
         n = len(hops)
         one = np.ones(1, dtype=np.int64)
         if n == 0:

@@ -24,9 +24,8 @@ class NoRoute(RoutingScheme):
         return dest
 
     def next_hop_vec(self, cur: int, dests: np.ndarray) -> np.ndarray:
-        # Direct delivery: the hop column *is* the destination column.
-        # Callers (``bin_by_hop``, the columnar re-binning path) only
-        # read it, so returning the input unaliased-uncopied is safe.
+        # Direct delivery: the hop column *is* the destination column
+        # (returned uncopied; callers only read it).
         return np.asarray(dests, dtype=np.int64)
 
     def max_hops(self) -> int:

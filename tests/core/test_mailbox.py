@@ -299,6 +299,60 @@ def test_batch_without_recv_batch_falls_back_to_scalar():
     assert res.values[1] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("dests", [[1, 1, 1, 1], [1, 2, 1, 2]])
+def test_send_batch_owns_its_columns(scheme, dests):
+    """The caller may overwrite its arrays once ``send_batch`` returns.
+
+    When every record shares one next hop no permutation gathers the
+    columns, and the mailbox used to queue views of the caller's arrays:
+    the records went wherever ``dests`` pointed at flush time, carrying
+    whatever ``batch`` held then.
+    """
+
+    def rank_main(ctx):
+        received = []
+        mb = ctx.mailbox(
+            recv_batch=lambda batch: received.extend(batch["val"].tolist()),
+            capacity=2**20,
+        )
+        if ctx.rank == 0:
+            d = np.array(dests, dtype=np.int64)
+            batch = SPEC.build(dest=d.astype("u8"), val=np.arange(4, dtype="u8"))
+            yield from mb.send_batch(d, batch)
+            batch["val"][:] = 99
+            d[:] = 3
+        yield from mb.wait_empty()
+        return sorted(received)
+
+    res = make_world(2, 2, scheme, capacity=2**20).run(rank_main)
+    want = {r: [] for r in range(4)}
+    for i, d in enumerate(dests):
+        want[d].append(i)
+    assert res.values == [want[r] for r in range(4)]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_send_many_owns_its_columns(scheme):
+    """Same contract for ``send_many``: dests and nbytes are the caller's."""
+
+    def rank_main(ctx):
+        got = []
+        mb = ctx.mailbox(recv=got.append, capacity=2**20)
+        if ctx.rank == 0:
+            dests = np.array([1, 1], dtype=np.int64)
+            sizes = np.array([8, 8], dtype=np.int64)
+            yield from mb.send_many(dests, ["a", "b"], nbytes=sizes)
+            dests[:] = 3
+            sizes[:] = 1 << 20
+        yield from mb.wait_empty()
+        return got
+
+    res = make_world(2, 2, scheme, capacity=2**20).run(rank_main)
+    assert res.values == [[], ["a", "b"], [], []]
+    assert res.mailbox_stats.local_bytes_sent < 1 << 20
+
+
 # ----------------------------------------------------------- wait/test empty
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_wait_empty_with_no_traffic(scheme):

@@ -72,6 +72,11 @@ CORE_EXPORTS = {
     "TerminationDetector", "YgmContext", "YgmResult", "YgmWorld", "aggregate",
     "binomial_children", "binomial_parent", "get_scheme",
 }
+ROUTING_EXPORTS = {
+    "Adaptive", "Combiner", "EXTENDED_SCHEMES", "HybridNLNR", "NLNR",
+    "NoRoute", "NodeAware", "NodeLocal", "NodeRemote", "PAPER_SCHEMES",
+    "RoutingScheme", "SCHEMES", "get_scheme",
+}
 SERDE_EXPORTS = {
     "RecordSpec", "SerdeError", "clear_registry", "pack", "pack_into",
     "pack_many", "packed_size", "packed_size_many", "register", "registered",
@@ -112,6 +117,12 @@ def test_core_surface_stays_within_budget():
     assert _params(core.YgmWorld.__init__) <= YGM_WORLD_PARAMS
     assert _params(core.YgmContext.mailbox) <= MAILBOX_FACTORY_PARAMS
     assert _params(PdesWorld.__init__) <= PDES_WORLD_PARAMS
+
+
+def test_routing_surface_stays_within_budget():
+    from repro.core import routing
+
+    assert set(routing.__all__) <= ROUTING_EXPORTS  # 13 names
 
 
 def test_serde_surface_stays_within_budget():

@@ -473,3 +473,82 @@ def test_cli_reports_sizing_violation(tmp_path):
     )
     assert proc.returncode == 1
     assert "sizing allocates nothing" in proc.stderr
+
+
+def _write_binning_tree(tmp_path, base_src, mailbox_src):
+    root = tmp_path / "repo"
+    pkg = root / "src" / "repro" / "core"
+    (pkg / "routing").mkdir(parents=True)
+    (pkg / "routing" / "base.py").write_text(base_src)
+    (pkg / "mailbox.py").write_text(mailbox_src)
+    return root
+
+
+def test_hop_keys_from_the_key_step_are_allowed(tmp_path):
+    root = _write_binning_tree(
+        tmp_path,
+        "class RoutingScheme:\n"
+        "    def _hop_keys(self, cur, dests):\n"  # the key step builds the table
+        "        return self.next_hop_vec(cur, range(self.nranks))[dests]\n"
+        "    def bin_by_hop(self, cur, dests):\n"
+        "        hops = self._hop_keys(cur, dests)\n"
+        "        return hops, hops.argsort(kind='stable'), None, None\n",
+        "class Mailbox:\n"
+        "    def post(self, dest, payload):\n"
+        "        return self.scheme.next_hop(self.rank, dest)\n"  # scalar send: fine
+        "    def _bin_by_hop(self, dests):\n"
+        "        return self.scheme.bin_by_hop(self.rank, dests)\n",
+    )
+    assert hotpath_lint.lint(root) == []
+
+
+def test_flags_route_evaluation_in_the_binning_kernels(tmp_path):
+    root = _write_binning_tree(
+        tmp_path,
+        "class RoutingScheme:\n"
+        "    def bin_by_hop(self, cur, dests):\n"
+        "        hops = self.next_hop_vec(cur, dests)\n"  # violation: per call
+        "        return hops, None, None, None\n"
+        "class Other:\n"
+        "    def bin_by_hop(self, cur, dests):\n"  # not the kernel: fine
+        "        return self.next_hop_vec(cur, dests)\n",
+        "class Mailbox:\n"
+        "    def _bin_by_hop(self, dests):\n"
+        "        route = self.scheme.next_hop\n"  # violation: referenced, not called
+        "        def hop(d):\n"
+        "            return next_hop(self.rank, d)\n"  # nested: violation
+        "        return [route(self.rank, d) for d in dests], hop\n",
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("Mailbox._bin_by_hop", "binning next_hop"),
+        ("Mailbox._bin_by_hop", "binning next_hop"),
+        ("RoutingScheme.bin_by_hop", "binning next_hop_vec"),
+    ]
+
+
+def test_cli_reports_binning_violation(tmp_path):
+    # The parent commit's shape: the route evaluated on every re-bin.
+    root = _write_binning_tree(
+        tmp_path,
+        "class RoutingScheme:\n"
+        "    def bin_by_hop(self, cur, dests):\n"
+        "        hops = self.next_hop_vec(cur, dests)\n"
+        "        return hops, hops.argsort(kind='stable'), None, None\n",
+        "class Mailbox:\n"
+        "    pass\n",
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(REPO / "tools" / "hotpath_lint.py"),
+            "--root",
+            str(root),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "hop keys come only from the key step" in proc.stderr

@@ -59,6 +59,15 @@ column, and ``.encode(`` only in the non-ASCII branch of the ``str``
 row.  Packing into a scratch buffer and taking ``len()`` gives the same
 number, so only this lint (and the clock) would notice it coming back.
 
+A seventh rule guards the re-binning kernel: hop keys come only from the
+key step.  A static route depends on the machine shape alone, so
+``RoutingScheme._hop_keys`` tabulates it once per rank and re-binning is
+a ``take`` plus a radix sort; inside ``RoutingScheme.bin_by_hop`` and
+``Mailbox._bin_by_hop`` any reference to ``next_hop`` or
+``next_hop_vec`` (called or not, nested helpers included) is a
+violation.  Evaluating the route per call gives the same hops, so only
+this lint and the counter gate's ``core.routing.calls`` would notice.
+
 Usage::
 
     python tools/hotpath_lint.py [--root PATH]
@@ -150,6 +159,14 @@ SIZING_ENTRY = "packed_size"
 SIZING_FORBIDDEN_CALLS = {
     "bytearray", "bytes", "sorted", "pack", "pack_into", "pack_many",
 }
+
+#: Re-binning kernels (file -> methods) that take hop keys from the key
+#: step only, and the route functions they must not reach for.
+BINNING_SITES = {
+    "src/repro/core/routing/base.py": {"RoutingScheme.bin_by_hop"},
+    "src/repro/core/mailbox.py": {"Mailbox._bin_by_hop"},
+}
+BINNING_FORBIDDEN = {"next_hop", "next_hop_vec"}
 
 
 def _call_name(node: ast.Call) -> str:
@@ -376,6 +393,42 @@ class _PacketPathVisitor(ast.NodeVisitor):
     visit_YieldFrom = _yield
 
 
+class _BinningVisitor(ast.NodeVisitor):
+    """Flags route evaluation inside the re-binning kernels.
+
+    Nested helpers count as part of their method, as on the packet path.
+    """
+
+    def __init__(self, relpath: str, methods: set) -> None:
+        self.relpath = relpath
+        self.methods = methods
+        self.stack: list[str] = []
+        self.violations: list[tuple[str, int, str, str]] = []
+
+    def _scoped(self, node) -> None:
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_ClassDef = _scoped
+    visit_FunctionDef = _scoped
+    visit_AsyncFunctionDef = _scoped
+
+    def _check(self, node, name: str) -> None:
+        method = ".".join(self.stack[:2])
+        if name in BINNING_FORBIDDEN and method in self.methods:
+            self.violations.append(
+                (self.relpath, node.lineno, method, f"binning {name}")
+            )
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._check(node, node.attr)
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._check(node, node.id)
+
+
 def _isascii_sense(test) -> "bool | None":
     """True for ``x.isascii()``, False for ``not x.isascii()``, else None."""
     if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
@@ -510,6 +563,15 @@ def lint_packet_path(
     return visitor.violations
 
 
+def lint_binning(
+    path: Path, relpath: str
+) -> list[tuple[str, int, str, str]]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    visitor = _BinningVisitor(relpath, BINNING_SITES[relpath])
+    visitor.visit(tree)
+    return visitor.violations
+
+
 def lint(root: Path) -> list[tuple[str, int, str, str]]:
     violations = []
     for rel in HOT_FILES:
@@ -536,6 +598,10 @@ def lint(root: Path) -> list[tuple[str, int, str, str]]:
         path = root / rel
         if path.exists():
             violations.extend(lint_sizing(path, rel))
+    for rel in BINNING_SITES:
+        path = root / rel
+        if path.exists():
+            violations.extend(lint_binning(path, rel))
     return violations
 
 
@@ -582,6 +648,14 @@ def main(argv=None) -> int:
                 f"sorting, no pack column; .encode only for non-ASCII str)",
                 file=sys.stderr,
             )
+        elif name.startswith("binning "):
+            print(
+                f"{relpath}:{lineno}: {name[len('binning '):]} in {qualname} "
+                f"-- hop keys come only from the key step: re-binning takes "
+                f"them from RoutingScheme._hop_keys (a per-rank hop table), "
+                f"never from the route evaluated per call",
+                file=sys.stderr,
+            )
         elif "pickle" in name:
             print(
                 f"{relpath}:{lineno}: {name} in {qualname} -- the PDES "
@@ -602,6 +676,7 @@ def main(argv=None) -> int:
         nfiles = (
             len(HOT_FILES) + len(PICKLE_FREE_FILES) + len(VECTORIZED_FILES)
             + len(RING_FILES) + len(PACKET_FILES) + len(SIZING_FILES)
+            + len(BINNING_SITES)
         )
         print(f"hotpath lint: OK ({nfiles} files)")
     return 1 if violations else 0
