@@ -47,6 +47,15 @@ from .stats import MailboxStats
 from .termination import TerminationDetector
 
 
+def _check_ranks(dests) -> None:
+    """Raise TypeError naming the first non-integer rank of ``dests``
+    (casting it to ``int64`` would deliver to a rank nobody named)."""
+    given = dests.tolist() if isinstance(dests, np.ndarray) else list(dests)
+    bad = next((d for d in given if not isinstance(d, (int, np.integer))), None)
+    if bad is not None:
+        raise TypeError(f"destination {bad!r} is not an integer rank")
+
+
 class Mailbox:
     """An asynchronous mailbox over a routing scheme.
 
@@ -70,6 +79,8 @@ class Mailbox:
         self.comm = ctx.comm
         self.rank = ctx.rank
         self.scheme = ctx.scheme
+        #: ``self._hops[dest]`` is the next hop of a scalar post.
+        self._hops = self.scheme.hop_list(self.rank)
         self.config = config or MailboxConfig()
         self.recv = recv
         self.recv_batch = recv_batch
@@ -123,6 +134,10 @@ class Mailbox:
             self._flush_deferred()
         if not 0 <= dest < self.comm.size:
             raise ValueError(f"destination {dest} out of range [0, {self.comm.size})")
+        try:
+            hop = self._hops[dest]
+        except TypeError:
+            raise TypeError(f"destination {dest!r} is not an integer rank") from None
         self.stats.app_messages_sent += 1
         prof = self._prof
         if dest == self.rank:
@@ -146,7 +161,6 @@ class Mailbox:
                 prof.cause = prev
             return
         size = payload_nbytes(payload, nbytes)
-        hop = self.scheme.next_hop(self.rank, dest)
         lid = None
         if prof is not None:
             t = self.ctx.sim.now
@@ -181,7 +195,10 @@ class Mailbox:
         """
         if self._deferred_idx:
             self._flush_deferred()
-        dests = np.asarray(dests, dtype=np.int64)
+        col = np.asarray(dests)
+        if col.dtype.kind not in "iub" and col.size:
+            _check_ranks(dests)
+        dests = col.astype(np.int64, copy=False)
         n = len(dests)
         if n != len(payloads):
             raise ValueError(
@@ -254,7 +271,10 @@ class Mailbox:
             self._flush_deferred()
         if spec is not None:
             spec.validate(batch)
-        dests = np.asarray(dests, dtype=np.int64)
+        col = np.asarray(dests)
+        if col.dtype.kind not in "iub" and col.size:
+            _check_ranks(dests)
+        dests = col.astype(np.int64, copy=False)
         if dests.shape != (len(batch),):
             raise ValueError("dests and batch must be equal-length 1-D arrays")
         if len(dests) == 0:

@@ -17,8 +17,8 @@ surface).
   the wire is the bottleneck.
 
 Both branches are existing static schemes, so every route stays acyclic
-with at most 3 hops, and the scalar/vector paths agree given the same
-simulation state.  Broadcasts always use NLNR's static tree: the
+with at most 3 hops, and the scalar view and the re-binning keys agree
+given the same simulation state.  Broadcasts always use NLNR's static tree: the
 forwarding tree must be consistent across ranks, so it cannot depend on
 per-rank load.
 
@@ -68,23 +68,24 @@ class Adaptive(RoutingScheme):
         nic = tx[node]
         return nic.in_use + nic.queue_length >= self.congestion_threshold
 
-    def next_hop(self, cur: int, dest: int) -> int:
-        if self._congested(cur // self.cores):
-            return self._nlnr.next_hop(cur, dest)
-        return dest
-
     def next_hop_vec(self, cur: int, dests: np.ndarray) -> np.ndarray:
-        # One routing decision per re-binning call: the whole batch sees
-        # the same congestion state, mirroring what the scalar path sees
-        # when nothing yields between messages.
+        # One decision per re-binning call: the whole batch sees one
+        # congestion state, as posts do when nothing yields between them.
         if self._congested(cur // self.cores):
             return self._nlnr.next_hop_vec(cur, dests)
         return np.asarray(dests, dtype=np.int64)
 
+    def hop_table(self, cur: int) -> np.ndarray:
+        # The idle route, direct delivery; the congested one is the
+        # embedded NLNR's table.
+        return np.arange(self.nranks, dtype=self._key_dtype)
+
+    def hop_list(self, cur: int) -> "_AdaptiveHops":
+        return _AdaptiveHops(self, cur)
+
     def _hop_keys(self, cur: int, dests: np.ndarray) -> np.ndarray:
-        # Live occupancy cannot be tabulated: decide per call as
-        # next_hop_vec does, with the congested branch reading the
-        # embedded (static) NLNR's table.
+        # Live occupancy cannot be tabulated: decide per call, reading
+        # the embedded (static) NLNR's table when congested.
         if self._congested(cur // self.cores):
             return self._nlnr._hop_keys(cur, dests)
         return np.asarray(dests, dtype=self._key_dtype)
@@ -92,18 +93,25 @@ class Adaptive(RoutingScheme):
     def max_hops(self) -> int:
         return 3
 
-    def bcast_targets(self, cur: int, origin: int) -> List[int]:
+    def _bcast_tree(self, cur: int, origin: int) -> List[int]:
         # Static NLNR tree: broadcast forwarding must be consistent
         # across ranks, so it cannot depend on per-rank load.
-        return self._nlnr.bcast_targets(cur, origin)
+        return self._nlnr._bcast_tree(cur, origin)
 
-    def remote_partners(self, rank: int) -> List[int]:
-        # The direct branch may hit any off-node rank; NLNR's partners
-        # (and the bcast tree's) are a subset of that.
-        node = self._node(rank)
-        return [r for r in range(self.nranks) if self._node(r) != node]
 
-    def channel_count(self) -> int:
-        # Like NoRoute's single any-to-any channel class: under load the
-        # NLNR subset is used, but the channel *structure* admits all.
-        return 1
+class _AdaptiveHops:
+    """Adaptive's scalar hop view from one rank: ``view[dest]`` reads the
+    node's NIC occupancy, then indexes the idle or the congested table."""
+
+    __slots__ = ("_scheme", "_node", "_idle", "_congested")
+
+    def __init__(self, scheme: Adaptive, cur: int):
+        self._scheme = scheme
+        self._node = cur // scheme.cores
+        self._idle = range(scheme.nranks)
+        self._congested = scheme._nlnr.hop_list(cur)
+
+    def __getitem__(self, dest: int) -> int:
+        if self._scheme._congested(self._node):
+            return self._congested[dest]
+        return self._idle[dest]

@@ -2,23 +2,25 @@
 
 A routing scheme decides, for a message currently held by rank ``cur``
 with final destination ``dest``, which rank it should be forwarded to
-next (``next_hop``), and for broadcasts, the fan-out a holder performs
-(``bcast_targets``).  Schemes also expose their channel structure for the
-bandwidth analysis of Section III-E.
+next, and for broadcasts, the fan-out a holder performs
+(``bcast_targets``).
 
 All schemes are pure functions of the machine shape ``(N nodes, C cores)``
 -- the paper's point versus NAPSpMV is precisely that the routing depends
-only on topology, not on the application (Section II).  That is also what
-makes re-binning O(n): the route from a rank is tabulated once (Traeff et
-al.'s "precompute the permutation input for an isomorphic pattern") in
-the narrowest unsigned dtype that holds a rank id, and NumPy's stable
-``argsort`` radix-sorts keys of 16 bits or fewer.
+only on topology, not on the application (Section II).  So a scheme *is*
+its table: :meth:`RoutingScheme.next_hop_vec` is the one route
+definition, and the route from a rank is tabulated once (Traeff et al.'s
+"precompute the permutation input for an isomorphic pattern") in the
+narrowest unsigned dtype that holds a rank id.  Everything else is read
+from that table: re-binning keys (one ``take``, which NumPy's stable
+``argsort`` radix-sorts up to 16 bits), the scalar ``post`` hop (one list
+index) and the remote partner sets of the Section III-E channel analysis.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,19 +43,12 @@ class RoutingScheme(ABC):
         self.nranks = nodes * cores_per_node
         #: Hop-key dtype: ``uint8`` up to 256 ranks, ``uint16`` up to 65,536.
         self._key_dtype = np.min_scalar_type(self.nranks - 1)
-        #: ``cur`` -> hop table (``table[dest]`` is the next hop), built on
-        #: first use: nranks * itemsize bytes per rank that re-bins.
+        #: ``cur`` -> hop table (nranks * itemsize bytes), built on first use.
         self._hop_tables: Dict[int, np.ndarray] = {}
-
-    # -- shape helpers (hot path: inline arithmetic, no Addr objects) --------
-    def _node(self, rank: int) -> int:
-        return rank // self.cores
-
-    def _core(self, rank: int) -> int:
-        return rank % self.cores
-
-    def _rank(self, node: int, core: int) -> int:
-        return node * self.cores + core
+        #: ``cur`` -> the same table as a Python list, for scalar posts.
+        self._hop_lists: Dict[int, List[int]] = {}
+        #: ``(cur, origin)`` -> broadcast targets, built on first use.
+        self._bcast_trees: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def bind_machine(self, machine) -> None:
         """Attach the simulated machine this scheme routes on.
@@ -66,37 +61,36 @@ class RoutingScheme(ABC):
 
     # -- point-to-point routing ------------------------------------------------
     @abstractmethod
-    def next_hop(self, cur: int, dest: int) -> int:
-        """The rank ``cur`` forwards a ``dest``-bound message to.
-
-        Returns ``dest`` itself on the final hop.  ``cur == dest`` is a
-        caller error (deliver instead of routing).
-        """
-
     def next_hop_vec(self, cur: int, dests: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`next_hop` for a destination array.
+        """The rank ``cur`` forwards each ``dests``-bound message to.
 
-        Default implementation loops; concrete schemes override with
-        NumPy arithmetic (this is on the fast path of ``send_batch``).
+        The scheme's one route definition, as NumPy arithmetic over a
+        destination column.  An entry is the destination itself on the
+        final hop, and at ``cur == dest``.
         """
-        return np.fromiter(
-            (self.next_hop(cur, int(d)) for d in dests),
-            dtype=np.int64,
-            count=len(dests),
-        )
 
-    def _hop_keys(self, cur: int, dests: np.ndarray) -> np.ndarray:
-        """The next hop of every entry of ``dests``, as ``_key_dtype`` keys.
-
-        A static route depends on the machine shape alone, so the route
-        from ``cur`` is tabulated once -- :meth:`next_hop_vec` over every
-        rank -- and each call is a single ``take``.
-        """
+    def hop_table(self, cur: int) -> np.ndarray:
+        """The route from ``cur`` over every rank: ``table[dest]`` is the
+        next hop, in ``_key_dtype``.  Built by :meth:`next_hop_vec` once
+        per rank, then read back."""
         table = self._hop_tables.get(cur)
         if table is None:
             table = self.next_hop_vec(cur, np.arange(self.nranks))
             table = self._hop_tables[cur] = table.astype(self._key_dtype)
-        return table.take(dests)
+        return table
+
+    def hop_list(self, cur: int) -> Sequence[int]:
+        """:meth:`hop_table` as a Python list: the scalar ``post`` hop is
+        ``hop_list(cur)[dest]``, one list index and no NumPy scalar."""
+        hops = self._hop_lists.get(cur)
+        if hops is None:
+            hops = self._hop_lists[cur] = self.hop_table(cur).tolist()
+        return hops
+
+    def _hop_keys(self, cur: int, dests: np.ndarray) -> np.ndarray:
+        """The next hop of every entry of ``dests``, as ``_key_dtype`` keys."""
+        table = self._hop_tables.get(cur)  # on a hit: no method call
+        return (self.hop_table(cur) if table is None else table).take(dests)
 
     def bin_by_hop(self, cur: int, dests: np.ndarray):
         """Group a destination column by next hop (batch re-binning kernel).
@@ -131,34 +125,34 @@ class RoutingScheme(ABC):
         """Upper bound on transmissions per point-to-point message."""
 
     # -- broadcast routing ---------------------------------------------------
-    @abstractmethod
-    def bcast_targets(self, cur: int, origin: int) -> List[int]:
+    def bcast_targets(self, cur: int, origin: int) -> Tuple[int, ...]:
         """Ranks that ``cur`` forwards a broadcast from ``origin`` to.
 
         Called once at the origin (``cur == origin``) when the broadcast
         is injected, and once at every rank that receives a copy.  The
         union of the induced forwarding tree must reach every rank except
-        ``origin`` exactly once.
+        ``origin`` exactly once.  Built by :meth:`_bcast_tree` once per
+        ``(cur, origin)``, then read back.
         """
+        key = (cur, origin)
+        tree = self._bcast_trees.get(key)
+        if tree is None:
+            tree = self._bcast_trees[key] = tuple(self._bcast_tree(cur, origin))
+        return tree
+
+    @abstractmethod
+    def _bcast_tree(self, cur: int, origin: int) -> List[int]:
+        """:meth:`bcast_targets`, computed.  The order of the targets is
+        the order their coalescing buffers are created in, so it is part
+        of the scheme's behaviour."""
 
     # -- channel structure (Section III-E analysis) ------------------------------
-    @abstractmethod
     def remote_partners(self, rank: int) -> List[int]:
-        """Ranks that ``rank`` may exchange *remote* packets with."""
-
-    def remote_partner_count(self, rank: int) -> int:
-        return len(self.remote_partners(rank))
-
-    @abstractmethod
-    def channel_count(self) -> int:
-        """Number of remote communication channels (Section III-E)."""
-
-    def expected_avg_message_fraction(self) -> float:
-        """Of a rank's total send volume V (uniform traffic), the average
-        fraction per remote partner -- the paper's O(V/NC), O(V/N),
-        O(VC/N) analysis.  Returns 1/partner_count for a generic rank."""
-        count = max(1, self.remote_partner_count(0))
-        return 1.0 / count
+        """Ranks that ``rank`` sends remote packets to, ascending: the
+        off-node entries of its hop table."""
+        node = rank // self.cores
+        hops = np.unique(self.hop_table(rank)).tolist()
+        return [h for h in hops if h // self.cores != node]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} N={self.nodes} C={self.cores}>"

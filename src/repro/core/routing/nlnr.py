@@ -32,30 +32,16 @@ class NLNR(RoutingScheme):
 
     name = "nlnr"
 
-    def next_hop(self, cur: int, dest: int) -> int:
-        cores = self.cores
-        cur_node, cur_core = divmod(cur, cores)
-        dest_node = dest // cores
-        if cur_node == dest_node:
-            return dest  # final local hop
-        if cur_core == dest_node % cores:
-            # We are the designated intermediary: remote hop to the
-            # destination node's core matching *our* node offset.
-            return dest_node * cores + cur_node % cores
-        # First local hop to this node's intermediary for dest's node.
-        return cur_node * cores + dest_node % cores
-
     def next_hop_vec(self, cur: int, dests: np.ndarray) -> np.ndarray:
         dests = np.asarray(dests, dtype=np.int64)
         cores = self.cores
         cur_node, cur_core = divmod(cur, cores)
         dnode = dests // cores
         layer = dnode % cores  # destination node's layer offset
-        # Default: first local hop to this node's intermediary for the
-        # destination's layer.  Overwrite in precedence order (in-place
-        # form of the nested np.where() for the columnar re-bin path):
-        # intermediary positions take the remote hop, same-node positions
-        # the destination itself.
+        # First local hop to this node's intermediary for the destination's
+        # layer.  Where we are that intermediary: the remote hop to the
+        # destination node's core matching *our* node offset.  Same-node
+        # positions: the final local hop.
         hops = layer + cur_node * cores
         np.copyto(hops, dnode * cores + cur_node % cores, where=layer == cur_core)
         np.copyto(hops, dests, where=dnode == cur_node)
@@ -64,7 +50,7 @@ class NLNR(RoutingScheme):
     def max_hops(self) -> int:
         return 3
 
-    def bcast_targets(self, cur: int, origin: int) -> List[int]:
+    def _bcast_tree(self, cur: int, origin: int) -> List[int]:
         cores = self.cores
         origin_node, _origin_core = divmod(origin, cores)
         cur_node, cur_core = divmod(cur, cores)
@@ -77,7 +63,7 @@ class NLNR(RoutingScheme):
             # Stage 2 (origin included, for its own column): remote
             # fan-out to the nodes this core is intermediary for.
             targets.extend(
-                self._rank(n, origin_node % cores)
+                n * cores + origin_node % cores
                 for n in range(self.nodes)
                 if n != origin_node and n % cores == cur_core
             )
@@ -86,27 +72,6 @@ class NLNR(RoutingScheme):
             base = cur_node * cores
             targets.extend(base + c for c in range(cores) if base + c != cur)
         return targets
-
-    def remote_partners(self, rank: int) -> List[int]:
-        cores = self.cores
-        node, core = divmod(rank, cores)
-        partners: List[int] = []
-        for other in range(self.nodes):
-            if other == node:
-                continue
-            # We send remotely to nodes in our column (other % C == core),
-            # landing on their core (node % C); and we receive from cores
-            # (other, node % C)... the channel is symmetric: the pair
-            # (node, core) <-> (other, node % C) exists iff other % C == core.
-            if other % cores == core:
-                partners.append(self._rank(other, node % cores))
-        return partners
-
-    def channel_count(self) -> int:
-        # One channel per unordered layer pair, plus the self-offset
-        # channels: C choose 2 + C (paper Section III-D).
-        c = self.cores
-        return c * (c - 1) // 2 + c
 
 
 class HybridNLNR(NLNR):

@@ -45,28 +45,17 @@ class NodeAware(RoutingScheme):
     def _aggregator(self, node: int) -> int:
         return node * self.cores + node % self.cores
 
-    def next_hop(self, cur: int, dest: int) -> int:
-        cores = self.cores
-        cur_node, cur_core = divmod(cur, cores)
-        dest_node = dest // cores
-        if cur_node == dest_node:
-            return dest  # final local hop
-        if cur_core == cur_node % cores:
-            # We are this node's aggregator: remote hop to the
-            # destination node's aggregator.
-            return dest_node * cores + dest_node % cores
-        # First local hop to our own node's aggregator.
-        return cur_node * cores + cur_node % cores
-
     def next_hop_vec(self, cur: int, dests: np.ndarray) -> np.ndarray:
         dests = np.asarray(dests, dtype=np.int64)
         cores = self.cores
         cur_node = cur // cores
         dnode = dests // cores
         if cur == self._aggregator(cur_node):
-            # Remote hop to each destination node's aggregator.
+            # We are this node's aggregator: remote hop to each
+            # destination node's aggregator.
             hops = dnode * cores + dnode % cores
         else:
+            # First local hop to our own node's aggregator.
             hops = np.full(len(dests), self._aggregator(cur_node), dtype=np.int64)
         np.copyto(hops, dests, where=dnode == cur_node)
         return hops
@@ -74,7 +63,7 @@ class NodeAware(RoutingScheme):
     def max_hops(self) -> int:
         return 3
 
-    def bcast_targets(self, cur: int, origin: int) -> List[int]:
+    def _bcast_tree(self, cur: int, origin: int) -> List[int]:
         cores = self.cores
         origin_node = origin // cores
         cur_node, _cur_core = divmod(cur, cores)
@@ -95,15 +84,3 @@ class NodeAware(RoutingScheme):
             base = cur_node * cores
             targets.extend(base + c for c in range(cores) if base + c != cur)
         return targets
-
-    def remote_partners(self, rank: int) -> List[int]:
-        cores = self.cores
-        node, core = divmod(rank, cores)
-        if core != node % cores:
-            return []  # non-aggregators never touch the wire
-        return [self._aggregator(n) for n in range(self.nodes) if n != node]
-
-    def channel_count(self) -> int:
-        # A single aggregator<->aggregator channel class: every remote
-        # packet in the system travels aggregator-to-aggregator.
-        return 1

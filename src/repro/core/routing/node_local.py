@@ -22,22 +22,13 @@ class NodeLocal(RoutingScheme):
 
     name = "node_local"
 
-    def next_hop(self, cur: int, dest: int) -> int:
-        cores = self.cores
-        if cur % cores != dest % cores:
-            # Local hop to the on-node core with the destination's offset.
-            return (cur // cores) * cores + dest % cores
-        return dest  # core offsets match: remote (or final local) hop
-
     def next_hop_vec(self, cur: int, dests: np.ndarray) -> np.ndarray:
         dests = np.asarray(dests, dtype=np.int64)
         cores = self.cores
         cur_node = cur // cores
         dcore = dests % cores
-        # Build the local hop in place (one fresh array), then overwrite
-        # the matching-offset positions with the direct hop -- the same
-        # values as the np.where() formulation with fewer temporaries on
-        # the columnar re-binning path.
+        # Local hop to the on-node core with the destination's offset;
+        # where the offsets already match, the remote (or final local) hop.
         hops = dcore + cur_node * cores
         np.copyto(hops, dests, where=dcore == cur % cores)
         return hops
@@ -45,7 +36,7 @@ class NodeLocal(RoutingScheme):
     def max_hops(self) -> int:
         return 2
 
-    def bcast_targets(self, cur: int, origin: int) -> List[int]:
+    def _bcast_tree(self, cur: int, origin: int) -> List[int]:
         cores = self.cores
         if cur // cores != origin // cores:
             return []  # remote recipients only deliver
@@ -59,15 +50,6 @@ class NodeLocal(RoutingScheme):
         my_core = cur % cores
         origin_node = origin // cores
         targets.extend(
-            self._rank(n, my_core) for n in range(self.nodes) if n != origin_node
+            n * cores + my_core for n in range(self.nodes) if n != origin_node
         )
         return targets
-
-    def remote_partners(self, rank: int) -> List[int]:
-        core = self._core(rank)
-        node = self._node(rank)
-        return [self._rank(n, core) for n in range(self.nodes) if n != node]
-
-    def channel_count(self) -> int:
-        # One channel per core offset, each containing the N matching cores.
-        return self.cores

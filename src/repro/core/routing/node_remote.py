@@ -22,20 +22,12 @@ class NodeRemote(RoutingScheme):
 
     name = "node_remote"
 
-    def next_hop(self, cur: int, dest: int) -> int:
-        cores = self.cores
-        if cur // cores != dest // cores:
-            # Remote hop to the destination node, keeping our core offset.
-            return (dest // cores) * cores + cur % cores
-        return dest  # already on the destination node: final local hop
-
     def next_hop_vec(self, cur: int, dests: np.ndarray) -> np.ndarray:
         dests = np.asarray(dests, dtype=np.int64)
         cores = self.cores
         dnode = dests // cores
-        # Remote hop by default; same-node positions fall through to the
-        # destination itself (final local hop).  In-place form of the
-        # np.where() expression for the columnar re-binning path.
+        # Remote hop to the destination node, keeping our core offset;
+        # same-node positions take the final local hop.
         hops = dnode * cores + cur % cores
         np.copyto(hops, dests, where=dnode == cur // cores)
         return hops
@@ -43,7 +35,7 @@ class NodeRemote(RoutingScheme):
     def max_hops(self) -> int:
         return 2
 
-    def bcast_targets(self, cur: int, origin: int) -> List[int]:
+    def _bcast_tree(self, cur: int, origin: int) -> List[int]:
         cores = self.cores
         origin_node = origin // cores
         cur_node = cur // cores
@@ -53,7 +45,7 @@ class NodeRemote(RoutingScheme):
             # the local fan-out on the origin's own node.
             my_core = cur % cores
             targets.extend(
-                self._rank(n, my_core) for n in range(self.nodes) if n != origin_node
+                n * cores + my_core for n in range(self.nodes) if n != origin_node
             )
             base = origin_node * cores
             targets.extend(base + c for c in range(cores) if base + c != origin)
@@ -63,11 +55,3 @@ class NodeRemote(RoutingScheme):
             base = cur_node * cores
             targets.extend(base + c for c in range(cores) if base + c != cur)
         return targets
-
-    def remote_partners(self, rank: int) -> List[int]:
-        core = self._core(rank)
-        node = self._node(rank)
-        return [self._rank(n, core) for n in range(self.nodes) if n != node]
-
-    def channel_count(self) -> int:
-        return self.cores

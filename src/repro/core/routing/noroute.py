@@ -20,9 +20,6 @@ class NoRoute(RoutingScheme):
 
     name = "noroute"
 
-    def next_hop(self, cur: int, dest: int) -> int:
-        return dest
-
     def next_hop_vec(self, cur: int, dests: np.ndarray) -> np.ndarray:
         # Direct delivery: the hop column *is* the destination column
         # (returned uncopied; callers only read it).
@@ -31,15 +28,7 @@ class NoRoute(RoutingScheme):
     def max_hops(self) -> int:
         return 1
 
-    def bcast_targets(self, cur: int, origin: int) -> List[int]:
+    def _bcast_tree(self, cur: int, origin: int) -> List[int]:
         if cur != origin:
             return []
         return [r for r in range(self.nranks) if r != origin]
-
-    def remote_partners(self, rank: int) -> List[int]:
-        node = self._node(rank)
-        return [r for r in range(self.nranks) if self._node(r) != node]
-
-    def channel_count(self) -> int:
-        # One global channel: any core may talk to any remote core.
-        return 1

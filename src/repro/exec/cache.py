@@ -55,9 +55,7 @@ class ResultCache:
 
     # -- read --------------------------------------------------------------
     def get(self, job: Job) -> Tuple[bool, Any]:
-        """``(hit, result)``; uncacheable jobs always miss."""
-        if not job.cacheable:
-            return False, None
+        """``(hit, result)``."""
         key = job.cache_key()
         entry = self._read_entry(self._entry_path(key))
         if entry is _MISS:
@@ -81,9 +79,7 @@ class ResultCache:
     # -- write -------------------------------------------------------------
     def put(self, job: Job, result: Any, wall_ms: float = 0.0) -> bool:
         """Store a result; returns False (and stores nothing) when the
-        job is uncacheable or the result is not JSON-serializable."""
-        if not job.cacheable:
-            return False
+        result is not JSON-serializable."""
         try:
             body = json.dumps(
                 {

@@ -71,15 +71,13 @@ class Job:
 
     ``fn`` is a ``"module:function"`` dotted path; ``kwargs`` must be
     JSON-serializable.  ``label`` is for progress/trace display only
-    and does not participate in the cache key.  ``cacheable=False``
-    opts out of the result cache (wall-clock measurements must).
+    and does not participate in the cache key.
     ``timeout``/``retries`` override the pool defaults for this job.
     """
 
     fn: str
     kwargs: Mapping[str, Any] = field(default_factory=dict)
     label: str = ""
-    cacheable: bool = True
     timeout: Optional[float] = None
     retries: Optional[int] = None
 

@@ -166,7 +166,7 @@ class Pool:
         wall_ms: float,
         t0: float,
     ) -> None:
-        value = self._normalize(job, value)
+        value = self._normalize(value)
         if self.cache is not None:
             self.cache.put(job, value, wall_ms=wall_ms)
         results[idx] = value
@@ -190,11 +190,9 @@ class Pool:
         self._finish_one(rec)
 
     @staticmethod
-    def _normalize(job: Job, value: Any) -> Any:
-        """JSON round-trip cacheable results so a fresh computation and a
-        later cache hit hand identical Python values to the aggregator."""
-        if not job.cacheable:
-            return value
+    def _normalize(value: Any) -> Any:
+        """JSON round-trip results so a fresh computation and a later
+        cache hit hand identical Python values to the aggregator."""
         try:
             return json.loads(json.dumps(value))
         except (TypeError, ValueError):

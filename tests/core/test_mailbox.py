@@ -1,5 +1,7 @@
 """Integration tests for the YGM mailbox across all routing schemes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,76 @@ def test_bad_destination_rejected():
 
     res = make_world(1, 2).run(rank_main)
     assert all(res.values)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_non_integer_destination_rejected_by_post(scheme):
+    """A float rank is a TypeError naming it, raised at the call before
+    any counter moves -- self-sends included -- not a deadlock later."""
+
+    def rank_main(ctx):
+        got = []
+        mb = ctx.mailbox(recv=got.append)
+        if ctx.rank == 0:
+            for dest in (1.0, 1.5, np.float64(2.0), 0.0):  # 0.0: this rank
+                with pytest.raises(TypeError, match=re.escape(repr(dest))):
+                    mb.post(dest, "x")
+            assert mb.stats.app_messages_sent == 0 and mb.queued == 0 and got == []
+        yield from mb.wait_empty()
+        return got
+
+    res = make_world(2, 2, scheme).run(rank_main)
+    assert res.values == [[]] * 4
+
+
+REC = np.dtype([("v", "<i8")])
+
+
+def _post_column(mb, method, dests):
+    if method == "post_many":
+        mb.post_many(dests, ["x"] * len(dests))
+    else:
+        mb.post_batch(dests, np.zeros(len(dests), dtype=REC))
+
+
+@pytest.mark.parametrize("method", ["post_many", "post_batch"])
+def test_non_integer_destinations_rejected_by_columns(method):
+    """A float in a destination column is a TypeError naming it, not a
+    silent truncation to a rank the caller never named."""
+
+    def rank_main(ctx):
+        got = []
+        mb = ctx.mailbox(recv=got.append, recv_batch=got.extend)
+        if ctx.rank == 0:
+            for dests, bad in (([1.5], 1.5), (np.array([2.7]), 2.7), ([1, 2.0], 2.0)):
+                msg = f"destination {bad!r} is not an integer rank"
+                with pytest.raises(TypeError, match=re.escape(msg)):
+                    _post_column(mb, method, dests)
+            assert mb.stats.app_messages_sent == 0 and mb.queued == 0
+        yield from mb.wait_empty()
+        return got
+
+    res = make_world(2, 2, "node_remote").run(rank_main)
+    assert res.values == [[]] * 4
+
+
+def test_integer_destinations_of_every_kind_accepted():
+    def rank_main(ctx):
+        got = []
+        mb = ctx.mailbox(recv=got.append, recv_batch=lambda b: got.extend(b["v"]))
+        if ctx.rank == 0:
+            mb.post(True, "bool")
+            mb.post(np.int32(2), "int32")
+            mb.post_many(np.array([3], dtype=np.uint8), ["uint8"])
+            mb.post_batch(np.array([1], dtype=np.int16), np.ones(1, dtype=REC))
+            for method in ("post_many", "post_batch"):  # empty: float64, no-op
+                _post_column(mb, method, [])
+        yield from mb.wait_empty()
+        return got
+
+    res = make_world(2, 2, "node_remote").run(rank_main)
+    assert res.values == [[], ["bool", 1], ["int32"], ["uint8"]]
+    assert res.mailbox_stats.app_messages_sent == 4
 
 
 # -------------------------------------------------------------- broadcasts

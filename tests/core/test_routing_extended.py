@@ -2,11 +2,10 @@
 
 Structural invariants beyond the shared ``SCHEMES``-parametrized battery
 in test_routing.py (which already covers delivery, hop bounds, partner
-edges, broadcast coverage and vec/scalar agreement for every registered
+edges, broadcast coverage and table/view agreement for every registered
 scheme): the node-aware funnel property, the adaptive scheme's two
-branches under controlled congestion, and the satellite-2 regression
-that no built-in scheme falls back to the per-message ``next_hop_vec``
-loop.
+branches under controlled congestion, and the regression that every
+built-in scheme defines its own vectorised route.
 """
 
 import numpy as np
@@ -47,7 +46,7 @@ def test_node_aware_remote_hops_only_between_aggregators(nodes, cores):
             for _ in range(scheme.max_hops()):
                 if cur == dest:
                     break
-                nxt = scheme.next_hop(cur, dest)
+                nxt = int(scheme.hop_table(cur)[dest])
                 if not address.same_node(cur, nxt, cores):
                     assert cur == aggregator(address.node_of(cur, cores))
                     assert nxt == aggregator(address.node_of(nxt, cores))
@@ -58,7 +57,6 @@ def test_node_aware_remote_hops_only_between_aggregators(nodes, cores):
 @pytest.mark.parametrize("nodes,cores", SHAPES)
 def test_node_aware_partners_and_channels(nodes, cores):
     scheme = get_scheme("node_aware", nodes, cores)
-    assert scheme.channel_count() == 1
     for rank in range(scheme.nranks):
         node = address.node_of(rank, cores)
         partners = scheme.remote_partners(rank)
@@ -111,22 +109,25 @@ def test_adaptive_switches_on_live_congestion(nodes, cores):
         [d for d in range(adaptive.nranks) if d != src], dtype=np.int64
     )
 
+    # The scalar view is taken once (as a mailbox does) and read per post.
+    view = adaptive.hop_list(src)
+    last = int(dests[-1])
+
     # Idle: every hop is the destination itself.
     assert np.array_equal(adaptive.next_hop_vec(src, dests), dests)
-    assert adaptive.next_hop(src, int(dests[-1])) == int(dests[-1])
+    assert view[last] == last
 
     # Congest this rank's node: the same call now routes like NLNR.
     machine.nic_tx[src // cores].in_use = 1
     assert np.array_equal(
         adaptive.next_hop_vec(src, dests), nlnr.next_hop_vec(src, dests)
     )
-    assert adaptive.next_hop(src, int(dests[-1])) == nlnr.next_hop(
-        src, int(dests[-1])
-    )
+    assert view[last] == nlnr.hop_list(src)[last] != last
 
     # Back to idle: direct again (the signal is read per decision).
     machine.nic_tx[src // cores].in_use = 0
     assert np.array_equal(adaptive.next_hop_vec(src, dests), dests)
+    assert view[last] == last
 
     # A queue backlog counts as congestion too.
     machine.nic_tx[src // cores].queue_length = 2
@@ -156,14 +157,14 @@ def test_static_schemes_ignore_bind_machine():
     for name in ("noroute", "node_local", "node_remote", "nlnr", "node_aware"):
         scheme = get_scheme(name, 4, 2)
         scheme.bind_machine(object())  # must be a harmless no-op
-        assert scheme.next_hop(0, 5) in range(scheme.nranks)
+        assert scheme.hop_list(0)[5] in range(scheme.nranks)
 
 
-# ------------------------------------------------- satellite 2: no fallback
+# ------------------------------------------------------ one route per scheme
 @pytest.mark.parametrize("name", list(SCHEMES))
 def test_no_builtin_scheme_uses_the_scalar_fallback(name, monkeypatch):
-    """Every registered scheme must override ``next_hop_vec``: the base
-    class's per-message fallback loop is for out-of-tree schemes only."""
+    """Every registered scheme defines its own ``next_hop_vec``: the base
+    class has no route (and no scalar fallback) to inherit."""
 
     def boom(self, cur, dests):
         raise AssertionError(

@@ -26,14 +26,6 @@ def test_roundtrip_and_counters(tmp_path):
     assert cache.hits == 1 and cache.size() == 1
 
 
-def test_uncacheable_jobs_bypass_the_store(tmp_path):
-    cache = ResultCache(str(tmp_path / "c"))
-    job = Job(fn=f"{CELLS}:adder", kwargs={"a": 1, "b": 2}, cacheable=False)
-    assert not cache.put(job, {"sum": 3})
-    hit, _ = cache.get(job)
-    assert not hit and cache.size() == 0
-
-
 def test_unserializable_result_is_not_stored(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     assert not cache.put(_job(), object())

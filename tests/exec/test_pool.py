@@ -63,15 +63,6 @@ def test_fresh_and_cached_results_are_identical_values(tmp_path):
     assert fresh == cached == {"pair": [1, 2]}
 
 
-def test_uncacheable_jobs_rerun_every_time(tmp_path):
-    cache = ResultCache(str(tmp_path / "c"))
-    job = Job(fn=f"{CELLS}:adder", kwargs={"a": 1, "b": 1}, cacheable=False)
-    pool = Pool(jobs=1, cache=cache)
-    pool.run([job])
-    pool.run([job])
-    assert cache.hits == 0 and cache.size() == 0
-
-
 # ------------------------------------------------------------- failures
 @pytest.mark.parametrize("workers", [1, 2])
 def test_all_failures_reported_after_settling(workers):

@@ -77,6 +77,23 @@ ROUTING_EXPORTS = {
     "NoRoute", "NodeAware", "NodeLocal", "NodeRemote", "PAPER_SCHEMES",
     "RoutingScheme", "SCHEMES", "get_scheme",
 }
+#: Public attributes of a routing scheme: the class's and a built one's.
+ROUTING_SCHEME_ATTRS = {
+    "bcast_targets", "bin_by_hop", "bind_machine", "cores", "free_local_hops",
+    "hop_list", "hop_table", "max_hops", "name", "next_hop_vec", "nodes",
+    "nranks", "remote_partners",
+}
+#: Deleted when the hop table became each scheme's one route definition:
+#: the scalar route twin and the hand-written channel models.
+ROUTING_SCHEME_DELETED = {
+    "channel_count", "expected_avg_message_fraction", "next_hop",
+    "remote_partner_count",
+}
+SIM_EXPORTS = {
+    "AllOf", "AnyOf", "Callback", "DeadlockError", "Event", "EventStateError",
+    "Process", "ProcessError", "Resource", "SimulationError", "Simulator",
+    "Store", "StoreGet", "Timeout",
+}
 SERDE_EXPORTS = {
     "RecordSpec", "SerdeError", "clear_registry", "pack", "pack_into",
     "pack_many", "packed_size", "packed_size_many", "register", "registered",
@@ -123,6 +140,25 @@ def test_routing_surface_stays_within_budget():
     from repro.core import routing
 
     assert set(routing.__all__) <= ROUTING_EXPORTS  # 13 names
+
+
+def test_routing_scheme_attributes_stay_within_budget():
+    from repro.core.routing import RoutingScheme, get_scheme
+
+    public = {
+        name
+        for obj in (RoutingScheme, get_scheme("noroute", 2, 2))
+        for name in dir(obj)
+        if not name.startswith("_")
+    }
+    assert public <= ROUTING_SCHEME_ATTRS  # 13 names
+    assert not public & ROUTING_SCHEME_DELETED
+
+
+def test_sim_surface_stays_within_budget():
+    from repro import sim
+
+    assert set(sim.__all__) <= SIM_EXPORTS  # 14 names
 
 
 def test_serde_surface_stays_within_budget():

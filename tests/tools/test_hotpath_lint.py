@@ -488,18 +488,48 @@ def test_hop_keys_from_the_key_step_are_allowed(tmp_path):
     root = _write_binning_tree(
         tmp_path,
         "class RoutingScheme:\n"
-        "    def _hop_keys(self, cur, dests):\n"  # the key step builds the table
-        "        return self.next_hop_vec(cur, range(self.nranks))[dests]\n"
+        "    def hop_table(self, cur):\n"  # the table is built from the route
+        "        return self.next_hop_vec(cur, range(self.nranks))\n"
+        "    def _hop_keys(self, cur, dests):\n"
+        "        return self.hop_table(cur)[dests]\n"
         "    def bin_by_hop(self, cur, dests):\n"
         "        hops = self._hop_keys(cur, dests)\n"
         "        return hops, hops.argsort(kind='stable'), None, None\n",
         "class Mailbox:\n"
+        "    def __init__(self, scheme, rank):\n"
+        "        self._hops = scheme.hop_list(rank)\n"
         "    def post(self, dest, payload):\n"
-        "        return self.scheme.next_hop(self.rank, dest)\n"  # scalar send: fine
+        "        return self._hops[dest]\n"  # one index into the list view
         "    def _bin_by_hop(self, dests):\n"
-        "        return self.scheme.bin_by_hop(self.rank, dests)\n",
+        "        return self.scheme.bin_by_hop(self.rank, dests)\n"
+        "    def flush(self, dests):\n"  # not a listed site: fine
+        "        return self.scheme._hop_keys(self.rank, dests)\n",
     )
     assert hotpath_lint.lint(root) == []
+
+
+def test_flags_route_evaluation_in_post(tmp_path):
+    root = _write_binning_tree(
+        tmp_path,
+        "class RoutingScheme:\n"
+        "    pass\n",
+        "class Mailbox:\n"
+        "    def post(self, dest, payload):\n"
+        "        if dest < 0:\n"
+        "            return self.scheme._hop_keys(self.rank, [dest])[0]\n"
+        "        hop = self.scheme.next_hop_vec(self.rank, [dest])[0]\n"
+        "        return hop or self.scheme.next_hop(self.rank, dest)\n"
+        "    def _bin_by_hop(self, dests):\n"
+        "        return self.scheme._hop_keys(self.rank, dests)\n",  # the key step: fine
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("Mailbox.post", "binning _hop_keys"),
+        ("Mailbox.post", "binning next_hop"),
+        ("Mailbox.post", "binning next_hop_vec"),
+    ]
 
 
 def test_flags_route_evaluation_in_the_binning_kernels(tmp_path):
@@ -551,4 +581,4 @@ def test_cli_reports_binning_violation(tmp_path):
         text=True,
     )
     assert proc.returncode == 1
-    assert "hop keys come only from the key step" in proc.stderr
+    assert "hops come only from a route table" in proc.stderr

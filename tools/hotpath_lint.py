@@ -59,14 +59,17 @@ column, and ``.encode(`` only in the non-ASCII branch of the ``str``
 row.  Packing into a scratch buffer and taking ``len()`` gives the same
 number, so only this lint (and the clock) would notice it coming back.
 
-A seventh rule guards the re-binning kernel: hop keys come only from the
-key step.  A static route depends on the machine shape alone, so
-``RoutingScheme._hop_keys`` tabulates it once per rank and re-binning is
-a ``take`` plus a radix sort; inside ``RoutingScheme.bin_by_hop`` and
-``Mailbox._bin_by_hop`` any reference to ``next_hop`` or
-``next_hop_vec`` (called or not, nested helpers included) is a
-violation.  Evaluating the route per call gives the same hops, so only
-this lint and the counter gate's ``core.routing.calls`` would notice.
+A seventh rule guards the route tables: hops come only from a table.
+A static route depends on the machine shape alone, so
+``RoutingScheme.hop_table`` tabulates it once per rank.  Re-binning is a
+``take`` from it plus a radix sort, and a scalar ``post`` is one index
+into its list view (``RoutingScheme.hop_list``, held by the mailbox).
+Inside ``RoutingScheme.bin_by_hop`` and ``Mailbox._bin_by_hop`` any
+reference to ``next_hop`` or ``next_hop_vec`` (called or not, nested
+helpers included) is a violation; inside ``Mailbox.post`` so is
+``_hop_keys``.  Evaluating the route per call gives the same hops, so
+only this lint and the counter gate's ``core.routing.calls`` would
+notice.
 
 Usage::
 
@@ -160,13 +163,19 @@ SIZING_FORBIDDEN_CALLS = {
     "bytearray", "bytes", "sorted", "pack", "pack_into", "pack_many",
 }
 
-#: Re-binning kernels (file -> methods) that take hop keys from the key
-#: step only, and the route functions they must not reach for.
+#: Methods that read hops from a route table only (file -> method ->
+#: the route functions it must not reach for): the two re-binning kernels
+#: and the scalar post.
+BINNING_FORBIDDEN = frozenset({"next_hop", "next_hop_vec"})
 BINNING_SITES = {
-    "src/repro/core/routing/base.py": {"RoutingScheme.bin_by_hop"},
-    "src/repro/core/mailbox.py": {"Mailbox._bin_by_hop"},
+    "src/repro/core/routing/base.py": {
+        "RoutingScheme.bin_by_hop": BINNING_FORBIDDEN,
+    },
+    "src/repro/core/mailbox.py": {
+        "Mailbox._bin_by_hop": BINNING_FORBIDDEN,
+        "Mailbox.post": BINNING_FORBIDDEN | {"_hop_keys"},
+    },
 }
-BINNING_FORBIDDEN = {"next_hop", "next_hop_vec"}
 
 
 def _call_name(node: ast.Call) -> str:
@@ -394,12 +403,12 @@ class _PacketPathVisitor(ast.NodeVisitor):
 
 
 class _BinningVisitor(ast.NodeVisitor):
-    """Flags route evaluation inside the re-binning kernels.
+    """Flags route evaluation inside the re-binning kernels and ``post``.
 
     Nested helpers count as part of their method, as on the packet path.
     """
 
-    def __init__(self, relpath: str, methods: set) -> None:
+    def __init__(self, relpath: str, methods: dict) -> None:
         self.relpath = relpath
         self.methods = methods
         self.stack: list[str] = []
@@ -416,7 +425,7 @@ class _BinningVisitor(ast.NodeVisitor):
 
     def _check(self, node, name: str) -> None:
         method = ".".join(self.stack[:2])
-        if name in BINNING_FORBIDDEN and method in self.methods:
+        if name in self.methods.get(method, ()):
             self.violations.append(
                 (self.relpath, node.lineno, method, f"binning {name}")
             )
@@ -651,9 +660,9 @@ def main(argv=None) -> int:
         elif name.startswith("binning "):
             print(
                 f"{relpath}:{lineno}: {name[len('binning '):]} in {qualname} "
-                f"-- hop keys come only from the key step: re-binning takes "
-                f"them from RoutingScheme._hop_keys (a per-rank hop table), "
-                f"never from the route evaluated per call",
+                f"-- hops come only from a route table: re-binning takes "
+                f"them from RoutingScheme.hop_table and a scalar post from "
+                f"its list view, never from the route evaluated per call",
                 file=sys.stderr,
             )
         elif "pickle" in name:
