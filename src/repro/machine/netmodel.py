@@ -28,13 +28,31 @@ local communication is handled in shared memory").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Tuple
 
 
 KiB = 1024
 MiB = 1024 * 1024
 GiB = 1024 * 1024 * 1024
+
+
+def _check_timing(model) -> None:
+    """Rates (``*_rate`` fields) must be > 0, every other ``float`` field
+    (a time or an overhead) finite and >= 0; NaN fails both."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if f.name.endswith("_rate"):
+            ok, need = value > 0, "> 0"
+        elif f.type == "float":
+            ok, need = 0 <= value < math.inf, "finite and >= 0"
+        else:
+            continue
+        if not ok:
+            raise ValueError(
+                f"{type(model).__name__}.{f.name} must be {need}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,6 +95,9 @@ class NetworkModel:
     #: Cache growth bound -- a runaway sweep of unique sizes falls back
     #: to uncached arithmetic instead of holding memory hostage.
     _COST_CACHE_MAX = 1 << 16
+
+    def __post_init__(self):
+        _check_timing(self)
 
     # ---------------------------------------------------------------- remote
     def is_rendezvous(self, nbytes: int) -> bool:
@@ -212,6 +233,9 @@ class ComputeModel:
     per_flop: float = 1.0e-9
     #: Cost of generating one graph edge (edge-stream generation).
     per_edge_gen: float = 15.0e-9
+
+    def __post_init__(self):
+        _check_timing(self)
 
     def with_overrides(self, **kwargs) -> "ComputeModel":
         return replace(self, **kwargs)

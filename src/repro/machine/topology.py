@@ -12,31 +12,31 @@ Delivery is a callback (``deliver(packet)``) supplied by the transport
 layer above (the simulated MPI matching engine), so the machine layer
 knows nothing about ranks' inboxes.
 
-A remote packet costs five kernel events, each pushed -- push order breaks
-timestamp ties, see :mod:`repro.sim.resources` -- at the instant its
-counterparts in the nine-event process-per-packet protocol were:
+A remote packet is one in-flight entry (:class:`_InFlight`) that the
+kernel pops up to five times.  Each push -- push order breaks timestamp
+ties, see :mod:`repro.sim.resources` -- happens at the instant its
+counterpart in the nine-event process-per-packet protocol was pushed:
 
-==========================================  ==================  ===========
-nine events (before)                        five events         pushed at
-==========================================  ==================  ===========
-``timeout(send_overhead)``                  same                call
-TX acquire, TX hold timeout                 TX hold completion  TX grant
-in-flight init, wire timeout                arrival callback    on-wire
-RX acquire, RX hold timeout                 RX hold completion  RX grant
-``timeout(recv_overhead)``, process end     delivery callback   RX hold end
-==========================================  ==================  ===========
+==========================================  ========================  ===========
+nine events (before)                        five pushes of one entry  pushed at
+==========================================  ========================  ===========
+``timeout(send_overhead)``                  send overhead             call
+TX acquire, TX hold timeout                 TX hold completion        TX grant
+in-flight init, wire timeout                arrival                   on-wire
+RX acquire, RX hold timeout                 RX hold completion        RX grant
+``timeout(recv_overhead)``, process end     delivery                  RX hold end
+==========================================  ========================  ===========
 
-Five is the floor under that rule; ``send_overhead`` and ``recv_overhead``
-are not folded into the holds next to them.
+Five is the floor under that rule; ``send_overhead`` and
+``recv_overhead`` are not folded into the holds next to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Generator, List
 
-from ..sim import Resource, Simulator
+from ..sim import Event, Resource, Simulator
 from . import address
 from .netmodel import ComputeModel, NetworkModel
 
@@ -79,8 +79,8 @@ class Machine:
         self.remote_bytes = 0
         self.local_packets = 0
         self.local_bytes = 0
-        #: Optional PDES export hook, called at the packet-on-wire point of
-        #: :meth:`transmit_remote` as ``hook(t_wire, src, dst, nbytes,
+        #: Optional PDES export hook, called when a remote packet's TX
+        #: hold ends (its on-wire point) as ``hook(t_wire, src, dst, nbytes,
         #: packet)``.  Returning true claims the packet: the in-flight
         #: remainder is *not* simulated here -- the owning partition of
         #: ``dst`` replays it via :meth:`inject_arrival` at the identical
@@ -156,40 +156,30 @@ class Machine:
     ) -> Generator:
         """Send a packet over the wire (different nodes).
 
-        Generator run inside the *sending* rank's process.  It charges the
-        sender-core overhead and the source-NIC occupancy, then schedules
-        the in-flight remainder (wire delay, :meth:`_arrive`) as callbacks
-        so the sender regains its core -- buffered-send semantics.  Every
-        event is pushed at the instant the module docstring's table names.
+        Generator run inside the *sending* rank's process.  It builds the
+        packet's in-flight entry, starts it (send overhead, else the
+        source-NIC request) and waits on it once: the sender regains its
+        core when the TX hold ends while the entry carries the packet on
+        to delivery -- buffered-send semantics.
         """
-        net = self.config.net
         sim = self.sim
-        nic_time, delay, _ = net.packet_costs(nbytes)
+        net = self.config.net
+        entry = _InFlight(self, 0, src, dst, nbytes, packet, deliver)
         self.remote_packets += 1
         self.remote_bytes += nbytes
         tracer = sim.tracer
-        trace = tracer is not None and tracer.wants("mpi")
-        if trace:
+        if tracer is not None and tracer.wants("mpi"):
             tracer.instant(
                 sim.now, "mpi", "packet_injected", f"rank {src}",
                 dst=dst, nbytes=nbytes,
                 protocol="rendezvous" if net.is_rendezvous(nbytes) else "eager",
             )
         if net.send_overhead > 0:
-            yield sim.timeout(net.send_overhead)
-        yield self.nic_tx[self.node_of(src)].hold(nic_time)
-        if trace:
-            tracer.instant(
-                sim.now, "mpi", "packet_on_wire", f"rank {src}",
-                dst=dst, nbytes=nbytes,
-            )
-        if tracer is not None and tracer.lineage is not None and packet.lin is not None:
-            tracer.lineage.packet_wire(packet.lin, sim.now)
-        exporter = self.on_remote_export
-        if exporter is not None and exporter(sim.now, src, dst, nbytes, packet):
-            return
-        arrive = partial(self._arrive, dst, nbytes, nic_time, packet, deliver)
-        sim.schedule(delay, arrive)
+            sim._enqueue(entry, net.send_overhead)
+        else:
+            entry.phase = 1
+            entry.tx._request(entry)
+        yield entry
 
     def inject_arrival(
         self,
@@ -203,46 +193,14 @@ class Machine:
         """Replay a cross-partition packet's arrival (PDES import side).
 
         The exporting partition saw the packet on the wire at ``t_wire``
-        and skipped the rest; it resumes here at ``t_wire + delay``, the
-        float expression of :meth:`transmit_remote`'s ``schedule``, so the
-        arrival instant and everything downstream (NIC-RX contention,
-        delivery order, stats) are bit-identical.
+        and skipped the rest; it resumes here as an entry at its arrival
+        stage, pushed at ``t_wire + delay`` -- the float expression of
+        the serial arrival push -- so the arrival instant and everything
+        downstream (NIC-RX contention, delivery order, stats) are
+        bit-identical.
         """
-        nic_time, delay, _ = self.config.net.packet_costs(nbytes)
-        arrive = partial(self._arrive, dst, nbytes, nic_time, packet, deliver)
-        self.sim.schedule_at(t_wire + delay, arrive)
-
-    def _arrive(
-        self,
-        dst: int,
-        nbytes: int,
-        nic_time: float,
-        packet: Any,
-        deliver: Callable[[Any], None],
-    ) -> None:
-        """Arrival callback: the destination-side NIC-RX hold, then delivery."""
-        sim = self.sim
-        tracer = sim.tracer
-        prof = tracer.lineage if tracer is not None else None
-        if prof is not None and packet.lin is not None:
-            prof.packet_rx(packet.lin, sim.now)
-
-        def delivered() -> None:
-            if tracer is not None and tracer.wants("mpi"):
-                tracer.instant(
-                    sim.now, "mpi", "packet_delivered", f"rank {dst}",
-                    nbytes=nbytes,
-                )
-            if prof is not None and packet.lin is not None:
-                prof.packet_delivered(packet.lin, sim.now)
-            deliver(packet)
-
-        hold = self.nic_rx[self.node_of(dst)].hold(nic_time)
-        recv_overhead = self.config.net.recv_overhead
-        if recv_overhead > 0:
-            hold.callbacks.append(lambda _h: sim.schedule(recv_overhead, delivered))
-        else:
-            hold.callbacks.append(lambda _h: delivered())
+        entry = _InFlight(self, 2, src, dst, nbytes, packet, deliver)
+        self.sim._enqueue_at(entry, t_wire + entry.delay)
 
     def transmit(
         self,
@@ -268,3 +226,88 @@ class Machine:
             "local_packets": self.local_packets,
             "local_bytes": self.local_bytes,
         }
+
+
+class _InFlight(Event):
+    """One remote packet from the send call to its delivery.
+
+    ``phase`` is the stage the next pop runs (the module docstring's
+    table, top to bottom); each stage pushes the entry again, or queues
+    it on a NIC engine whose grant pushes it.  The sending rank waits on
+    the entry: its callbacks run once, when the TX hold ends.
+    """
+
+    __slots__ = ("machine", "phase", "src", "dst", "nbytes", "packet", "deliver",
+                 "tx", "rx", "duration", "delay", "requested", "granted")
+    name = "in_flight"  # shadows the base slot: the kernel trace label
+
+    def __init__(self, machine: Machine, phase: int, src: int, dst: int,
+                 nbytes: int, packet: Any, deliver: Callable[[Any], None]):
+        self.sim = machine.sim
+        self.callbacks = []
+        self._value = None  # the sender resumes with None, as from a hold
+        self._ok = True
+        self._processed = False
+        self.machine = machine
+        self.phase = phase
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.packet = packet
+        self.deliver = deliver
+        self.tx = machine.nic_tx[machine.node_of(src)]
+        self.rx = machine.nic_rx[machine.node_of(dst)]
+        # ``duration`` is each NIC hold (TX and RX), ``delay`` the wire.
+        self.duration, self.delay, _ = machine.config.net.packet_costs(nbytes)
+
+    def _process(self) -> None:
+        sim = self.sim
+        phase = self.phase
+        if phase == 0:  # send overhead paid: request the source NIC
+            self.phase = 1
+            self.tx._request(self)
+            return
+        tracer = sim.tracer
+        packet = self.packet
+        lineage = None
+        if tracer is not None and tracer.lineage is not None and packet.lin is not None:
+            lineage = tracer.lineage
+        if phase == 1:  # TX hold over: the packet is on the wire
+            # Grant the next TX waiter, run the on-wire hooks, push the
+            # arrival, and only then resume the sender: the push order
+            # that the digests and the PDES push-time key record.
+            self.tx._complete(self)
+            if tracer is not None and tracer.wants("mpi"):
+                tracer.instant(sim._now, "mpi", "packet_on_wire", f"rank {self.src}",
+                               dst=self.dst, nbytes=self.nbytes)
+            if lineage is not None:
+                lineage.packet_wire(packet.lin, sim._now)
+            exporter = self.machine.on_remote_export
+            if exporter is None or not exporter(
+                sim._now, self.src, self.dst, self.nbytes, packet
+            ):
+                self.phase = 2
+                sim._enqueue(self, self.delay)
+            self._processed = True
+            callbacks, self.callbacks = self.callbacks, None
+            for cb in callbacks:
+                cb(self)
+        elif phase == 2:  # arrival: request the destination NIC
+            if lineage is not None:
+                lineage.packet_rx(packet.lin, sim._now)
+            self.phase = 3
+            self.rx._request(self)
+        elif phase == 3 and self.machine.config.net.recv_overhead > 0:
+            self.rx._complete(self)  # RX hold over: receive overhead next
+            self.phase = 4
+            sim._enqueue(self, self.machine.config.net.recv_overhead)
+        else:  # delivery (inside the RX completion when recv_overhead is 0)
+            if phase == 3:
+                self.rx._complete(self)
+            self.packet = None  # a held entry must not keep the packet alive
+            if tracer is not None and tracer.wants("mpi"):
+                tracer.instant(sim._now, "mpi", "packet_delivered", f"rank {self.dst}",
+                               nbytes=self.nbytes)
+            if lineage is not None:
+                lineage.packet_delivered(packet.lin, sim._now)
+            self.deliver(packet)

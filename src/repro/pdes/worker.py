@@ -230,7 +230,8 @@ class PartitionRuntime:
         the push times: native pushes use the local clock (matching
         serial, because intra-partition event order is preserved), and
         an injected arrival uses the wire instant its serial push
-        (``transmit_remote``'s ``schedule(delay, ...)``) happens at.  Keying the
+        (the in-flight entry's arrival push, at the end of its TX hold)
+        happens at.  Keying the
         heap this way restores the serial interleaving of an import
         against local events pushed *after* its wire instant but landing
         on the same timestamp -- the one tie the barrier's injection

@@ -11,7 +11,7 @@ cancellable blocking gets; resources model contended hardware.
 """
 
 from .errors import DeadlockError, EventStateError, ProcessError, SimulationError
-from .events import AllOf, AnyOf, Callback, Event, Timeout
+from .events import AllOf, AnyOf, Event, Timeout
 from .kernel import Simulator
 from .process import Process
 from .resources import Resource
@@ -20,7 +20,6 @@ from .stores import Store, StoreGet
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Callback",
     "DeadlockError",
     "Event",
     "EventStateError",

@@ -115,14 +115,6 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def detach(self, callback: Callable[["Event"], None]) -> None:
-        """Best-effort removal of a previously attached callback."""
-        if self.callbacks is not None:
-            try:
-                self.callbacks.remove(callback)
-            except ValueError:
-                pass
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
             "processed" if self._processed
@@ -148,8 +140,8 @@ class Timeout(Event):
     __slots__ = ("delay", "_timeout_value")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):  # noqa: F821
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING
@@ -166,44 +158,6 @@ class Timeout(Event):
     def _process(self) -> None:
         self._value = self._timeout_value
         self._ok = True
-        super()._process()
-
-
-class Callback(Event):
-    """A scheduled-callback event: the fast path behind ``sim.schedule``.
-
-    Triggers ``delay`` seconds after creation and runs ``fn()`` before
-    any attached callbacks -- equivalent to a :class:`Timeout` plus an
-    attached closure, without allocating either.  ``_defer`` skips the
-    self-enqueue so :meth:`~repro.sim.kernel.Simulator.schedule_batch`
-    can enqueue a whole batch in one pass.
-    """
-
-    __slots__ = ("fn",)
-    name = "callback"
-
-    def __init__(
-        self,
-        sim: "Simulator",  # noqa: F821
-        delay: float,
-        fn: Callable[[], None],
-        _defer: bool = False,
-    ):
-        if delay < 0:
-            raise ValueError(f"negative schedule delay: {delay}")
-        self.sim = sim
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._processed = False
-        self.fn = fn
-        if not _defer:
-            sim._enqueue(self, delay)
-
-    def _process(self) -> None:
-        self._value = None
-        self._ok = True
-        self.fn()
         super()._process()
 
 

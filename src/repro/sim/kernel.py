@@ -19,12 +19,12 @@ ordering is an artifact of the kernel, not of the modelled machine.
 The enqueue path is specialised per shape at construction time
 (:meth:`_enqueue` is bound to the FIFO or the tiebreaker variant), so
 the no-tiebreaker hot path never branches on the hook.  The run loops
-likewise pop and dispatch inline rather than calling :meth:`step` per
-event; :meth:`step` remains the single-step API.
+likewise pop and dispatch inline.
 
 Either way the key is taken when an event is *pushed*: a layer standing
-one event in for several (a NIC hold, a remote packet's arrival) pushes it
-at the instant those were -- the contract in :mod:`repro.sim.resources`.
+one object in for several events (a NIC hold; a remote packet's in-flight
+entry, pushed once per stage) pushes it at the instants those were -- the
+contract in :mod:`repro.sim.resources`.
 
 The kernel is intentionally tiny -- the whole simulated-MPI/YGM stack is
 expressed in terms of :class:`~repro.sim.events.Event`,
@@ -38,7 +38,7 @@ import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from .errors import DeadlockError
-from .events import AllOf, AnyOf, Callback, Event, Timeout
+from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
 
@@ -169,13 +169,13 @@ class Simulator:
     # constructor rebinds it to the matching specialisation per instance.
     _enqueue = _enqueue_fifo
 
-    def _enqueue_batch(self, events: Sequence[Event], delay: float = 0.0) -> None:
-        """Enqueue many triggered events for the same timestamp.
+    def _enqueue_batch(self, events: Sequence[Event]) -> None:
+        """Enqueue many triggered events for the current instant.
 
         One pass with hoisted locals; sequence numbers are assigned in
         input order, so this is bit-identical to enqueueing one by one.
         """
-        t = self._now + delay
+        t = self._now
         heap = self._heap
         push = heapq.heappush
         seq = self._seq
@@ -189,6 +189,25 @@ class Simulator:
                 seq += 1
                 push(heap, (t, tb(t, seq), seq, ev))
         self._seq = seq
+
+    def _enqueue_at(self, event: Event, at: float) -> None:
+        """Push a triggered event at the *absolute* instant ``at``.
+
+        :mod:`repro.pdes` replays a cross-partition packet arrival with it
+        at its exact timestamp (``delay = at - now`` would round-trip
+        through float subtraction and lose bit-identity with the serial
+        ``t_wire + remote_delay``).  Sequenced like :meth:`_enqueue`,
+        tiebreaker included.  ``at`` may not be in the past (nor NaN).
+        """
+        if not at >= self._now:
+            raise ValueError(
+                f"cannot enqueue at t={at!r}: simulator already at {self._now!r}"
+            )
+        self._seq = seq = self._seq + 1
+        if self._tiebreaker is None:
+            heapq.heappush(self._heap, (at, seq, event))
+        else:
+            heapq.heappush(self._heap, (at, self._tiebreaker(at, seq), seq, event))
 
     def run_window(self, limit: float) -> Optional[float]:
         """Process every queued event with timestamp strictly below ``limit``.
@@ -214,54 +233,7 @@ class Simulator:
             item[-1]._process()
         return heap[0][0] if heap else None
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback()`` after ``delay`` seconds; returns the event.
-
-        Uses the lightweight :class:`~repro.sim.events.Callback` event --
-        no Timeout + closure pair per call.
-        """
-        return Callback(self, delay, callback)
-
-    def schedule_at(self, at: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback()`` at the *absolute* time ``at``; returns the event.
-
-        The absolute-time twin of :meth:`schedule`: :mod:`repro.pdes`
-        replays a cross-partition packet arrival with it at its exact
-        timestamp (``delay = at - now`` would round-trip through float
-        subtraction and lose bit-identity with the serial ``t_wire +
-        remote_delay``).  ``at`` may not be in the past.
-        """
-        if at < self._now:
-            raise ValueError(
-                f"cannot schedule at t={at!r}: simulator already at {self._now!r}"
-            )
-        event = Callback(self, 0.0, callback, _defer=True)
-        self._seq = seq = self._seq + 1
-        if self._tiebreaker is None:
-            heapq.heappush(self._heap, (at, seq, event))
-        else:
-            heapq.heappush(self._heap, (at, self._tiebreaker(at, seq), seq, event))
-        return event
-
-    def schedule_batch(
-        self, delay: float, callbacks: Iterable[Callable[[], None]]
-    ) -> List[Event]:
-        """Schedule many callbacks for the same future time in one pass."""
-        events = [Callback(self, delay, fn, _defer=True) for fn in callbacks]
-        self._enqueue_batch(events, delay=delay)
-        return events
-
     # -- execution -------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        item = heapq.heappop(self._heap)
-        self._now = item[0]
-        self._steps += 1
-        tracer = self.tracer
-        if tracer is not None:
-            self._trace_step(tracer, item[-1])
-        item[-1]._process()
-
     def _trace_step(self, tracer, event: Event) -> None:
         """Per-event trace hook + periodic wall-clock progress sample."""
         if tracer.wants("kernel"):

@@ -5,15 +5,17 @@ node's NIC TX and RX engine is one: holding it for ``nic_gap + bytes /
 wire_rate`` seconds is how transmission serialization (and hence
 congestion at hot nodes) arises in the simulation.
 
-**Push-instant contract.**  One hold is one kernel event, its completion.
-Sequence numbers (and the PDES push-time key) are taken when an event is
-*pushed*, so the completion is pushed when the hold is *granted*: at once
-on an idle server, else from inside the predecessor's completion, before
-the predecessor's own callbacks run.  Pushing at request time (``grant =
-max(now, busy_until)``) keeps every timestamp and counter but, when two
-servers free at the same float instant, completes their waiters in request
-order, not grant order.  That arithmetic is the oracle in
-``tests/machine/test_nic_closed_form.py``, not the implementation.
+**Push-instant contract.**  One hold is one kernel push, its completion:
+of a :class:`_Hold`, or of a remote packet's in-flight entry
+(:mod:`repro.machine.topology`); both take the one grant path,
+:meth:`Resource._request`.  Sequence numbers (and the PDES push-time key)
+are taken when an event is *pushed*, so the completion is pushed when the
+hold is *granted*: at once on an idle server, else from inside the
+predecessor's completion, before the predecessor's own callbacks run.
+Pushing at request time (``grant = max(now, busy_until)``) keeps every
+timestamp and counter but, when two servers free at the same float
+instant, completes their waiters in request order, not grant order.  That
+arithmetic is the oracle in ``tests/machine/test_nic_closed_form.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class _Hold(Event):
         super().__init__(resource.sim, "hold")
         self.resource = resource
         self.duration = duration
-        self.requested = self.granted = self.sim._now
 
     def _process(self) -> None:
         self._value = None
@@ -49,7 +50,7 @@ class Resource:
         self.name = name
         #: 1 while a hold is in service, else 0.
         self.in_use = 0
-        self._waiters = deque()  # of _Hold, oldest first
+        self._waiters = deque()  # of holders, oldest first
         #: Total simulated seconds of holds completed (utilisation metric).
         self.busy_time = 0.0
         #: Number of completed holds.
@@ -65,18 +66,26 @@ class Resource:
         Returns the completion event (the hold's only kernel event): a
         process yields it, any other caller appends a callback.
         """
-        if duration < 0:
-            raise ValueError(f"negative hold duration: {duration}")
+        if not duration >= 0:
+            raise ValueError(f"hold duration must be >= 0, got {duration}")
         hold = _Hold(self, duration)
-        if self.in_use:
-            self._waiters.append(hold)
-            self._trace_queue_depth()
-        else:
-            self.in_use = 1
-            self.sim._enqueue(hold, duration)
+        self._request(hold)
         return hold
 
-    def _complete(self, hold: _Hold) -> None:
+    def _request(self, holder: Event) -> None:
+        """Grant ``holder`` now if the server is idle, else queue it."""
+        sim = self.sim
+        holder.requested = holder.granted = sim._now
+        if self.in_use:
+            self._waiters.append(holder)
+            tracer = sim.tracer
+            if tracer is not None and tracer.wants("resource"):
+                self._trace_queue_depth(tracer)
+        else:
+            self.in_use = 1
+            sim._enqueue(holder, holder.duration)
+
+    def _complete(self, hold: Event) -> None:
         """Account a finished hold and grant the oldest waiter, if any."""
         sim = self.sim
         self.busy_time += hold.duration
@@ -89,7 +98,7 @@ class Resource:
             nxt.granted = now = sim._now
             sim._enqueue(nxt, nxt.duration)
             if trace:
-                self._trace_queue_depth()
+                self._trace_queue_depth(tracer)
                 if now > nxt.requested:
                     tracer.complete(
                         nxt.requested, now - nxt.requested, "resource", "wait",
@@ -103,10 +112,7 @@ class Resource:
                 self.name,
             )
 
-    def _trace_queue_depth(self) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.wants("resource"):
-            tracer.counter(
-                self.sim.now, "resource", "queue_depth", self.name,
-                len(self._waiters),
-            )
+    def _trace_queue_depth(self, tracer) -> None:
+        tracer.counter(
+            self.sim.now, "resource", "queue_depth", self.name, len(self._waiters)
+        )

@@ -148,3 +148,44 @@ def test_packet_costs_with_overrides_copy_is_independent(net):
     fast = net.with_overrides(nic_gap=net.nic_gap / 2)
     assert fast.packet_costs(nbytes) != base
     assert net.packet_costs(nbytes) == base
+
+
+# ------------------------------------------------- bad timing inputs
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("latency", NAN),  # used to run to completion with elapsed = nan
+        ("send_overhead", -1e-6),  # used to be charged as 0
+        ("nic_gap", -5e-6),  # these three used to end the run normally,
+        ("latency", -1e-5),  # each rank *returning* the ValueError or
+        ("eager_rate", 0.0),  # ZeroDivisionError
+        ("recv_overhead", INF),
+        ("handshake_latency", NAN),
+        ("local_overhead", -1.0),
+        ("rendezvous_rate", -1.0),
+        ("memory_rate", NAN),
+    ],
+)
+def test_bad_timing_rejected_when_the_machine_is_built(field, value):
+    from repro.machine import bench_machine
+
+    with pytest.raises(ValueError, match=f"NetworkModel.{field} must be"):
+        bench_machine(2, cores_per_node=2, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        NetworkModel(**{field: value})
+
+
+def test_bad_timing_rejected_by_with_overrides(net):
+    with pytest.raises(ValueError, match="nic_gap"):
+        net.with_overrides(nic_gap=-5e-6)
+
+
+def test_zero_times_and_infinite_rates_are_allowed():
+    net = NetworkModel(
+        latency=0.0, nic_gap=0.0, handshake_latency=0.0, send_overhead=0.0,
+        recv_overhead=0.0, local_overhead=0.0, eager_rate=INF,
+    )
+    assert net.nic_time(4096) == 0.0

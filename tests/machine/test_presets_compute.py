@@ -53,3 +53,15 @@ def test_network_model_is_frozen():
 
     with pytest.raises(dataclasses.FrozenInstanceError):
         QUARTZ_NET.latency = 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("per_message_handle", float("nan")), ("per_flop", -1e-9),
+     ("per_edge_gen", float("inf")), ("per_message_queue", -1.0)],
+)
+def test_compute_model_rejects_bad_costs(field, value):
+    with pytest.raises(ValueError, match=f"ComputeModel.{field} must be"):
+        ComputeModel(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        DEFAULT_COMPUTE.with_overrides(**{field: value})

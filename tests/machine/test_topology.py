@@ -1,5 +1,8 @@
 """Unit tests for the Machine transport paths and NIC contention."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.machine import Machine, small
@@ -153,6 +156,65 @@ def test_remote_packet_costs_exactly_five_kernel_events(overrides, per_packet):
     steps = [_steps_for_packets(k, **overrides) for k in (1, 2, 7)]
     assert steps[1] - steps[0] == per_packet
     assert steps[2] - steps[1] == 5 * per_packet
+
+
+def _resumes_for_packets(npackets, **net_overrides):
+    """How many times the kernel resumes a rank sending ``npackets``."""
+    sim, m = make_machine(**net_overrides)
+    resumes = []
+
+    def sender(sim):
+        for i in range(npackets):
+            yield from m.transmit(0, 2, 4096, i, lambda p: None)
+
+    def counted(gen):
+        for event in gen:  # the sender's events all succeed with None
+            yield event
+            resumes.append(sim.now)
+
+    sim.process(counted(sender(sim)))
+    sim.run()
+    assert m.remote_packets == npackets
+    return len(resumes)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"recv_overhead": 0.0}, {"send_overhead": 0.0, "recv_overhead": 0.0}],
+)
+def test_sender_is_resumed_exactly_once_per_remote_packet(overrides):
+    """The sender waits on a packet's in-flight entry once, for 5/4/3 events.
+
+    Every resume re-enters the whole ``apps -> mailbox -> mpi ->
+    machine`` generator chain, so a second wait per packet (the send
+    overhead as its own timeout) fails here, not only in a timing.
+    """
+    for k in (1, 2, 7):
+        assert _resumes_for_packets(k, **overrides) == k
+
+
+def test_delivered_packet_is_not_kept_alive_by_its_entry_or_its_sender():
+    sim, m = make_machine()
+    yielded, payload_ref, delivered = [], [], []
+
+    class Payload:
+        lin = None
+
+    def sender(sim):
+        payload = Payload()
+        payload_ref.append(weakref.ref(payload))
+        transmit = m.transmit(0, 2, 4096, payload, lambda p: delivered.append(1))
+        del payload
+        for event in transmit:
+            yielded.append(event)  # the in-flight entry, held by the test
+            yield event
+        yield sim.timeout(1.0)  # the sender outlives the delivery
+
+    p = sim.process(sender(sim))
+    sim.run(until=0.5)
+    gc.collect()
+    assert delivered == [1] and p.is_alive and yielded
+    assert payload_ref[0]() is None
 
 
 # ------------------------------------------------------- same-instant ties

@@ -169,18 +169,18 @@ def test_process_requires_generator():
         sim.process(lambda: None)
 
 
-def test_schedule_callback():
-    sim = Simulator()
-    fired = []
-    sim.schedule(2.0, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [2.0]
-
-
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1)
+
+
+def test_nan_timeout_rejected():
+    """NaN fails ``delay < 0`` too; accepted, it ran the clock 2 -> nan -> 3."""
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    assert sim._heap == []
 
 
 def test_determinism_two_runs_identical():

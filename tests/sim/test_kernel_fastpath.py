@@ -1,5 +1,5 @@
-"""Tests for the kernel fast paths: Callback events, batched enqueue,
-process batches, and the countdown-based ``run_until_complete``.
+"""Tests for the kernel fast paths: absolute-time pushes, batched
+enqueue, process batches, and the countdown-based ``run_until_complete``.
 
 These paths exist for speed; the tests pin that they are *semantically*
 indistinguishable from the one-at-a-time equivalents (same order, same
@@ -9,86 +9,38 @@ the seed kernel carry over.
 
 import pytest
 
-from repro.sim import Callback, DeadlockError, Simulator
+from repro.machine import Machine, small
+from repro.sim import DeadlockError, Simulator
 
 
-# ------------------------------------------------------------- schedule()
-def test_schedule_runs_callback_at_delay():
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule(2.5, lambda: fired.append(sim.now))
-    assert isinstance(ev, Callback)
-    assert not ev.triggered  # value assigned only at processing time
-    sim.run()
-    assert fired == [2.5]
-    assert ev.processed and ev.ok and ev.value is None
+def _triggered(sim, fn):
+    """A triggered event that runs ``fn()`` when the kernel pops it."""
+    ev = sim.event()
+    ev._value, ev._ok = None, True
+    ev.callbacks.append(lambda _ev: fn())
+    return ev
 
 
-def test_schedule_negative_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.schedule(-1.0, lambda: None)
-
-
-def test_schedule_interleaves_fifo_with_timeouts():
-    sim = Simulator()
-    order = []
-
-    def proc(sim):
-        yield sim.timeout(1.0)
-        order.append("timeout")
-
-    sim.process(proc(sim))
-    sim.schedule(1.0, lambda: order.append("callback"))
-    sim.run()
-    # The callback is enqueued immediately; the process's timeout only
-    # when its init event runs at t=0 -- so at t=1 FIFO order puts the
-    # callback first.
-    assert order == ["callback", "timeout"]
-
-
-def test_schedule_callback_runs_before_attached_callbacks():
-    sim = Simulator()
-    order = []
-    ev = sim.schedule(1.0, lambda: order.append("fn"))
-    ev.attach(lambda _ev: order.append("attached"))
-    sim.run()
-    assert order == ["fn", "attached"]
-
-
-def test_callback_event_waitable_by_process():
-    sim = Simulator()
-    got = []
-
-    def proc(sim, ev):
-        yield ev
-        got.append(sim.now)
-
-    ev = sim.schedule(3.0, lambda: None)
-    sim.process(proc(sim, ev))
-    sim.run()
-    assert got == [3.0]
-
-
-# ---------------------------------------------------------- schedule_at()
-def test_schedule_at_matches_schedule_with_the_same_instant():
-    """One Callback event at the absolute time, sequenced like ``schedule``."""
+# ---------------------------------------------------------- _enqueue_at()
+def test_enqueue_at_sequences_like_enqueue_at_the_same_instant():
+    """An absolute-time push is sequenced like a relative one, tiebreaker too."""
 
     def run(absolute: bool, tiebreaker=None):
         sim = Simulator(tiebreaker=tiebreaker)
         order = []
 
-        def starter():
+        def starter(_ev):
             for i in range(3):
-                fn = lambda i=i: order.append((sim.now, i))  # noqa: E731
+                ev = _triggered(sim, lambda i=i: order.append((sim.now, i)))
                 if absolute:
-                    ev = sim.schedule_at(sim.now + 0.3, fn)
+                    sim._enqueue_at(ev, sim.now + 0.3)
                 else:
-                    ev = sim.schedule(0.3, fn)
-                assert isinstance(ev, Callback) and not ev.triggered
+                    sim._enqueue(ev, 0.3)
 
-        sim.schedule(0.1, starter)
-        sim.schedule(0.4, lambda: order.append((sim.now, "native")))
+        sim.timeout(0.1).callbacks.append(starter)
+        sim.timeout(0.4).callbacks.append(
+            lambda _ev: order.append((sim.now, "native"))
+        )
         sim.run()
         return order, sim.steps, sim._seq
 
@@ -99,50 +51,62 @@ def test_schedule_at_matches_schedule_with_the_same_instant():
     assert run(True, reverse)[0][0] == (0.4, 2)
 
 
-def test_schedule_at_rejects_the_past():
+def test_enqueue_at_rejects_the_past():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.timeout(1.0)
     sim.run()
-    with pytest.raises(ValueError):
-        sim.schedule_at(0.5, lambda: None)
-    sim.schedule_at(1.0, lambda: None)  # "now" is not the past
+    for at in (0.5, float("nan")):
+        with pytest.raises(ValueError):
+            sim._enqueue_at(_triggered(sim, lambda: None), at)
+    assert sim._heap == []
+    sim._enqueue_at(_triggered(sim, lambda: None), 1.0)  # "now" is not the past
     sim.run()
     assert sim.now == 1.0
 
 
-# ------------------------------------------------------- schedule_batch()
-def test_schedule_batch_matches_sequential_schedules():
-    def run(batched: bool):
-        sim = Simulator()
-        order = []
-        fns = [lambda i=i: order.append((sim.now, i)) for i in range(5)]
-        if batched:
-            sim.schedule_batch(1.5, fns)
-        else:
-            for fn in fns:
-                sim.schedule(1.5, fn)
-        sim.run()
-        return order, sim._seq
+def _remote_deliveries(reinject: bool, tiebreaker=None):
+    """Six ranks on three nodes, equal-sized remote packets: many ties.
 
-    assert run(batched=True) == run(batched=False)
+    ``reinject`` claims every packet at its on-wire point and replays it
+    at once through ``inject_arrival`` (what a PDES partition does for a
+    destination it owns), so the arrival is an absolute-time push.
+    """
+    sim = Simulator(tiebreaker=tiebreaker)
+    m = Machine(sim, small(nodes=3, cores_per_node=2))
+    log = []
+
+    def deliver(packet):
+        log.append((sim.now, packet))
+
+    if reinject:
+        def exporter(t_wire, src, dst, nbytes, packet):
+            m.inject_arrival(t_wire, src, dst, nbytes, packet, deliver)
+            return True
+
+        m.on_remote_export = exporter
+
+    def sender(src):
+        for i in (1, 2):
+            yield from m.transmit(src, (src + 2 * i) % 6, 1024, (src, i), deliver)
+
+    for src in range(6):
+        sim.process(sender(src))
+    sim.run()
+    assert len(log) == 12
+    return log, sim.steps, sim._seq
 
 
-def test_schedule_batch_respects_tiebreaker():
-    # A reversing tiebreaker must reorder batch-enqueued events exactly as
-    # it reorders singly-enqueued ones.
-    def run(batched: bool):
-        sim = Simulator(tiebreaker=lambda t, seq: -seq)
-        order = []
-        fns = [lambda i=i: order.append(i) for i in range(4)]
-        if batched:
-            sim.schedule_batch(1.0, fns)
-        else:
-            for fn in fns:
-                sim.schedule(1.0, fn)
-        sim.run()
-        return order
+def test_inject_arrival_sequences_like_the_native_arrival():
+    """A replayed arrival lands in the native arrival's same-instant slot."""
+    assert _remote_deliveries(True) == _remote_deliveries(False)
 
-    assert run(batched=True) == run(batched=False) == [3, 2, 1, 0]
+
+def test_inject_arrival_respects_the_tiebreaker():
+    reverse = lambda t, seq: -seq  # noqa: E731
+    fifo = _remote_deliveries(False)
+    reversed_ = _remote_deliveries(False, reverse)
+    assert reversed_[0] != fifo[0]  # the tiebreaker decides real ties here
+    assert _remote_deliveries(True, reverse) == reversed_
 
 
 # -------------------------------------------------------- process_batch()
@@ -233,7 +197,7 @@ def test_run_until_complete_stops_at_completion_not_queue_drain():
     # Events scheduled past the awaited completion stay queued.
     sim = Simulator()
     late = []
-    sim.schedule(10.0, lambda: late.append(True))
+    sim.timeout(10.0).callbacks.append(lambda _ev: late.append(True))
     p = sim.process(_worker(sim, [], "x", 1.0))
     sim.run_until_complete(p)
     assert sim.now == pytest.approx(1.0)

@@ -295,3 +295,12 @@ def test_resource_negative_duration_raises():
     with pytest.raises(ValueError):
         res.hold(-1.0)
     assert (res.in_use, res.queue_length) == (0, 0)
+
+
+def test_resource_nan_duration_raises():
+    sim = Simulator()
+    res = Resource(sim)
+    with pytest.raises(ValueError):
+        res.hold(float("nan"))
+    assert (res.in_use, res.queue_length) == (0, 0)
+    assert sim._heap == []

@@ -292,23 +292,56 @@ def test_flags_process_per_packet_on_the_remote_path(tmp_path):
         tmp_path,
         "class Machine:\n"
         "    def transmit_remote(self, src, dst):\n"
-        "        yield self.nic_tx[0].hold(1.0)\n"  # sender's generator: fine
+        "        yield entry\n"  # sender's generator: fine
         "        self.sim.process(self._in_flight(dst))\n"  # violation
         "    def inject_arrival(self, t_wire, dst):\n"
-        "        Process(self.sim, self._arrive(dst))\n"  # violation
-        "    def _arrive(self, dst):\n"
-        "        def delivered():\n"
-        "            self.sim.process_batch([self.tail(dst)])\n"  # nested: violation
-        "        yield self.nic_rx[0].hold(1.0)\n",  # violation: generator callback
+        "        Process(self.sim, self._tail(dst))\n"  # violation
+        "class _InFlight(Event):\n"
+        "    def _process(self):\n"
+        "        self.sim.process_batch([self.tail()])\n"  # violation
+        "        yield self.rx\n",  # violation: generator stage
     )
     sites = sorted(
         (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
     )
     assert sites == [
-        ("Machine._arrive", "packet-path process_batch"),
-        ("Machine._arrive", "packet-path yield"),
         ("Machine.inject_arrival", "packet-path Process"),
         ("Machine.transmit_remote", "packet-path process"),
+        ("_InFlight._process", "packet-path process_batch"),
+        ("_InFlight._process", "packet-path yield"),
+    ]
+
+
+def test_flags_closures_and_extra_events_on_the_remote_path(tmp_path):
+    root = _write_topology_tree(
+        tmp_path,
+        "class Machine:\n"
+        "    def transmit_remote(self, src, dst):\n"
+        "        yield self.sim.timeout(self.net.send_overhead)\n"  # violation
+        "        yield self.nic_tx[0].hold(1.0)\n"  # violation
+        "        self.sim.schedule(1.0, partial(self.land, dst))\n"  # two
+        "    def inject_arrival(self, t_wire, dst):\n"
+        "        self.sim.schedule_at(t_wire, lambda: None)\n"  # lambda
+        "class _InFlight(Event):\n"
+        "    def _process(self):\n"
+        "        def delivered():\n"  # violation: nested def
+        "            self.deliver(self.packet)\n"
+        "        self.rx.hold(1.0).callbacks.append(delivered)\n"  # violation
+        "    def _land(self):\n"
+        "        functools.partial(self.deliver, self.packet)\n",  # violation
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("Machine.inject_arrival", "packet-path lambda"),
+        ("Machine.transmit_remote", "packet-path hold"),
+        ("Machine.transmit_remote", "packet-path partial"),
+        ("Machine.transmit_remote", "packet-path schedule"),
+        ("Machine.transmit_remote", "packet-path timeout"),
+        ("_InFlight._land", "packet-path partial"),
+        ("_InFlight._process", "packet-path hold"),
+        ("_InFlight._process", "packet-path nested def"),
     ]
 
 
@@ -320,9 +353,15 @@ def test_packet_rule_ignores_other_methods_and_classes(tmp_path):
         "        yield self.sim.timeout(1.0)\n"
         "    def warm_up(self):\n"
         "        return self.sim.process(self.transmit_local(0, 1))\n"
+        "    def nic_utilisation(self):\n"
+        "        return sum(map(lambda r: r.busy_time, self.nic_tx))\n"
         "class Other:\n"
-        "    def _arrive(self):\n"
-        "        yield self.sim.process(x)\n",
+        "    def _process(self):\n"
+        "        def helper():\n"
+        "            pass\n"
+        "        yield self.sim.process(x)\n"
+        "def transmit_remote():\n"
+        "    return partial(print)\n",
     )
     assert hotpath_lint.lint(root) == []
 
@@ -330,9 +369,9 @@ def test_packet_rule_ignores_other_methods_and_classes(tmp_path):
 def test_cli_reports_packet_path_violation(tmp_path):
     root = _write_topology_tree(
         tmp_path,
-        "class Machine:\n"
-        "    def _arrive(self, dst):\n"
-        "        yield from self.nic_rx[0].timed(1.0)\n",
+        "class _InFlight(Event):\n"
+        "    def _process(self):\n"
+        "        self.sim.schedule(1.0, self.deliver)\n",
     )
     proc = subprocess.run(
         [
@@ -345,7 +384,7 @@ def test_cli_reports_packet_path_violation(tmp_path):
         text=True,
     )
     assert proc.returncode == 1
-    assert "no process per packet" in proc.stderr
+    assert "one object per packet" in proc.stderr
 
 
 def _write_packer_tree(tmp_path, packer_src):

@@ -37,15 +37,22 @@ free of clock reads and recorder calls -- no ``perf_counter`` /
 bumps are the only telemetry allowed there; a timing call on that path
 taxes every batch whether or not anyone is recording.
 
-PR 20 added a fifth rule for the remote-packet path
-(``repro.machine.topology``): no process per packet.  The in-flight leg
-of a remote packet is two scheduled callbacks, so inside
-``Machine.transmit_remote``, ``Machine._arrive`` and
-``Machine.inject_arrival`` a call to ``.process(``, ``.process_batch(``
-or ``Process(`` is a violation, and ``_arrive`` / ``inject_arrival``
-contain no ``yield`` (a generator there needs a process to drive it).
-Results stay bit-identical if someone puts the detached process back,
-so only this lint and the event-budget test in
+A fifth rule guards the remote-packet path (``repro.machine.topology``):
+one object per packet.  A remote packet is one in-flight entry
+(``_InFlight``) that the kernel pops once per stage.  Inside
+``Machine.transmit_remote``, ``Machine.inject_arrival`` and every method
+of ``_InFlight``, each of these is a violation:
+
+- a call to ``.process(``, ``.process_batch(`` or ``Process(``;
+- a ``lambda``, a nested ``def`` or a call to ``partial(`` (a closure
+  per packet costs about what a generator resume saves);
+- a call to ``.schedule(``, ``.timeout(`` or ``.hold(`` (a second event
+  object per stage; the entry is pushed itself, and takes a NIC through
+  ``Resource._request``).
+
+Only ``transmit_remote``, the sender's generator, may ``yield``.
+Results stay bit-identical if someone puts any of these back, so only
+this lint, the event budget and the resume budget in
 ``tests/machine/test_topology.py`` would notice.
 
 PR 22 added a sixth rule for scalar payload sizing
@@ -142,16 +149,16 @@ RING_FORBIDDEN_CALLS = {
     "progress",
 }
 
-#: Remote-packet path file, the methods that must not spawn a process per
-#: packet, and the subset that must stay plain (non-generator) callbacks.
+#: Remote-packet path file, the methods on it (those two, plus every
+#: method of the in-flight class), and the one that may be a generator.
 PACKET_FILES = ("src/repro/machine/topology.py",)
-PACKET_METHODS = {
-    "Machine.transmit_remote",
-    "Machine._arrive",
-    "Machine.inject_arrival",
+PACKET_METHODS = {"Machine.transmit_remote", "Machine.inject_arrival"}
+PACKET_CLASS = "_InFlight"
+PACKET_GENERATOR = "Machine.transmit_remote"
+PACKET_FORBIDDEN_CALLS = {
+    "process", "process_batch", "Process", "partial", "schedule", "timeout",
+    "hold",
 }
-PACKET_CALLBACKS = {"Machine._arrive", "Machine.inject_arrival"}
-PACKET_FORBIDDEN_CALLS = {"process", "process_batch", "Process"}
 
 
 #: Serde file whose size column must stay arithmetic, the table literal
@@ -360,10 +367,10 @@ class _RingFastPathVisitor(ast.NodeVisitor):
 
 
 class _PacketPathVisitor(ast.NodeVisitor):
-    """Flags process launches and generator callbacks on the packet path.
+    """Flags per-packet processes, closures and extra events.
 
-    Nested helpers count as part of their method (``Machine._arrive``'s
-    closures run per packet too).
+    Nested helpers count as part of their method (a closure defined there
+    runs per packet too), besides being a violation themselves.
     """
 
     def __init__(self, relpath: str) -> None:
@@ -377,25 +384,43 @@ class _PacketPathVisitor(ast.NodeVisitor):
         self.stack.pop()
 
     visit_ClassDef = _scoped
-    visit_FunctionDef = _scoped
-    visit_AsyncFunctionDef = _scoped
 
-    def _method(self) -> str:
-        return ".".join(self.stack[:2])
+    def _method(self) -> "str | None":
+        """The packet-path method being visited, else None."""
+        method = ".".join(self.stack[:2])
+        if method in PACKET_METHODS or (
+            len(self.stack) >= 2 and self.stack[0] == PACKET_CLASS
+        ):
+            return method
+        return None
+
+    def _flag(self, node, what: str) -> None:
+        self.violations.append(
+            (self.relpath, node.lineno, self._method(), f"packet-path {what}")
+        )
+
+    def visit_FunctionDef(self, node) -> None:
+        if len(self.stack) >= 2 and self._method():
+            self._flag(node, "nested def")
+        self._scoped(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        if self._method():
+            self._flag(node, "lambda")
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node)
-        if name in PACKET_FORBIDDEN_CALLS and self._method() in PACKET_METHODS:
-            self.violations.append(
-                (self.relpath, node.lineno, self._method(), f"packet-path {name}")
-            )
+        if name in PACKET_FORBIDDEN_CALLS and self._method():
+            self._flag(node, name)
         self.generic_visit(node)
 
     def _yield(self, node) -> None:
-        if self._method() in PACKET_CALLBACKS:
-            self.violations.append(
-                (self.relpath, node.lineno, self._method(), "packet-path yield")
-            )
+        method = self._method()
+        if method and method != PACKET_GENERATOR:
+            self._flag(node, "yield")
         self.generic_visit(node)
 
     visit_Yield = _yield
@@ -644,9 +669,9 @@ def main(argv=None) -> int:
         elif name.startswith("packet-path "):
             print(
                 f"{relpath}:{lineno}: {name[len('packet-path '):]} in "
-                f"{qualname} -- no process per packet: the in-flight leg of "
-                f"a remote packet is scheduled callbacks (sim.schedule / "
-                f"Resource.hold), never a Process or a generator",
+                f"{qualname} -- one object per packet: a remote packet is "
+                f"one in-flight entry pushed once per stage (no Process, "
+                f"generator, closure or extra event per packet)",
                 file=sys.stderr,
             )
         elif name.startswith("sizing "):
