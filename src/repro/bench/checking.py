@@ -31,7 +31,6 @@ def run_check(
     apps: Optional[Sequence[str]] = None,
     scales: Optional[Sequence[str]] = None,
     pool=None,
-    pdes_workers: int = 0,
 ) -> int:
     from ..check import fuzz_schedules_sharded, run_oracle
 
@@ -42,7 +41,6 @@ def run_check(
         scales=scales,
         seed=seed,
         pool=pool,
-        pdes_workers=pdes_workers,
     )
     print(report.render())
     ok &= report.ok
@@ -54,7 +52,6 @@ def run_check(
         scales=["tiny"] if scales is None else scales,
         seed=seed,
         pool=pool,
-        pdes_workers=pdes_workers,
         combining=True,
     )
     print(combined.render())

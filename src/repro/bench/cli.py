@@ -25,24 +25,6 @@ critical paths to quiescence, per-rank utilization and per-hop latency.
 a schedule-fuzz campaign run instead of any figure; the exit code
 reflects whether every check passed.
 
-``--pdes-workers N`` runs each YGM simulation partitioned across ``N``
-worker processes through the parallel DES engine (:mod:`repro.pdes`;
-results are bit-identical to serial, so figure tables do not change).
-Under ``--check`` it additionally turns every oracle cell into a
-serial-vs-parallel differential test.  ``--pdes-transport {shm,pipe}``
-selects the export transport (shared-memory rings by default; the
-pickle-over-pipe path is kept for differential testing).
-
-``pdes --attribute`` (the bare positional ``pdes`` implies
-``--attribute``) switches to the flight-recorded attribution mode (see
-:mod:`repro.bench.attribution`): one representative configuration of
-the first requested figure (default ``6a``) runs partitioned across
-``--pdes-workers`` processes (default 4) with the PDES flight recorder
-on, and the overhead-attribution report (JSON + self-contained HTML;
-``--attribute-out`` sets the path) tiles every process's wall clock
-into named phase buckets.  Adding ``--trace out.json`` also writes the
-merged Chrome trace with one host wall-clock process group per worker.
-
 Nothing here reads a host clock to make a claim: host-time performance
 is measured by ``benchmarks/ygmbench`` alone (see its README.md and
 EXPERIMENTS.md, "Host-time performance").
@@ -61,7 +43,7 @@ unchanged sweeps near-instant.  ``--no-cache`` disables it,
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import time
 from typing import List, Optional
@@ -78,27 +60,25 @@ def run_figure(
     sweep: SweepConfig,
     quick: bool,
     pool: Optional[Pool] = None,
-    pdes_workers: int = 0,
 ):
     from . import ablations, fig5, fig6, fig7, fig8
 
-    pw = pdes_workers
     if fig == "5":
         return [fig5.run(quick=quick, pool=pool)]
     if fig == "6a":
-        return [fig6.run_weak(sweep, pool=pool, pdes_workers=pw)]
+        return [fig6.run_weak(sweep, pool=pool)]
     if fig == "6b":
-        return [fig6.run_strong(sweep, pool=pool, pdes_workers=pw)]
+        return [fig6.run_strong(sweep, pool=pool)]
     if fig == "7a":
-        return [fig7.run_weak(sweep, pool=pool, pdes_workers=pw)]
+        return [fig7.run_weak(sweep, pool=pool)]
     if fig == "7b":
-        return [fig7.run_strong(sweep, pool=pool, pdes_workers=pw)]
+        return [fig7.run_strong(sweep, pool=pool)]
     if fig == "8a" or fig == "8b":
-        return [fig8.run_weak(sweep, skewed=True, pool=pool, pdes_workers=pw)]
+        return [fig8.run_weak(sweep, skewed=True, pool=pool)]
     if fig == "8c":
-        return [fig8.run_weak(sweep, skewed=False, pool=pool, pdes_workers=pw)]
+        return [fig8.run_weak(sweep, skewed=False, pool=pool)]
     if fig == "8d":
-        return [fig8.run_strong_webgraph(sweep, pool=pool, pdes_workers=pw)]
+        return [fig8.run_strong_webgraph(sweep, pool=pool)]
     if fig == "capacity":
         return [ablations.run_capacity_sweep(pool=pool)]
     if fig == "combining":
@@ -176,26 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "visible CPUs; 1 = serial, same output byte for byte)",
     )
     parser.add_argument(
-        "--pdes-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run each YGM simulation partitioned across N processes "
-        "(the parallel DES engine, repro.pdes; bit-identical results, "
-        "clamped to the simulated node count).  Applies to figure cells "
-        "(fig5 and the MPI comparator stay serial) and to the --check "
-        "oracle, where every cell gains a serial-vs-parallel differential",
-    )
-    parser.add_argument(
-        "--pdes-transport",
-        choices=("shm", "pipe"),
-        default=None,
-        help="export transport for --pdes-workers runs: shm (shared-memory "
-        "SPSC rings, the default) or pipe (pickle over os.pipe; slower, "
-        "kept for differential testing).  Sets PDES_TRANSPORT for this "
-        "process and every forked worker",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the on-disk result cache for this invocation",
@@ -254,24 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the JSON document lands next to it with a .json suffix)",
     )
     parser.add_argument(
-        "--attribute",
-        action="store_true",
-        help="flight-recorded PDES attribution mode: run one partitioned "
-        "configuration of the first requested figure (default 6a) with "
-        "the cross-process flight recorder and write the overhead-"
-        "attribution report (HTML + JSON); the positional figure id "
-        "'pdes' implies this flag.  --pdes-workers sets the partition "
-        "count (default 4 here), --trace adds the merged Chrome trace",
-    )
-    parser.add_argument(
-        "--attribute-out",
-        metavar="PATH",
-        default=None,
-        help="with --attribute: HTML output path (default: "
-        "pdes_attr_<fig>.html; the JSON document lands next to it with "
-        "a .json suffix)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="correctness-harness mode: run the routing-differential "
@@ -305,12 +247,10 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.pdes_workers < 0:
-        parser.error("--pdes-workers must be >= 0")
-    if args.pdes_transport is not None:
-        # Environment rather than plumbing: forked pdes workers and pool
-        # subprocesses both inherit it.
-        os.environ["PDES_TRANSPORT"] = args.pdes_transport
+    if args.job_timeout is not None and not (
+        math.isfinite(args.job_timeout) and args.job_timeout > 0
+    ):
+        parser.error("--job-timeout must be a finite number of seconds > 0")
 
     from ..exec import make_pool, stderr_progress
 
@@ -351,20 +291,14 @@ def main(argv: List[str] = None) -> int:
                 apps=args.check_apps,
                 scales=args.check_scales,
                 pool=pool,
-                pdes_workers=args.pdes_workers,
             )
         except KeyboardInterrupt:
             print("\n# interrupted; workers terminated", file=sys.stderr)
             return 130
 
     figs = (args.figs or []) + args.figs_pos
-    attribute = args.attribute
-    if any(f.lower() == "pdes" for f in figs):
-        # The bare positional "pdes" selects the attribution mode.
-        attribute = True
-        figs = [f for f in figs if f.lower() != "pdes"]
     if not figs:
-        figs = ["6a"] if attribute else ["all"]
+        figs = ["all"]
     try:
         expanded = expand_figs(figs)
     except ValueError as exc:
@@ -378,40 +312,6 @@ def main(argv: List[str] = None) -> int:
             mailbox_capacity=sweep.mailbox_capacity,
             seed=args.seed,
         )
-
-    if attribute:
-        from .attribution import run_attribution
-
-        html_path = args.attribute_out or f"pdes_attr_{expanded[0]}.html"
-        json_path = (
-            html_path[: -len(".html")] + ".json"
-            if html_path.endswith(".html")
-            else html_path + ".json"
-        )
-        for path in (html_path, json_path, args.trace):
-            if path:
-                try:
-                    with open(path, "a"):
-                        pass
-                except OSError as exc:
-                    parser.error(f"cannot write {path}: {exc}")
-        start = time.perf_counter()
-        try:
-            table = run_attribution(
-                expanded[0],
-                sweep,
-                html_path,
-                json_path,
-                trace_path=args.trace,
-                workers=args.pdes_workers or 4,
-                transport=args.pdes_transport,
-            )
-        except (ValueError, OSError) as exc:
-            parser.error(str(exc))
-        wall = time.perf_counter() - start
-        print(table.render())
-        print(f"# harness wall-clock: {wall:.1f}s")
-        return 0
 
     if args.profile:
         from .profiling import run_profiled
@@ -476,7 +376,6 @@ def main(argv: List[str] = None) -> int:
                 sweep,
                 quick=not args.full,
                 pool=pool,
-                pdes_workers=args.pdes_workers,
             )
         except KeyboardInterrupt:
             print("\n# interrupted; workers terminated", file=sys.stderr)

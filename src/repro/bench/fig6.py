@@ -42,7 +42,6 @@ def weak_cell(
     verts_per_rank: int,
     batch_size: int,
     seed: int,
-    pdes_workers: int = 0,
 ) -> dict:
     """One (nodes, scheme) cell of Fig 6a, rebuilt from scalars."""
     nranks = nodes * cores_per_node
@@ -57,7 +56,6 @@ def weak_cell(
         scheme,
         mailbox_capacity,
         seed=seed,
-        pdes_workers=pdes_workers or None,
     )
     return {
         "seconds": res.elapsed,
@@ -75,7 +73,6 @@ def strong_cell(
     total_verts: int,
     batch_size: int,
     seed: int,
-    pdes_workers: int = 0,
 ) -> dict:
     """One (nodes, scheme) cell of Fig 6b."""
     nranks = nodes * cores_per_node
@@ -90,7 +87,6 @@ def strong_cell(
         scheme,
         mailbox_capacity,
         seed=seed,
-        pdes_workers=pdes_workers or None,
     )
     return {"seconds": res.elapsed}
 
@@ -107,7 +103,6 @@ def run_weak(
     verts_per_rank: int = 2**10,
     batch_size: int = 2**12,
     pool: Optional[Pool] = None,
-    pdes_workers: int = 0,
 ) -> Table:
     sweep = sweep or SweepConfig.quick()
     table = Table(
@@ -130,7 +125,6 @@ def run_weak(
                     verts_per_rank=verts_per_rank,
                     batch_size=batch_size,
                     seed=sweep.seed,
-                    pdes_workers=pdes_workers,
                 ),
                 label=f"fig6a N={nodes} {scheme}",
             )
@@ -158,7 +152,6 @@ def run_strong(
     total_verts: int = 2**14,
     batch_size: int = 2**12,
     pool: Optional[Pool] = None,
-    pdes_workers: int = 0,
 ) -> Table:
     sweep = sweep or SweepConfig.quick()
     table = Table(
@@ -181,7 +174,6 @@ def run_strong(
                     total_verts=total_verts,
                     batch_size=batch_size,
                     seed=sweep.seed,
-                    pdes_workers=pdes_workers,
                 ),
                 label=f"fig6b N={nodes} {scheme}",
             )

@@ -45,7 +45,6 @@ def cc_cell(
     threshold: float,
     batch_size: int,
     seed: int,
-    pdes_workers: int = 0,
 ) -> dict:
     """One (nodes, scheme) connected-components cell (both panels)."""
     stream = rmat_stream(scale, edges_per_rank, seed=seed)
@@ -57,7 +56,6 @@ def cc_cell(
         scheme,
         mailbox_capacity,
         seed=seed,
-        pdes_workers=pdes_workers or None,
     )
     return {
         "seconds": res.elapsed,
@@ -74,7 +72,6 @@ def run_weak(
     delegate_fraction: float = 0.05,
     batch_size: int = 2**12,
     pool: Optional[Pool] = None,
-    pdes_workers: int = 0,
 ) -> Table:
     sweep = sweep or SweepConfig.quick()
     table = Table(
@@ -108,7 +105,6 @@ def run_weak(
                         threshold=threshold,
                         batch_size=batch_size,
                         seed=sweep.seed,
-                        pdes_workers=pdes_workers,
                     ),
                     label=f"fig7a N={nodes} {scheme}",
                 )
@@ -141,7 +137,6 @@ def run_strong(
     delegate_fraction: float = 0.05,
     batch_size: int = 2**12,
     pool: Optional[Pool] = None,
-    pdes_workers: int = 0,
 ) -> Table:
     sweep = sweep or SweepConfig.quick()
     table = Table(
@@ -172,7 +167,6 @@ def run_strong(
                         threshold=threshold,
                         batch_size=batch_size,
                         seed=sweep.seed,
-                        pdes_workers=pdes_workers,
                     ),
                     label=f"fig7b N={nodes} {scheme}",
                 )

@@ -88,7 +88,6 @@ def ygm_cell(
     delegate_mode: str,
     delegate_fraction: float,
     seed: int,
-    pdes_workers: int = 0,
 ) -> dict:
     """One YGM SpMV cell (all three panels)."""
     nranks = nodes * cores_per_node
@@ -105,7 +104,6 @@ def ygm_cell(
         scheme,
         capacity,
         seed=seed,
-        pdes_workers=pdes_workers or None,
     )
     return {
         "seconds": res.elapsed,
@@ -142,7 +140,6 @@ def run_weak(
     skewed: bool = True,
     delegate_fraction: float = 0.05,
     pool: Optional[Pool] = None,
-    pdes_workers: int = 0,
 ) -> Table:
     """Fig 8a (skewed=True, delegates on) / Fig 8c (skewed=False, none).
 
@@ -177,7 +174,6 @@ def run_weak(
                         delegate_mode="scaled" if skewed else "none",
                         delegate_fraction=delegate_fraction,
                         seed=sweep.seed,
-                        pdes_workers=pdes_workers,
                     ),
                     label=f"fig{label.split()[0]} N={nodes} {scheme}",
                 )
@@ -218,7 +214,6 @@ def run_strong_webgraph(
     mailbox_base: int = 2**8,
     scale_mailbox_with_nodes: bool = True,
     pool: Optional[Pool] = None,
-    pdes_workers: int = 0,
 ) -> Table:
     """Fig 8d: strong scaling on the webgraph substitute.
 
@@ -255,7 +250,6 @@ def run_strong_webgraph(
                         delegate_mode="scaled",
                         delegate_fraction=0.05,
                         seed=sweep.seed,
-                        pdes_workers=pdes_workers,
                     ),
                     label=f"fig8d N={nodes} {scheme}",
                 )

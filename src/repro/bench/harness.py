@@ -10,7 +10,7 @@ quantity; wall-clock time of the simulation itself is what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 from ..core import YgmResult, YgmWorld
 from ..core.routing import PAPER_SCHEMES
@@ -68,29 +68,8 @@ def run_ygm(
     capacity: int,
     seed: int = 0,
     tracer=None,
-    pdes_workers: Optional[int] = None,
 ) -> YgmResult:
-    """Run one YGM configuration to completion.
-
-    ``pdes_workers`` > 1 runs the simulation partitioned across that
-    many worker processes through the parallel engine
-    (:class:`~repro.pdes.PdesWorld`; clamped to the node count).  The
-    result is bit-identical to the serial run -- the engine's
-    conformance battery (tests/pdes) enforces it -- so figure tables
-    are unchanged by construction.
-    """
-    if pdes_workers is not None and pdes_workers > 1:
-        from ..pdes import PdesWorld
-
-        engine = PdesWorld(
-            machine,
-            scheme=scheme,
-            seed=seed,
-            mailbox_capacity=capacity,
-            tracer=tracer,
-            workers=min(pdes_workers, machine.nodes),
-        )
-        return engine.run(make_app)
+    """Run one YGM configuration to completion."""
     world = YgmWorld(
         machine, scheme=scheme, seed=seed, mailbox_capacity=capacity, tracer=tracer
     )

@@ -265,7 +265,6 @@ def oracle_cell(
     scale: str,
     scheme: str,
     seed: int,
-    pdes_workers: int = 0,
     combining: bool = False,
 ) -> dict:
     """One (app, scale, scheme) oracle run, self-contained for a worker.
@@ -274,13 +273,6 @@ def oracle_cell(
     against the sequential reference *inside the worker*, and returns
     only JSON scalars: the pass/fail verdict plus a canonical digest of
     the gathered output for the driver's cross-scheme comparison.
-
-    ``pdes_workers`` > 1 additionally re-runs the same configuration
-    partitioned across that many processes
-    (:class:`~repro.pdes.PdesWorld`) and asserts the parallel result
-    equivalent to the serial one (:func:`~repro.pdes.assert_equivalent`:
-    timestamps, stats and gathered values all match), turning every
-    oracle cell into a serial-vs-parallel differential test.
 
     ``combining=True`` enables the app's in-network combiner.  A
     combined tolerance-verified app (SpMV) returns ``digest=None``:
@@ -295,26 +287,6 @@ def oracle_cell(
         out = case.gather(result.values)
     except InvariantViolation as exc:
         return {"ok": False, "detail": f"invariant: {exc}", "digest": None}
-    if pdes_workers and pdes_workers > 1:
-        from ..pdes import ConformanceError, PdesError, PdesWorld, assert_equivalent
-
-        engine = PdesWorld(
-            machine,
-            scheme=scheme,
-            seed=seed,
-            workers=min(pdes_workers, nodes),
-        )
-        try:
-            parallel = engine.run(case.make())
-            assert_equivalent(
-                parallel,
-                result,
-                values_equal=lambda a, b: results_equal(
-                    case.gather(a), case.gather(b)
-                ),
-            )
-        except (ConformanceError, PdesError) as exc:
-            return {"ok": False, "detail": f"pdes: {exc}", "digest": None}
     ref = case.reference()
     if case.exact:
         ok = results_equal(out, ref)
@@ -403,7 +375,6 @@ def run_oracle(
     seed: int = 0,
     tiebreaker=None,
     pool=None,
-    pdes_workers: int = 0,
     combining: bool = False,
 ) -> OracleReport:
     """Run the differential oracle; see the module docstring.
@@ -417,11 +388,6 @@ def run_oracle(
     ``pool`` (a :class:`repro.exec.Pool`; None runs them inline) as
     :func:`oracle_cell` jobs, with cross-scheme bit-identity checked via
     canonical output digests.
-
-    ``pdes_workers`` > 1 adds a serial-vs-parallel differential to every
-    cell (see :func:`oracle_cell`); the perturbed in-process path stays
-    serial-only (fuzzed parallel schedules are covered by
-    ``tests/pdes/test_fuzz_pdes.py``).
     """
     report = OracleReport()
     start = time.perf_counter()
@@ -443,7 +409,6 @@ def run_oracle(
                 scale=scale,
                 scheme=scheme,
                 seed=seed,
-                pdes_workers=pdes_workers,
                 combining=combining,
             ),
             label=f"oracle {app}/{scale}/{scheme}"

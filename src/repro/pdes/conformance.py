@@ -3,8 +3,8 @@
 The parallel engine's claim is *bit-identity*: a partitioned run must
 reproduce the serial run's application values, event timestamps and
 statistics exactly -- not approximately, not "same answer eventually".
-:func:`assert_equivalent` is that claim as an executable check, shared
-by the ``tests/pdes`` battery and the oracle's ``--pdes-workers`` mode.
+:func:`assert_equivalent` is that claim as an executable check, used
+by the ``tests/pdes`` battery and ``examples/pdes_quartz_scale.py``.
 
 One field gets a measured carve-out: ``idle_time``.  When two packets
 hit their wire instants at the *exact same float timestamp* on

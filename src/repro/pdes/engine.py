@@ -34,13 +34,10 @@ over its node block.  The driver advances everyone in *windows*:
    phases run at the provably-tight single window while quiet phases
    collapse barriers ~``K``-fold.
 
-Export batches cross process boundaries through the shared-memory ring
-transport (:mod:`repro.pdes.rings`) by default: the pipes carry only
-verbs, horizons and tiny batch descriptors while the packet bytes move
-through per-worker SPSC rings in the serde wire format
-(:mod:`repro.pdes.wire`) -- no pickling on the hot path.
-``PDES_TRANSPORT=pipe`` (or ``PdesWorld(transport="pipe")``) selects
-the legacy pickle-over-pipe path for differential testing.
+Export batches cross process boundaries through shared-memory rings
+(:mod:`repro.pdes.rings`): the pipes carry only verbs, horizons and tiny
+batch descriptors while the packet bytes move through per-worker SPSC
+rings in the serde wire format (:mod:`repro.pdes.wire`).
 
 A partition whose owned rank programs have all completed freezes at its
 local completion instant (the serial ``run_until_complete`` stop rule)
@@ -62,9 +59,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import time
-from time import perf_counter
 from typing import Any, Callable, Dict, Generator, List, Optional, Union
 
 from ..core.config import MailboxConfig
@@ -74,13 +69,11 @@ from ..core.stats import aggregate
 from ..machine import MachineConfig, bench_machine
 from ..sim.errors import DeadlockError
 from .partition import NodePartition
-from .rings import RingError, ShmTransport, recv_batch, send_batch
+from .rings import DESC_NONE, RingError, ShmTransport, recv_batch, send_batch
 from .wire import decode_batch
 from .worker import (
-    CMD_CLOCK,
     CMD_FINISH,
     CMD_STEP,
-    REP_CLOCK,
     REP_ERROR,
     REP_READY,
     REP_REPORT,
@@ -135,11 +128,16 @@ class PdesWorld:
         tiebreaker=None,
         workers: int = 2,
         window_timeout: float = 120.0,
-        transport: Optional[str] = None,
-        window_batch: Optional[int] = None,
+        window_batch: int = 0,
         ring_bytes: Optional[int] = None,
-        flight: Any = False,
     ):
+        # Before any fork: a non-positive or NaN timeout would otherwise
+        # report every partition as stalled at round 0.
+        if not (math.isfinite(window_timeout) and window_timeout > 0):
+            raise ValueError(
+                f"PdesWorld.window_timeout must be a finite number of "
+                f"seconds > 0, got {window_timeout!r}"
+            )
         if isinstance(machine, int):
             machine = bench_machine(nodes=machine, cores_per_node=cores_per_node)
         self.machine_config = machine
@@ -163,19 +161,6 @@ class PdesWorld:
                 "zero-latency interconnect admits no parallel window"
             )
         self.window_timeout = window_timeout
-        if transport is None:
-            transport = os.environ.get("PDES_TRANSPORT", "shm")
-        if transport not in ("pipe", "shm"):
-            raise PdesError(
-                f"unknown PDES transport {transport!r} "
-                "(expected 'pipe' or 'shm')"
-            )
-        #: Export-batch transport: ``"shm"`` ships batches through
-        #: shared-memory rings, ``"pipe"`` pickles them over the pipes
-        #: (the legacy path, kept for differential testing).
-        self.transport = transport
-        if window_batch is None:
-            window_batch = int(os.environ.get("PDES_WINDOW_BATCH", "0"))
         if window_batch < 0:
             raise PdesError(
                 f"window_batch must be >= 0 (0 selects the adaptive "
@@ -185,20 +170,6 @@ class PdesWorld:
         #: horizon, k > 1 = up to k lookahead windows per barrier round.
         self.window_batch = window_batch
         self.ring_bytes = ring_bytes
-        #: Flight-recorder spec (:class:`~repro.pdes.flight.FlightSpec`)
-        #: or ``None``.  ``flight=True`` selects the default spec; off by
-        #: default, in which case workers run the bare serve loop and no
-        #: flight-recorder code executes anywhere on the window path.
-        self.flight_spec = None
-        if flight:
-            from .flight import FlightSpec
-
-            self.flight_spec = (
-                flight if isinstance(flight, FlightSpec) else FlightSpec()
-            )
-        #: The merged :class:`~repro.pdes.flight.FlightLog` of the last
-        #: flight-recorded :meth:`run`, or ``None``.
-        self.flight_log = None
         self._rings: Optional[ShmTransport] = None
         self._scratch = bytearray()
         if tracer is not None:
@@ -206,9 +177,9 @@ class PdesWorld:
                 nodes=machine.nodes, cores_per_node=machine.cores_per_node
             )
         #: Driver-side :class:`~repro.pdes.rings.RingStats` dicts of the
-        #: last shm run (``{"to_worker": [...], "from_worker": [...]}``),
-        #: captured at ring teardown so they stay readable post-run;
-        #: ``None`` before the first run or under the pipe transport.
+        #: last multi-partition run (``{"to_worker": [...],
+        #: "from_worker": [...]}``), captured at ring teardown so they
+        #: stay readable post-run; ``None`` before the first such run.
         self.ring_stats: Optional[dict] = None
         #: Window-protocol counters of the last :meth:`run` (diagnostics).
         self.rounds = 0
@@ -231,9 +202,10 @@ class PdesWorld:
         # The shared segment must exist before the fork: workers inherit
         # the one mapping (nothing is pickled, nothing re-attaches by
         # name), so only the driver's resource tracker registers it and
-        # the single unlink in run()'s finally leaves it quiet.
+        # the single unlink in run()'s finally leaves it quiet.  One
+        # partition exports nothing, so it needs no rings.
         rings = None
-        if self.transport == "shm" and self.nworkers > 1:
+        if self.nworkers > 1:
             rings = ShmTransport(self.nworkers, self.ring_bytes)
         self._rings = rings
         try:
@@ -248,9 +220,7 @@ class PdesWorld:
                     default_config=self.default_config,
                     rank_main=rank_main,
                     tiebreaker=self.tiebreaker,
-                    transport=self.transport,
                     rings=rings,
-                    flight=self.flight_spec,
                 )
                 proc = ctx.Process(
                     target=worker_main, args=(child, spec), daemon=True,
@@ -401,38 +371,6 @@ class PdesWorld:
                 )
         return "".join(notes)
 
-    def _clock_sync(self, conns, procs) -> List[float]:
-        """Handshake-estimate every worker's monotonic-clock offset.
-
-        Flight recording only.  Ping-pongs ``CMD_CLOCK`` echoes on the
-        control pipe (:data:`~repro.pdes.flight.CLOCK_PROBES` round
-        trips per worker) and keeps the minimum-RTT midpoint estimate
-        (:func:`~repro.pdes.flight.estimate_offset`), so the merger can
-        map worker span timestamps onto the driver's clock.
-        """
-        from .flight import CLOCK_PROBES, estimate_offset
-
-        offsets = []
-        for p, conn in enumerate(conns):
-            probes = []
-            for _ in range(CLOCK_PROBES):
-                t_send = perf_counter()
-                conn.send((CMD_CLOCK,))
-                if not conn.poll(self.window_timeout):
-                    self._kill(procs)
-                    raise PdesStallError([p], self.window_timeout, 0)
-                rep = conn.recv()
-                t_recv = perf_counter()
-                if rep[0] != REP_CLOCK:
-                    self._kill(procs)
-                    raise PdesError(
-                        f"PDES partition {p}: expected clock echo, "
-                        f"got {rep[0]!r}"
-                    )
-                probes.append((t_send, rep[2], t_recv))
-            offsets.append(estimate_offset(probes))
-        return offsets
-
     def _ring_attribution(self, parts: List[int]) -> str:
         """Describe what a dead worker left sitting in its export ring.
 
@@ -480,23 +418,25 @@ class PdesWorld:
 
     # -- export-batch transport --------------------------------------------
     def _ship(self, p: int, batch: List[tuple]):
-        """Driver -> worker: returns what to put on the pipe for ``batch``."""
-        rings = self._rings
-        if rings is None:
-            return batch
-        desc = send_batch(rings.to_worker[p], batch, self._scratch)
+        """Driver -> worker: returns what to put on the pipe for ``batch``.
+
+        An empty batch never touches a ring -- which is all a
+        one-partition run (no rings at all) ever ships.
+        """
+        if not batch:
+            return DESC_NONE
+        desc = send_batch(self._rings.to_worker[p], batch, self._scratch)
         if desc[0] == "spill":
             self.spilled_batches += 1
         return desc
 
     def _fetch(self, p: int, desc) -> List[tuple]:
         """Worker -> driver: materialise a report's export batch."""
-        rings = self._rings
-        if rings is None:
-            return desc
+        if desc == DESC_NONE:
+            return []
         if desc[0] == "spill":
             self.spilled_batches += 1
-        return recv_batch(rings.from_worker[p], desc)
+        return recv_batch(self._rings.from_worker[p], desc)
 
     # -- the window-barrier protocol ---------------------------------------
     def run(self, rank_main: Callable[..., Generator]) -> YgmResult:
@@ -512,48 +452,23 @@ class PdesWorld:
         self.spilled_batches = 0
         self.max_window_batch = 1
 
-        self.flight_log = None
         conns, procs = self._spawn(rank_main)
-        fl = None
-        offsets: List[float] = []
         try:
             self._recv(conns, procs, REP_READY, round_no=0)
-            if self.flight_spec is not None:
-                from .flight import DriverFlight
-
-                offsets = self._clock_sync(conns, procs)
-                fl = DriverFlight()
             pending: List[List[tuple]] = [[] for _ in range(nparts)]
 
-            def step_all(horizons, drain: bool, k: int = 1) -> List[tuple]:
-                if fl is not None:
-                    t0 = perf_counter()
-                    spills0 = self.spilled_batches
+            def step_all(horizons, drain: bool) -> List[tuple]:
                 for p, conn in enumerate(conns):
                     batch, pending[p] = pending[p], []
                     conn.send(
                         (CMD_STEP, horizons[p], self._ship(p, batch), drain)
                     )
-                if fl is not None:
-                    t1 = perf_counter()
-                    fl.span("re-inject", t0, t1 - t0, self.rounds)
                 reports = self._recv(conns, procs, REP_REPORT, self.rounds)
-                n_exports = 0
                 for rep in reports:
                     exports = self._fetch(rep[1], rep[2])
                     self.exported_packets += len(exports)
-                    n_exports += len(exports)
                     for exp in exports:
                         pending[owner_of_rank(exp[2])].append(exp)
-                if fl is not None:
-                    t2 = perf_counter()
-                    # fan-in includes the wait for barrier reports: that
-                    # *is* the cost of the single-threaded fan-in design.
-                    fl.span("fan-in", t1, t2 - t1, self.rounds)
-                    fl.sample_round(
-                        self.rounds, self._rings, k, n_exports,
-                        self.spilled_batches - spills0,
-                    )
                 return reports
 
             # Round 0: report-only (no horizon), to learn initial t_min.
@@ -562,8 +477,6 @@ class PdesWorld:
             batch_k = self.window_batch if self.window_batch > 0 else 1
             adaptive = self.window_batch == 0
             while True:
-                if fl is not None:
-                    t_h = perf_counter()
                 remaining = {rep[1]: rep[4] for rep in reports}
                 if sum(remaining.values()) == 0:
                     break
@@ -618,12 +531,8 @@ class PdesWorld:
                 self.rounds += 1
                 if batch_k > self.max_window_batch:
                     self.max_window_batch = batch_k
-                if fl is not None:
-                    fl.span(
-                        "horizon", t_h, perf_counter() - t_h, self.rounds
-                    )
                 spills_before = self.spilled_batches
-                reports = step_all(horizons, drain=False, k=batch_k)
+                reports = step_all(horizons, drain=False)
                 n_exports = sum(len(b) for b in pending)
                 k_used = batch_k
                 if adaptive and nparts > 1:
@@ -669,17 +578,9 @@ class PdesWorld:
                     rounds=self.rounds, exported=self.exported_packets,
                 )
 
-            if fl is not None:
-                t_f = perf_counter()
             for conn in conns:
                 conn.send((CMD_FINISH,))
-            if fl is not None:
-                t_f1 = perf_counter()
-                fl.span("re-inject", t_f, t_f1 - t_f, self.rounds)
             results = self._recv(conns, procs, REP_RESULT, self.rounds)
-            if fl is not None:
-                fl.t_end = perf_counter()
-                fl.span("fan-in", t_f1, fl.t_end - t_f1, self.rounds)
         finally:
             self._kill(procs)
             for conn in conns:
@@ -692,39 +593,7 @@ class PdesWorld:
             # the run and the resource tracker stays quiet.
             self._teardown_rings()
 
-        result = self._assemble([rep[2] for rep in results])
-        if fl is not None:
-            from .flight import FlightLog
-
-            snaps = sorted(
-                (rep[2]["flight"] for rep in results), key=lambda s: s["part"]
-            )
-            self.flight_log = FlightLog(
-                driver=fl,
-                workers=snaps,
-                offsets=offsets,
-                meta={
-                    "workers": self.nworkers,
-                    "transport": self.transport,
-                    "rounds": self.rounds,
-                    "lookahead": self.lookahead,
-                    "window_batch": self.window_batch,
-                    "max_window_batch": self.max_window_batch,
-                    "exported_packets": self.exported_packets,
-                    "spilled_batches": self.spilled_batches,
-                    "nodes": self.machine_config.nodes,
-                    "cores_per_node": self.machine_config.cores_per_node,
-                    "elapsed_sim": result.elapsed,
-                },
-            )
-            if tracer is not None:
-                # Worker simulated-time events + progress samples join
-                # the driver tracer (rank/NIC lanes are partition-
-                # disjoint): metrics and Chrome exports then cover the
-                # whole run, with per-process wall-clock rows tagged by
-                # the rank_group column.
-                self.flight_log.merge_into_tracer(tracer)
-        return result
+        return self._assemble([rep[2] for rep in results])
 
     # -- result assembly ---------------------------------------------------
     def _assemble(self, parts: List[dict]) -> YgmResult:

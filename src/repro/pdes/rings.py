@@ -3,8 +3,9 @@
 The PDES barrier protocol keeps its *control* plane on pipes (tiny
 tuples: verbs, horizons, reports) but moves the *bulk* plane -- the
 per-window columnar export batches -- through shared-memory rings, so a
-batch crosses process boundaries as one ``memcpy`` in and one out with
-no ``pickle`` anywhere (:mod:`repro.pdes.wire` does the encoding).
+batch crosses process boundaries as one ``memcpy`` in and one out
+(:mod:`repro.pdes.wire` does the encoding; only a payload serde cannot
+encode is pickled, inside the batch).
 
 Layout: one :class:`multiprocessing.shared_memory.SharedMemory` segment
 per engine, carved into ``2 * nworkers`` ring slots (driver->worker and
@@ -48,7 +49,7 @@ from typing import List, Optional
 from .wire import decode_batch, encode_batch
 
 #: Default per-direction ring capacity (bytes); override with
-#: ``PDES_RING_BYTES`` or ``PdesWorld(ring_bytes=...)``.
+#: ``PdesWorld(ring_bytes=...)``.
 DEFAULT_RING_BYTES = 1 << 20
 
 #: Slot header geometry: tail and head counters on separate cache lines.
@@ -66,8 +67,7 @@ class RingStats:
     """Cheap always-on counters of one ring endpoint (this process's side).
 
     Pure integer bumps on the *batch* path (once per window record, never
-    per message), so they stay on even without the flight recorder and
-    are readable post-run -- e.g. a :class:`~repro.pdes.engine.
+    per message), so they are always on and readable post-run -- e.g. a :class:`~repro.pdes.engine.
     PdesStallError` names the congested ring from these.  Producer-side
     fields (``pushes``/``bytes_pushed``/``high_water``/``spills``) are
     maintained by whichever process produces into the ring; consumer-side
@@ -249,9 +249,7 @@ class ShmTransport:
 
     def __init__(self, nworkers: int, ring_bytes: Optional[int] = None):
         if ring_bytes is None:
-            ring_bytes = int(
-                os.environ.get("PDES_RING_BYTES", DEFAULT_RING_BYTES)
-            )
+            ring_bytes = DEFAULT_RING_BYTES
         if ring_bytes < 4096:
             raise ValueError(f"ring_bytes too small: {ring_bytes}")
         self.ring_bytes = ring_bytes
@@ -299,35 +297,22 @@ class ShmTransport:
 DESC_NONE = ("none",)
 
 
-def encode_exports(exports: List[tuple], scratch: bytearray) -> bool:
-    """Serialize ``exports`` into ``scratch``; the encode half of
-    :func:`send_batch`.  Returns whether there is anything to push."""
+def send_batch(ring: SpscRing, exports: List[tuple], scratch: bytearray):
+    """Encode ``exports`` into ``ring``; returns the pipe descriptor.
+
+    ``("none",)`` for an empty batch (the ring is not touched),
+    ``("ring", seq)`` for the fast path, ``("spill", blob)`` when the
+    batch outgrows the ring's free space (the encoded bytes then ride
+    the pipe message itself).
+    """
     if not exports:
-        return False
+        return DESC_NONE
     del scratch[:]
     encode_batch(exports, scratch)
-    return True
-
-
-def push_encoded(ring: SpscRing, scratch: bytearray, nonempty: bool):
-    """Push an :func:`encode_exports` blob; the ring half of
-    :func:`send_batch`.  Returns the pipe descriptor."""
-    if not nonempty:
-        return DESC_NONE
     seq = ring.try_push(scratch)
     if seq is None:
         return ("spill", bytes(scratch))
     return ("ring", seq)
-
-
-def send_batch(ring: SpscRing, exports: List[tuple], scratch: bytearray):
-    """Encode ``exports`` into ``ring``; returns the pipe descriptor.
-
-    ``("none",)`` for an empty batch, ``("ring", seq)`` for the fast
-    path, ``("spill", blob)`` when the batch outgrows the ring's free
-    space (the encoded bytes then ride the pipe message itself).
-    """
-    return push_encoded(ring, scratch, encode_exports(exports, scratch))
 
 
 def recv_batch(ring: SpscRing, desc) -> List[tuple]:

@@ -23,6 +23,8 @@ packet::
     payload := M_COLS1 cols           -- exactly [one P2PColumns]
              | M_ENTRIES n entry[n]   -- mixed coalescing-entry list
              | M_OBJ serde-object | M_BYTEARRAY serde-bytes
+             | M_PICKLE serde-bytes   -- opaque envelope: a payload
+                                      serde cannot encode, pickled
     cols    := 1 n lflag mode         -- fast form: dests, nbytes,
                                       [lins], and an all-int/all-float
                                       payload column live in the side
@@ -34,9 +36,10 @@ Scalars and objects go through serde ``pack_into``/``unpack_from``; the
 appended raw to one of two side streams and recovered with a single
 ``np.frombuffer`` + copy per stream, then sliced per entry.  Slices of
 one writable base are handed to :class:`P2PColumns` directly (disjoint
-ranges, so entry columns stay independently mutable).  There is no
-``pickle`` anywhere on this path (``tools/hotpath_lint.py`` enforces
-that).
+ranges, so entry columns stay independently mutable).  ``pickle``
+appears only in the opaque-payload envelope (:func:`_pack_obj` /
+:func:`_unpack_obj`), for payload values serde has no tag for;
+``tools/hotpath_lint.py`` keeps it out of everything else.
 
 Packet meta is dictionary-encoded: batches repeat a handful of
 ``(ctx, kind, tag)`` combinations thousands of times, so each record
@@ -72,6 +75,7 @@ PAYLOAD_OBJ = 0
 PAYLOAD_BYTEARRAY = 1
 PAYLOAD_ENTRIES = 2
 PAYLOAD_COLS1 = 3  # the common case: exactly [one P2PColumns]
+PAYLOAD_PICKLE = 4  # opaque envelope: pickled bytes of a non-serde value
 
 #: Coalescing-entry tags inside a PAYLOAD_ENTRIES list.
 E_OBJ = 0  # not an entry object: generic serde element
@@ -106,32 +110,51 @@ class WireError(RuntimeError):
 
 # -- payload objects ---------------------------------------------------------
 def _pack_obj(out: bytearray, obj) -> None:
-    """One payload value: generic serde, with a bytearray escape.
+    """One payload value: generic serde, with two escapes.
 
     The serde packer deliberately has no bytearray tag (it would be
     ambiguous with bytes on the unpack side); app payloads may still be
     bytearrays, so flag them explicitly and restore the type on decode.
+    A value serde cannot encode at all (an unregistered class) crosses
+    as a pickle envelope.
     """
     if type(obj) is bytearray:
         out.append(PAYLOAD_BYTEARRAY)
         pack_into(out, bytes(obj))
-    else:
-        out.append(PAYLOAD_OBJ)
-        try:
-            pack_into(out, obj)
-        except SerdeError as exc:
-            raise WireError(
-                f"payload {type(obj).__name__!r} is not serde-packable; "
-                "register the type (repro.serde.register) or run with "
-                "PDES_TRANSPORT=pipe"
-            ) from exc
+        return
+    start = len(out)
+    out.append(PAYLOAD_OBJ)
+    try:
+        pack_into(out, obj)
+        return
+    except SerdeError:
+        del out[start:]  # drop whatever serde wrote before it gave up
+    import pickle
+
+    try:
+        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise WireError(
+            f"payload {type(obj).__name__!r} is neither serde-packable "
+            "nor picklable; register the type (repro.serde.register) or "
+            "make it picklable"
+        ) from exc
+    out.append(PAYLOAD_PICKLE)
+    pack_into(out, blob)
 
 
 def _unpack_obj(buf, pos):
+    """Mirror of :func:`_pack_obj`; returns (value, pos)."""
     marker = buf[pos]
+    if marker not in (PAYLOAD_OBJ, PAYLOAD_BYTEARRAY, PAYLOAD_PICKLE):
+        raise WireError(f"unknown payload marker {marker}")
     obj, pos = unpack_from(buf, pos + 1)
     if marker == PAYLOAD_BYTEARRAY:
         obj = bytearray(obj)
+    elif marker == PAYLOAD_PICKLE:
+        import pickle
+
+        obj = pickle.loads(obj)
     return obj, pos
 
 
@@ -497,13 +520,8 @@ def decode_batch(buf) -> List[tuple]:
                     buf, pos, istream, fstream, io, fo
                 )
                 payload.append(entry)
-        elif marker == PAYLOAD_OBJ:
-            payload, pos = unpack_from(buf, pos)
-        elif marker == PAYLOAD_BYTEARRAY:
-            payload, pos = unpack_from(buf, pos)
-            payload = bytearray(payload)
         else:
-            raise WireError(f"unknown payload marker {marker}")
+            payload, pos = _unpack_obj(buf, pos - 1)
         # Bypass the dataclass __init__ (it's ~2x the cost of a dict
         # literal and this runs once per packet); field order matches
         # the dataclass declaration so repr/eq behave identically.

@@ -15,9 +15,10 @@ owned ranks and installs the machine's ``on_remote_export`` hook, so:
   timestamp via :meth:`~repro.machine.topology.Machine.inject_arrival`.
 
 The worker is driven round by round over a pipe (see
-:mod:`repro.pdes.engine` for the window-barrier protocol).  Forking --
-not spawning -- matters: rank programs are closures that never need to
-be pickled; only per-window packet batches cross the pipe.
+:mod:`repro.pdes.engine` for the window-barrier protocol); its window
+imports and exports move through the shared-memory rings
+(:mod:`repro.pdes.rings`).  Forking -- not spawning -- matters: rank
+programs are closures that never need to be pickled.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import heapq
 import math
 import traceback
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from ..core.config import MailboxConfig
@@ -34,14 +34,12 @@ from ..core.context import YgmContext
 from ..core.stats import aggregate
 from ..mpi import World
 from ..sim.errors import DeadlockError
-from .rings import encode_exports, push_encoded, recv_batch, send_batch
+from .rings import recv_batch, send_batch
 
 #: Command / reply verbs of the driver<->worker pipe protocol.
 CMD_STEP = "step"
-CMD_CLOCK = "clock"  # flight recorder: echo perf_counter for clock alignment
 CMD_FINISH = "finish"
 REP_READY = "ready"
-REP_CLOCK = "clock"
 REP_REPORT = "report"
 REP_RESULT = "result"
 REP_ERROR = "error"
@@ -59,14 +57,10 @@ class WorkerSpec:
     default_config: MailboxConfig
     rank_main: Any
     tiebreaker: Any = None
-    #: ``"pipe"`` ships export batches as objects over the pipe (the
-    #: legacy pickling transport); ``"shm"`` ships them through the
-    #: shared-memory rings with only a tiny descriptor on the pipe.
-    transport: str = "pipe"
-    rings: Any = None  # ShmTransport, shared with the driver via fork
-    #: A :class:`~repro.pdes.flight.FlightSpec`, or ``None`` (the
-    #: default): flight recording off, zero-cost on the worker hot path.
-    flight: Any = None
+    #: The :class:`~repro.pdes.rings.ShmTransport`, shared with the
+    #: driver via fork; ``None`` for a one-partition run, which exports
+    #: nothing.
+    rings: Any = None
 
 
 class CausalityError(RuntimeError):
@@ -91,26 +85,8 @@ class PartitionRuntime:
             tiebreaker = self._make_push_order_tiebreaker(spec.tiebreaker)
         else:
             tiebreaker = spec.tiebreaker
-        #: The :class:`~repro.pdes.flight.WorkerFlight` buffer, or
-        #: ``None``.  Disabled is the default and costs the serve loop
-        #: exactly one cached-attribute check per window, with zero
-        #: flight-recorder code executed (both asserted by
-        #: tests/pdes/test_flight.py).
-        self.flight = None
-        flight_tracer = None
-        if spec.flight is not None:
-            from ..trace import Tracer
-            from .flight import WorkerFlight
-
-            # In-worker tracer: simulated-time events + kernel progress
-            # samples, buffered locally and shipped with the result.
-            # Tracer hooks only *read* simulated state, so the run stays
-            # bit-identical (the flight differentials enforce it).
-            flight_tracer = Tracer(categories=spec.flight.categories)
-            self.flight = WorkerFlight(spec.part, flight_tracer)
         self.world = World(
-            spec.machine_config, seed=spec.seed, tracer=flight_tracer,
-            tiebreaker=tiebreaker,
+            spec.machine_config, seed=spec.seed, tiebreaker=tiebreaker
         )
         self.sim = self.world.sim
         self.machine = self.world.machine
@@ -119,13 +95,11 @@ class PartitionRuntime:
         owned_nodes = set(spec.partition.nodes_of(spec.part))
         self._owned_nodes = owned_nodes
         self.exports: List[tuple] = []
-        self.transport = spec.transport
         self._scratch = bytearray()
+        self._rx = self._tx = None
         if spec.rings is not None:
             self._rx = spec.rings.to_worker[spec.part]
             self._tx = spec.rings.from_worker[spec.part]
-        else:
-            self._rx = self._tx = None
 
         #: Live pump limit for the current window.  :meth:`pump` seeds it
         #: with the driver's horizon; the exporter hook *tightens* it as
@@ -337,84 +311,21 @@ class PartitionRuntime:
         return self.peek()
 
     def step(self, horizon, batch, drain: bool):
-        """One window: inject, advance, report.
-
-        ``batch`` is the import batch's pipe payload (object list or
-        ring descriptor).  With the flight recorder off this path costs
-        one cached-attribute check over the bare protocol work.
-        """
-        fl = self.flight
-        if fl is not None:
-            return self._step_flight(fl, horizon, batch, drain)
-        self.inject(self.recv_imports(batch))
+        """One window: inject the imports named by the ``batch`` ring
+        descriptor, advance, and report with the exports' descriptor."""
+        self.inject(recv_batch(self._rx, batch))
         next_t = self._advance(horizon, drain)
         exports, self.exports[:] = list(self.exports), []
         return (
             REP_REPORT,
             self.part,
-            self._ship_exports(exports),
+            send_batch(self._tx, exports, self._scratch),
             next_t,
             self.remaining,
             self.done_at,
             self.sim.now,
             self.sim.steps,
         )
-
-    def _step_flight(self, fl, horizon, batch, drain: bool):
-        """The instrumented twin of :meth:`step`: same work, same order,
-        with a clock read between the phases.  Under the pipe transport
-        serialization happens implicitly inside the report's
-        ``Connection.send``, so it lands in the serve loop's
-        ``ring-push`` span instead of ``export-serialize``."""
-        pc = perf_counter
-        t0 = pc()
-        self.inject(self.recv_imports(batch))
-        t1 = pc()
-        next_t = self._advance(horizon, drain)
-        t2 = pc()
-        exports, self.exports[:] = list(self.exports), []
-        if self._tx is None or self.transport == "pipe":
-            desc = exports
-            t3 = t2
-        else:
-            nonempty = encode_exports(exports, self._scratch)
-            t3 = pc()
-            desc = push_encoded(self._tx, self._scratch, nonempty)
-        t4 = pc()
-        fl.span("import-drain", t0, t1 - t0)
-        fl.span("compute", t1, t2 - t1)
-        fl.span("export-serialize", t2, t3 - t2)
-        fl.span("ring-push", t3, t4 - t3)
-        if fl.tracer is not None:
-            # Window-granularity progress sample: small workers may never
-            # hit the kernel's 1024-step sampling stride, but the metrics
-            # exporter needs >= 2 samples per worker to attribute wall
-            # clock (the rank_group rows).  Reads state only.
-            fl.tracer.progress_samples.append((self.sim.now, self.sim.steps, t2))
-        fl.round += 1
-        return (
-            REP_REPORT,
-            self.part,
-            desc,
-            next_t,
-            self.remaining,
-            self.done_at,
-            self.sim.now,
-            self.sim.steps,
-        )
-
-    # -- transport ---------------------------------------------------------
-    def recv_imports(self, batch) -> List[tuple]:
-        """Materialise a window's imports from their pipe descriptor."""
-        if self._rx is None or self.transport == "pipe":
-            return batch
-        return recv_batch(self._rx, batch)
-
-    def _ship_exports(self, exports: List[tuple]):
-        """Encode a window's exports; returns what rides the pipe."""
-        if self._tx is None or self.transport == "pipe":
-            return exports
-        return send_batch(self._tx, exports, self._scratch)
 
     # -- result assembly ---------------------------------------------------
     def result(self) -> tuple:
@@ -457,65 +368,19 @@ class PartitionRuntime:
                 "term": term,
                 "transport": transport,
                 "steps": self.sim.steps,
-                # Flight telemetry rides the control pipe with the final
-                # result -- out of band, never through the data rings.
-                "flight": (
-                    self.flight.snapshot(self)
-                    if self.flight is not None
-                    else None
-                ),
             },
         )
 
 
 def _serve(conn, runtime: PartitionRuntime) -> None:
-    """The flight-off serve loop: bare protocol, no clock reads."""
+    """Answer driver commands until ``CMD_FINISH``."""
     while True:
         msg = conn.recv()
         cmd = msg[0]
         if cmd == CMD_STEP:
             _, horizon, batch, drain = msg
             conn.send(runtime.step(horizon, batch, drain))
-        elif cmd == CMD_CLOCK:
-            conn.send((REP_CLOCK, runtime.part, perf_counter()))
         elif cmd == CMD_FINISH:
-            conn.send(runtime.result())
-            return
-        else:
-            raise ValueError(f"unknown PDES command {cmd!r}")
-
-
-def _serve_flight(conn, runtime: PartitionRuntime, fl) -> None:
-    """The recorded serve loop: times the pipe waits and report sends.
-
-    ``barrier-wait`` is the interval blocked in ``conn.recv`` -- it
-    covers both the true barrier (waiting for siblings via the driver)
-    and the driver's own bookkeeping, which is exactly the
-    synchronisation cost a worker experiences.  Clock probes are
-    answered before any recording so the handshake RTT stays minimal.
-    """
-    pc = perf_counter
-    recv = conn.recv
-    while True:
-        t0 = pc()
-        msg = recv()
-        t1 = pc()
-        cmd = msg[0]
-        if cmd == CMD_CLOCK:
-            conn.send((REP_CLOCK, runtime.part, pc()))
-            fl.span("barrier-wait", t0, t1 - t0)
-            continue
-        fl.span("barrier-wait", t0, t1 - t0)
-        if cmd == CMD_STEP:
-            _, horizon, batch, drain = msg
-            rep = runtime.step(horizon, batch, drain)
-            t2 = pc()
-            conn.send(rep)
-            fl.span("ring-push", t2, pc() - t2)
-        elif cmd == CMD_FINISH:
-            # result() snapshots the flight buffer, so this is the last
-            # thing recorded; the send itself is not (nobody could ship
-            # a span describing its own shipping).
             conn.send(runtime.result())
             return
         else:
@@ -527,10 +392,7 @@ def worker_main(conn, spec: WorkerSpec) -> None:
     try:
         runtime = PartitionRuntime(spec)
         conn.send((REP_READY, spec.part))
-        if runtime.flight is not None:
-            _serve_flight(conn, runtime, runtime.flight)
-        else:
-            _serve(conn, runtime)
+        _serve(conn, runtime)
     except EOFError:
         return  # driver went away; nothing to report to
     except BaseException:

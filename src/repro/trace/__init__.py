@@ -29,21 +29,11 @@ causal DAGs, critical-path extraction with per-hop stage breakdowns,
 and per-rank time attribution, rendered to a self-contained HTML report
 by :mod:`repro.trace.profile_report` (CLI:
 ``python -m repro.bench 6a --profile``).
-
-For flight-recorded *parallel* (PDES) runs, the cross-process overhead
-attribution report lives in :mod:`repro.trace.pdes_report` (CLI:
-``python -m repro.bench pdes --attribute``); telemetry collection is
-the engine's side (:mod:`repro.pdes.flight`).
 """
 
 from .chrome import export_chrome, to_chrome_events
 from .metrics import COLUMNS as METRIC_COLUMNS
-from .metrics import STRING_COLUMNS, WALL_CLOCK_COLUMNS, compute_metrics, export_metrics
-from .pdes_report import MIN_COVERAGE, AttributionError
-from .pdes_report import SCHEMA as PDES_ATTRIBUTION_SCHEMA
-from .pdes_report import render_html as render_attribution_html
-from .pdes_report import validate as validate_attribution
-from .pdes_report import write_report as write_attribution_report
+from .metrics import WALL_CLOCK_COLUMNS, compute_metrics, export_metrics
 from .profile import BUCKETS, STAGES, LineageProfiler, SchemeProfile, analyze_profile
 from .profile_report import render_html, report_document, write_report
 from .tracer import (
@@ -59,18 +49,14 @@ from .tracer import (
 
 __all__ = [
     "ALL_CATEGORIES",
-    "AttributionError",
     "BUCKETS",
     "CallbackSink",
     "DEFAULT_CATEGORIES",
     "JsonlSink",
     "LineageProfiler",
     "METRIC_COLUMNS",
-    "MIN_COVERAGE",
     "MemorySink",
-    "PDES_ATTRIBUTION_SCHEMA",
     "STAGES",
-    "STRING_COLUMNS",
     "SchemeProfile",
     "Sink",
     "TraceEvent",
@@ -80,10 +66,7 @@ __all__ = [
     "compute_metrics",
     "export_chrome",
     "export_metrics",
-    "render_attribution_html",
     "render_html",
     "report_document",
-    "validate_attribution",
-    "write_attribution_report",
     "write_report",
 ]

@@ -115,17 +115,8 @@ def to_chrome_events(tracer: Tracer) -> List[dict]:
     return out
 
 
-def export_chrome(tracer: Tracer, path: str, extra_events=None) -> None:
-    """Write ``path`` as a Chrome trace_event JSON object.
-
-    ``extra_events`` are pre-built trace_event dicts appended verbatim
-    after the tracer's own events -- the flight recorder uses this to
-    add its per-worker host wall-clock process groups
-    (:meth:`repro.pdes.flight.FlightLog.to_chrome_events`).
-    """
-    events = to_chrome_events(tracer)
-    if extra_events:
-        events.extend(extra_events)
-    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
+def export_chrome(tracer: Tracer, path: str) -> None:
+    """Write ``path`` as a Chrome trace_event JSON object."""
+    doc = {"traceEvents": to_chrome_events(tracer), "displayTimeUnit": "ms"}
     with open(path, "w") as f:
         json.dump(doc, f)

@@ -18,7 +18,6 @@ from .tracer import Tracer
 
 #: Column order of the exported table.
 COLUMNS = [
-    "rank_group",
     "t_start",
     "t_end",
     "remote_packets",
@@ -55,15 +54,6 @@ FLOAT_COLUMNS = frozenset(
     }
 )
 
-#: Columns holding strings, not numbers.  ``rank_group`` names the
-#: process a row's wall-clock columns belong to: ``"driver"`` for the
-#: tracer-owning process (the only process in a serial run) and
-#: ``"worker<p>"`` for flight-recorded PDES worker kernels.  Before
-#: this column existed, a multi-process run silently folded every
-#: process's wall clock into one set of rows -- meaningless when the
-#: kernels run concurrently.
-STRING_COLUMNS = frozenset({"rank_group"})
-
 #: Columns derived from host wall-clock time: deterministic in *shape*
 #: but not in value run-to-run.  Determinism checks project these out.
 WALL_CLOCK_COLUMNS = frozenset({"wall_ms", "events_per_sec"})
@@ -87,7 +77,12 @@ def compute_metrics(
     if interval <= 0.0:
         raise ValueError(f"metrics interval must be positive, got {interval}")
     nbins = max(1, math.ceil(t_end / interval - 1e-12))
-    rows = _blank_rows("driver", nbins, interval, t_end)
+    rows = [
+        {col: 0.0 for col in COLUMNS} for _ in range(nbins)
+    ]
+    for i, row in enumerate(rows):
+        row["t_start"] = i * interval
+        row["t_end"] = min((i + 1) * interval, t_end)
 
     def bucket(ts: float) -> Dict[str, float]:
         return rows[min(int(ts / interval), nbins - 1)]
@@ -133,41 +128,12 @@ def compute_metrics(
         width = row["t_end"] - row["t_start"]
         if nic_count > 0 and width > 0:
             row["nic_utilization"] = row["nic_busy_seconds"] / (width * nic_count)
-    _finalize_rows(rows)
-    # Flight-recorded PDES workers: one full set of bins per worker
-    # kernel, carrying only that worker's progress-derived columns.
-    # Every bin is emitted even when empty so the row *shape* stays
-    # deterministic (filtering on host-dependent wall_ms would not be).
-    for group in sorted(getattr(tracer, "worker_progress", {})):
-        wrows = _blank_rows(group, nbins, interval, t_end)
-        _fold_progress_samples(
-            tracer.worker_progress[group], wrows, interval, nbins
-        )
-        _finalize_rows(wrows)
-        rows.extend(wrows)
-    return rows
-
-
-def _blank_rows(
-    group: str, nbins: int, interval: float, t_end: float
-) -> List[Dict[str, float]]:
-    rows = []
-    for i in range(nbins):
-        row: Dict[str, float] = {col: 0.0 for col in COLUMNS}
-        row["rank_group"] = group
-        row["t_start"] = i * interval
-        row["t_end"] = min((i + 1) * interval, t_end)
-        rows.append(row)
-    return rows
-
-
-def _finalize_rows(rows: List[Dict[str, float]]) -> None:
-    for row in rows:
         wall_s = row["wall_ms"] / 1e3
         row["events_per_sec"] = row["events"] / wall_s if wall_s > 0 else 0.0
         for col in COLUMNS:
-            if col not in FLOAT_COLUMNS and col not in STRING_COLUMNS:
+            if col not in FLOAT_COLUMNS:
                 row[col] = int(row[col])
+    return rows
 
 
 def _fold_progress_samples(

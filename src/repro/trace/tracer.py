@@ -180,13 +180,6 @@ class Tracer:
         #: host-dependent, so these never participate in determinism
         #: comparisons.
         self.progress_samples: List[Tuple[float, int, float]] = []
-        #: Per-worker progress samples from a flight-recorded parallel
-        #: run (:mod:`repro.pdes.flight`), keyed ``"worker<p>"``; same
-        #: tuple shape as :attr:`progress_samples`.  Filled by
-        #: :meth:`~repro.pdes.flight.FlightLog.merge_into_tracer`; the
-        #: metrics exporter turns these into per-worker ``rank_group``
-        #: rows.
-        self.worker_progress: Dict[str, List[Tuple[float, int, float]]] = {}
 
     # -- wiring ------------------------------------------------------------
     def bind(self, nodes: int, cores_per_node: int) -> None:
@@ -245,11 +238,11 @@ class Tracer:
         )
 
     # -- exporters (convenience wrappers) ------------------------------------
-    def export_chrome(self, path: str, extra_events=None) -> None:
+    def export_chrome(self, path: str) -> None:
         """Write a Chrome ``trace_event`` JSON file (chrome://tracing)."""
         from .chrome import export_chrome
 
-        export_chrome(self, path, extra_events=extra_events)
+        export_chrome(self, path)
 
     def export_metrics(self, path: str, interval: Optional[float] = None):
         """Write the per-interval metrics table as CSV; returns the rows."""

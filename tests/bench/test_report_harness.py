@@ -82,3 +82,20 @@ def test_cli_single_quick_figure(capsys):
     out = capsys.readouterr().out
     assert "mailbox capacity sweep" in out
     assert "harness wall-clock" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_a_job_timeout_that_is_not_finite_and_positive(
+    value, monkeypatch, capsys
+):
+    # 0 or less fails every pooled cell as "timed out"; nan silently
+    # disables the limit.  Both must be a usage error before any work.
+    from repro.bench import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_figure", lambda *a, **k: ran.append(a) or [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--job-timeout", value, "--jobs", "2", "--no-cache", "6a"])
+    assert exc.value.code == 2
+    assert "--job-timeout" in capsys.readouterr().err
+    assert ran == []

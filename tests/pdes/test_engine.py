@@ -1,5 +1,7 @@
 """Engine-level behaviour: protocol, error paths, diagnostics, tracing."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core.context import YgmWorld
@@ -52,6 +54,16 @@ def test_zero_lookahead_is_rejected():
 def test_more_workers_than_nodes_is_rejected():
     with pytest.raises(ValueError):
         PdesWorld(2, cores_per_node=2, workers=3)
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+def test_bad_window_timeout_is_rejected_before_any_fork(timeout):
+    # Accepted, a timeout like this reports every partition as stalled
+    # at round 0: a bad argument misreported as a hang.
+    before = multiprocessing.active_children()
+    with pytest.raises(ValueError, match="window_timeout"):
+        PdesWorld(4, cores_per_node=1, workers=2, window_timeout=timeout)
+    assert multiprocessing.active_children() == before
 
 
 def test_global_deadlock_is_detected_across_partitions():

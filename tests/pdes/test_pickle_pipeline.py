@@ -1,20 +1,20 @@
-"""Coalesced batches survive the worker transport (satellite: serialization).
+"""Coalesced batches survive the worker rings (satellite: serialization).
 
-Cross-partition packets are shipped between processes as serialized
-batches -- pickled over the pipe on the legacy transport, serde-encoded
-through shared-memory rings on the default one.  Two layers of proof:
-the three entry types round-trip through pickle field-for-field
-(including the columnar struct-of-arrays runs), and a mixed-traffic
-workload (scalar p2p + reentrant echo + broadcast + fixed-width record
-batches) is bit-identical to serial under *both* transports -- i.e.
-the process crossing preserved every entry.  (The ring codec itself
-is exercised in depth by test_wire.py.)
+Cross-partition packets are shipped between processes as serde-encoded
+batches through shared-memory rings.  Three layers of proof: the three
+entry types round-trip through pickle field-for-field (including the
+columnar struct-of-arrays runs), a mixed-traffic workload (scalar p2p +
+reentrant echo + broadcast + fixed-width record batches) is
+bit-identical to serial -- i.e. the process crossing preserved every
+entry -- and so is a payload serde has no tag for, which crosses in the
+codec's pickle envelope.  (The ring codec itself is exercised in depth
+by test_wire.py.)
 """
 
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from repro.check.fuzz import quiescence_rank_main
 from repro.core.coalescing import BatchEntry, BcastEntry, P2PColumns
@@ -62,15 +62,40 @@ def test_p2p_columns_roundtrip_preserves_all_columns_and_derived_fields():
     assert back.wire_bytes == cols.wire_bytes
 
 
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
-def test_mixed_traffic_crosses_the_transport_bit_identically(transport):
+def test_mixed_traffic_crosses_the_rings_bit_identically():
     rank_main = quiescence_rank_main()
     serial = YgmWorld(4, scheme="nlnr", seed=3, cores_per_node=2).run(rank_main)
-    engine = PdesWorld(
-        4, scheme="nlnr", seed=3, cores_per_node=2,
-        workers=2, transport=transport,
-    )
+    engine = PdesWorld(4, scheme="nlnr", seed=3, cores_per_node=2, workers=2)
     parallel = engine.run(rank_main)
     assert_equivalent(parallel, serial)
-    # Real batches crossed the transport; the equivalence was not vacuous.
+    # Real batches crossed the rings; the equivalence was not vacuous.
     assert engine.exported_packets > 0
+
+
+@dataclass(frozen=True)
+class Point:
+    """A payload class serde has no tag for (sized by explicit nbytes)."""
+
+    x: int
+    y: float
+
+
+def opaque_rank_main(ctx):
+    got = []
+    mb = ctx.mailbox(recv=got.append)
+    n = ctx.nranks
+    for i in range(6):
+        yield from mb.send((ctx.rank + 1 + i) % n, Point(ctx.rank, i / 3), 16)
+    yield from mb.wait_empty()
+    return sorted(got, key=lambda p: (p.x, p.y))
+
+
+def test_non_serde_payload_crosses_two_workers_bit_identically():
+    serial = YgmWorld(4, scheme="nlnr", seed=3, cores_per_node=2).run(
+        opaque_rank_main
+    )
+    engine = PdesWorld(4, scheme="nlnr", seed=3, cores_per_node=2, workers=2)
+    parallel = engine.run(opaque_rank_main)
+    assert_equivalent(parallel, serial)
+    assert engine.exported_packets > 0
+    assert all(type(p) is Point for v in parallel.values for p in v)

@@ -1,10 +1,11 @@
-"""SPSC ring mechanics: wrap-around, fencing, overflow spill.
+"""SPSC ring mechanics: wrap-around, fencing, overflow spill, telemetry.
 
 The rings move every export batch of a run, so the framing must
 survive arbitrary interleavings of variable-sized records across the
 wrap boundary, and every desync -- wrong sequence, truncated frame,
 double pop -- must raise :class:`RingError` instead of mispairing a
-batch with a window.
+batch with a window.  The always-on :class:`RingStats` counters must
+stay readable after a run and name the congested ring in a stall.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.coalescing import P2PColumns
 from repro.mpi.envelope import Packet
-from repro.pdes import RingError, ShmTransport, SpscRing
+from repro.pdes import PdesWorld, RingError, ShmTransport, SpscRing
 from repro.pdes.rings import (
     _DATA_OFF,
     DESC_NONE,
@@ -218,3 +219,74 @@ def test_close_and_unlink_are_idempotent(tmp_path):
     rings.unlink()
     rings.unlink()
     assert not pathlib.Path("/dev/shm", name).exists()
+
+
+# -- ring telemetry -----------------------------------------------------------
+def chatter(ctx):
+    got = []
+    mb = ctx.mailbox(recv=lambda m: got.append(m))
+    n = ctx.nranks
+    for i in range(25):
+        yield from mb.send((ctx.rank * 5 + i * 3) % n, (ctx.rank, i))
+    yield from mb.wait_empty()
+    return sorted(got)
+
+
+def test_ring_stats_count_pushes_pops_highwater_and_spills():
+    shm = ShmTransport(1, ring_bytes=4096)
+    ring = shm.to_worker[0]
+    try:
+        payload = b"x" * 100
+        assert ring.try_push(payload) is not None
+        st = ring.stats
+        assert st.pushes == 1
+        assert st.bytes_pushed == 116  # 16-byte record header + payload
+        assert st.high_water == 116
+        # A push that cannot fit is refused and counted as a spill.
+        assert ring.try_push(b"y" * 8000) is None
+        assert st.spills == 1
+        assert st.pushes == 1
+        view = ring.begin_pop()
+        assert bytes(view) == payload
+        view.release()
+        ring.commit_pop()
+        assert st.pops == 1
+        assert st.bytes_popped == 116
+        assert ring.used == 0
+        assert st.high_water == 116  # peak, not current
+    finally:
+        shm.close()
+        shm.unlink()
+
+
+def test_ring_stats_survive_the_run():
+    engine = PdesWorld(8, scheme="nlnr", seed=1, cores_per_node=2, workers=2)
+    engine.run(chatter)
+    stats = engine.ring_stats
+    assert stats is not None
+    assert len(stats["to_worker"]) == 2
+    assert sum(s["pushes"] for s in stats["to_worker"]) > 0
+    assert sum(s["pops"] for s in stats["from_worker"]) > 0
+
+
+def test_stall_note_names_the_congested_ring():
+    engine = PdesWorld(
+        8, scheme="nlnr", seed=1, cores_per_node=2, workers=2
+    )
+    shm = ShmTransport(2, ring_bytes=4096)
+    engine._rings = shm
+    try:
+        # Prime partition 1's import ring with an undrained record and a
+        # recorded spill, as a mid-window stall would leave it.
+        assert shm.to_worker[1].try_push(b"z" * 64) is not None
+        shm.to_worker[1].stats.spills = 3
+        note = engine._ring_stall_note([1])
+        assert "partition 1 import ring" in note
+        assert "3 spill(s)" in note
+        assert "4096" in note
+        # A quiet partition contributes nothing.
+        assert engine._ring_stall_note([0]) == ""
+    finally:
+        engine._rings = None
+        shm.close()
+        shm.unlink()

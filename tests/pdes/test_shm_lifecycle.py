@@ -48,7 +48,7 @@ def test_normal_run_leaves_no_segment():
 def test_segment_exists_during_the_run_and_is_gone_after():
     # The transport object records its name; verify the file truly hit
     # /dev/shm and truly left (not merely that close() was called).
-    engine = PdesWorld(4, cores_per_node=2, workers=2, transport="shm")
+    engine = PdesWorld(4, cores_per_node=2, workers=2)
     seen = {}
     orig_spawn = PdesWorld._spawn
 

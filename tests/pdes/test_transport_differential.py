@@ -1,8 +1,9 @@
-"""Transport and window-batching differentials (satellite: differential).
+"""Ring transport and window-batching differentials (satellite: differential).
 
-The shm-ring transport and the window-batch horizons are pure
-mechanism: every (transport, K) combination must reproduce the serial
-run bit for bit, window batching must actually collapse barrier rounds
+The shm rings and the window-batch horizons are pure mechanism: every
+window-batch factor K must reproduce the serial run bit for bit, a
+ring too small for a window must spill and stay exact, window batching
+must actually collapse barrier rounds
 on quiet workloads, and a worker that dies holding encoded exports in
 its ring must have that traffic drained and named in the error -- not
 silently dropped or misattributed as a stall.
@@ -34,28 +35,15 @@ def chatter(ctx):
 
 
 @pytest.mark.parametrize("window_batch", [1, 0, 4], ids=["k1", "adaptive", "k4"])
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
-def test_every_transport_and_batching_mode_is_bit_identical(
-    transport, window_batch
-):
+def test_every_batching_mode_is_bit_identical(window_batch):
     serial = YgmWorld(8, scheme="nlnr", seed=1, cores_per_node=2).run(chatter)
     engine = PdesWorld(
         8, scheme="nlnr", seed=1, cores_per_node=2, workers=4,
-        transport=transport, window_batch=window_batch,
+        window_batch=window_batch,
     )
     parallel = engine.run(chatter)
     assert_equivalent(parallel, serial)
     assert engine.exported_packets > 0
-
-
-def test_transport_env_variable_selects_the_default(monkeypatch):
-    monkeypatch.setenv("PDES_TRANSPORT", "pipe")
-    assert PdesWorld(4, workers=2).transport == "pipe"
-    monkeypatch.setenv("PDES_TRANSPORT", "shm")
-    assert PdesWorld(4, workers=2).transport == "shm"
-    monkeypatch.setenv("PDES_TRANSPORT", "smoke-signals")
-    with pytest.raises(PdesError, match="unknown PDES transport"):
-        PdesWorld(4, workers=2)
 
 
 def bursty(ctx):
@@ -74,7 +62,7 @@ def test_tiny_ring_spills_but_stays_bit_identical():
     serial = YgmWorld(8, scheme="nlnr", seed=1, cores_per_node=2).run(bursty)
     engine = PdesWorld(
         8, scheme="nlnr", seed=1, cores_per_node=2, workers=2,
-        transport="shm", ring_bytes=4096,  # far below one window's traffic
+        ring_bytes=4096,  # far below one window's traffic
     )
     parallel = engine.run(bursty)
     assert_equivalent(parallel, serial)

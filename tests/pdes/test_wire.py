@@ -1,8 +1,9 @@
-"""The pickle-free wire codec round-trips export batches exactly.
+"""The wire codec round-trips export batches exactly.
 
 Every payload shape the mailbox can put on a packet -- columnar runs
 (int, float and object payload columns), mixed coalescing-entry lists,
-scalar objects, bytearrays -- must survive ``encode_batch`` ->
+scalar objects, bytearrays, and values serde has no tag for (the
+pickle envelope) -- must survive ``encode_batch`` ->
 ``decode_batch`` with exact types and values, because the decoded
 packets re-enter the serial kernel and any drift breaks bit-identity.
 The corruption checks at the bottom prove a mispaired or truncated
@@ -15,6 +16,16 @@ import pytest
 from repro.core.coalescing import BatchEntry, BcastEntry, P2PColumns
 from repro.mpi.envelope import Packet
 from repro.pdes import WireError, decode_batch, encode_batch
+
+
+class Opaque:
+    """A module-level class serde has no tag for: it crosses pickled."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return type(other) is Opaque and other.value == self.value
 
 
 def roundtrip(exports):
@@ -210,13 +221,32 @@ def test_divergent_envelope_takes_the_seven_tuple_fallback():
     assert (back.src, back.dst, back.nbytes) == (9, 8, 7)  # the packet
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [Opaque(7), ("tuple", Opaque([1, 2])), ("x", bytearray(b"ab"))],
+    ids=["class", "nested-class", "nested-bytearray"],
+)
+def test_non_serde_payload_crosses_in_a_pickle_envelope(payload):
+    pkt = Packet(src=0, dst=1, ctx=0, kind="k", tag=0,
+                 payload=payload, nbytes=4)
+    ((*_, back),) = roundtrip([(1.0, 0, 1, 4, pkt)])
+    assert back.payload == payload
+    assert type(back.payload) is type(payload)
+
+
+def test_pickle_envelope_inside_an_object_column():
+    exp = cols_packet([1, Opaque("a"), None])
+    ((*_, pkt),) = roundtrip([exp])
+    assert_cols_equal(exp[4].payload[0], pkt.payload[0])
+
+
 def test_unpackable_payload_raises_wire_error_naming_the_escape_hatch():
-    class Opaque:
+    class Local:  # neither serde-packable nor picklable
         pass
 
     pkt = Packet(src=0, dst=1, ctx=0, kind="k", tag=0,
-                 payload=Opaque(), nbytes=4)
-    with pytest.raises(WireError, match="PDES_TRANSPORT=pipe"):
+                 payload=Local(), nbytes=4)
+    with pytest.raises(WireError, match="'Local'.*repro.serde.register"):
         encode_batch([(1.0, 0, 1, 4, pkt)], bytearray())
 
 

@@ -109,16 +109,38 @@ YGM_WORLD_PARAMS = {
 }
 MAILBOX_FACTORY_PARAMS = {"recv", "recv_batch", "recv_bcast", "capacity", "combiner"}
 PDES_WORLD_PARAMS = YGM_WORLD_PARAMS | {
-    "workers", "window_timeout", "transport", "window_batch", "ring_bytes",
-    "flight",
+    "workers", "window_timeout", "window_batch", "ring_bytes",
+}
+PDES_EXPORTS = {
+    "CausalityError", "ConformanceError", "NodePartition", "PdesError",
+    "PdesStallError", "PdesWorld", "RingError", "RingStats", "ShmTransport",
+    "SpscRing", "WireError", "assert_equivalent", "decode_batch",
+    "encode_batch", "run_pdes",
+}
+#: Deleted with the PDES flight recorder.
+PDES_DELETED = {
+    "DRIVER_PHASES", "DriverFlight", "FlightLog", "FlightSpec",
+    "WORKER_PHASES", "WorkerFlight", "estimate_offset",
+}
+TRACE_EXPORTS = {
+    "ALL_CATEGORIES", "BUCKETS", "CallbackSink", "DEFAULT_CATEGORIES",
+    "JsonlSink", "LineageProfiler", "METRIC_COLUMNS", "MemorySink", "STAGES",
+    "SchemeProfile", "Sink", "TraceEvent", "Tracer", "WALL_CLOCK_COLUMNS",
+    "analyze_profile", "compute_metrics", "export_chrome", "export_metrics",
+    "render_html", "report_document", "write_report",
+}
+#: Deleted with the PDES attribution report and the ``rank_group`` column.
+TRACE_DELETED = {
+    "AttributionError", "MIN_COVERAGE", "PDES_ATTRIBUTION_SCHEMA",
+    "STRING_COLUMNS", "render_attribution_html", "validate_attribution",
+    "write_attribution_report",
 }
 #: Every settable flag of ``python -m repro.bench``, plus its positional.
 BENCH_CLI_FLAGS = {
-    "FIG", "--fig", "--full", "--seed", "--jobs", "--pdes-workers",
-    "--pdes-transport", "--no-cache", "--clear-cache", "--cache-dir",
-    "--job-timeout", "--trace", "--metrics", "--metrics-interval",
-    "--profile", "--profile-out", "--attribute", "--attribute-out",
-    "--check", "--fuzz-runs", "--check-app", "--check-scale",
+    "FIG", "--fig", "--full", "--seed", "--jobs", "--no-cache",
+    "--clear-cache", "--cache-dir", "--job-timeout", "--trace", "--metrics",
+    "--metrics-interval", "--profile", "--profile-out", "--check",
+    "--fuzz-runs", "--check-app", "--check-scale",
 }
 
 
@@ -177,6 +199,24 @@ def test_serde_surface_stays_within_budget():
     assert set(serde.__all__) <= SERDE_EXPORTS
 
 
+def test_pdes_surface_stays_within_budget():
+    from repro import pdes
+
+    assert set(pdes.__all__) <= PDES_EXPORTS  # 15 names
+    assert not {n for n in dir(pdes) if not n.startswith("_")} & PDES_DELETED
+    assert not hasattr(pdes.PdesWorld(4, workers=2), "flight_log")
+
+
+def test_trace_surface_stays_within_budget():
+    from repro import trace
+    from repro.trace import metrics
+
+    assert set(trace.__all__) <= TRACE_EXPORTS  # 21 names
+    assert not {n for n in dir(trace) if not n.startswith("_")} & TRACE_DELETED
+    assert "rank_group" not in metrics.COLUMNS
+    assert not hasattr(trace.Tracer(), "worker_progress")
+
+
 def test_bench_cli_flags_stay_within_budget():
     from repro.bench.cli import build_parser, main
 
@@ -184,8 +224,17 @@ def test_bench_cli_flags_stay_within_budget():
     for action in build_parser()._actions:
         if action.dest != "help":
             flags.update(action.option_strings or [action.metavar])
-    assert flags == BENCH_CLI_FLAGS  # 21 flags and the positional
-    # The wall-clock harness is gone, not hidden: its flag does not parse.
+    assert flags == BENCH_CLI_FLAGS  # 17 flags and the positional
+
+
+@pytest.mark.parametrize(
+    "argv", [["--perf"], ["pdes"], ["--attribute"], ["--pdes-workers", "2"]],
+    ids=["perf", "pdes", "attribute", "pdes-workers"],
+)
+def test_deleted_cli_modes_do_not_parse(argv):
+    """The wall-clock harness and the PDES modes are gone, not hidden."""
+    from repro.bench.cli import main
+
     with pytest.raises(SystemExit) as exc:
-        main(["--perf"])
+        main(argv)
     assert exc.value.code == 2

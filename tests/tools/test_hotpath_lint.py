@@ -99,6 +99,28 @@ def test_flags_from_pickle_import_and_cpickle_alias(tmp_path):
     assert whats == ["from pickle import ...", "import _pickle"]
 
 
+def test_pickle_is_allowed_only_in_the_payload_envelope(tmp_path):
+    root = _write_pdes_tree(
+        tmp_path,
+        "def _pack_obj(out, obj):\n"
+        "    import pickle\n"  # the envelope: allowed
+        "    out += pickle.dumps(obj)\n"
+        "def _unpack_obj(buf, pos):\n"
+        "    import pickle\n"  # its mirror: allowed
+        "    return pickle.loads(buf), pos\n"
+        "def encode_batch(exports, out):\n"
+        "    import pickle\n"  # violation: the batch path proper
+        "    out += pickle.dumps(exports)\n",
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("encode_batch", "import pickle"),
+        ("encode_batch", "pickle.dumps"),
+    ]
+
+
 def test_pickle_rule_ignores_files_outside_export_path(tmp_path):
     # engine of another package: pickle is fine elsewhere in the tree
     root = tmp_path / "repo"

@@ -10,15 +10,16 @@ its two *handler boundaries* -- broadcast injection in
 layers, constructing one silently reintroduces a per-message allocation
 -- results stay correct, so only this lint catches the regression.
 
-PR 8 added a second rule for the PDES export path: the shared-memory
-ring transport (``repro.pdes.rings`` / ``wire`` / ``worker`` /
-``engine``) moves export batches through the serde-based columnar wire
-codec, and ``pickle`` must never reappear there -- no ``import pickle``
-and no ``pickle.dumps`` / ``pickle.loads`` calls.  (The legacy pipe
-transport pickles *implicitly* through ``Connection.send``, which is
-fine; an explicit ``pickle`` use in these modules means someone put a
-Python-object serializer back on the hot path.)  Results stay
-bit-identical either way, so again only this lint catches it.
+A second rule guards the PDES export path: the shared-memory ring
+transport (``repro.pdes.rings`` / ``wire`` / ``worker`` / ``engine``)
+moves export batches through the serde-based columnar wire codec, and
+``pickle`` must not appear there -- no ``import pickle`` and no
+``pickle.dumps`` / ``pickle.loads`` -- except in the opaque-payload
+envelope, ``wire._pack_obj`` / ``wire._unpack_obj``, which pickles
+only a payload value serde cannot encode.  Anywhere else a ``pickle``
+use means someone put a Python-object serializer back on the batch
+path.  Results stay bit-identical either way, so again only this lint
+catches it.
 
 PR 9 added a third rule for the in-network combining pass
 (``repro.core.routing.combiner``): the group-by must stay vectorized --
@@ -28,14 +29,13 @@ combiner's *field lists* (``key_fields`` / ``reduce_fields``, a handful
 of names), never over records; a ``for``/``while``/comprehension over
 anything else is a per-record loop sneaking back onto the re-bin path.
 
-PR 10 added a fourth rule for the ring fast path: the flight recorder
-(``repro.pdes.flight``) records per *window*, never per ring operation,
-so ``SpscRing.try_push`` / ``begin_pop`` / ``commit_pop`` must stay
-free of clock reads and recorder calls -- no ``perf_counter`` /
-``monotonic`` / ``time`` and no ``span`` / ``instant`` / ``record`` /
-``counter`` / ``progress``.  The always-on :class:`RingStats` integer
-bumps are the only telemetry allowed there; a timing call on that path
-taxes every batch whether or not anyone is recording.
+A fourth rule keeps the ring fast path clock-free:
+``SpscRing.try_push`` / ``begin_pop`` / ``commit_pop`` make no clock
+reads and no recorder calls -- no ``perf_counter`` / ``monotonic`` /
+``time`` and no ``span`` / ``instant`` / ``record`` / ``counter`` /
+``progress``.  The always-on :class:`RingStats` integer bumps are the
+only telemetry allowed there; a timing call on that path would tax
+every batch, and there is no recorder to feed.
 
 A fifth rule guards the remote-packet path (``repro.machine.topology``):
 one object per packet.  A remote packet is one in-flight entry
@@ -108,7 +108,7 @@ ALLOWED_SITES = {
     ("src/repro/core/mailbox.py", "Mailbox._handle_packet"),
 }
 
-#: PDES export-path files where ``pickle`` must never appear (the ring
+#: PDES export-path files where ``pickle`` must not appear (the ring
 #: transport serializes through :mod:`repro.pdes.wire` instead).
 PICKLE_FREE_FILES = (
     "src/repro/pdes/rings.py",
@@ -116,6 +116,13 @@ PICKLE_FREE_FILES = (
     "src/repro/pdes/worker.py",
     "src/repro/pdes/engine.py",
 )
+
+#: ``(file, qualname)`` sites allowed to pickle: the opaque-payload
+#: envelope for values serde cannot encode.
+PICKLE_ALLOWED_SITES = {
+    ("src/repro/pdes/wire.py", "_pack_obj"),
+    ("src/repro/pdes/wire.py", "_unpack_obj"),
+}
 
 #: Files whose loops may only iterate per-*field*, never per-record.
 VECTORIZED_FILES = ("src/repro/core/routing/combiner.py",)
@@ -128,8 +135,8 @@ RING_FAST_METHODS = {
     "SpscRing.commit_pop",
 }
 
-#: Calls forbidden inside the ring fast path: clock reads and flight/
-#: tracer recording verbs.  Matched by callee name, so both ``time()``
+#: Calls forbidden inside the ring fast path: clock reads and
+#: recording verbs.  Matched by callee name, so both ``time()``
 #: and ``time.monotonic()`` trip it.
 RING_FORBIDDEN_CALLS = {
     "perf_counter",
@@ -241,7 +248,8 @@ class _PickleVisitor(ast.NodeVisitor):
 
     def _flag(self, node, what: str) -> None:
         qualname = ".".join(self.stack) or "<module>"
-        self.violations.append((self.relpath, node.lineno, qualname, what))
+        if (self.relpath, qualname) not in PICKLE_ALLOWED_SITES:
+            self.violations.append((self.relpath, node.lineno, qualname, what))
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -661,8 +669,7 @@ def main(argv=None) -> int:
             print(
                 f"{relpath}:{lineno}: {name[len('ring-hot '):]}() called in "
                 f"{qualname} -- the ring push/pop fast path must stay free "
-                f"of clock reads and recorder calls (the flight recorder "
-                f"times per window, outside the ring; RingStats integer "
+                f"of clock reads and recorder calls (RingStats integer "
                 f"bumps are the only telemetry allowed here)",
                 file=sys.stderr,
             )
@@ -694,8 +701,9 @@ def main(argv=None) -> int:
             print(
                 f"{relpath}:{lineno}: {name} in {qualname} -- the PDES "
                 f"export path must stay pickle-free (encode through "
-                f"repro.pdes.wire; the pipe fallback pickles implicitly "
-                f"via Connection.send)",
+                f"repro.pdes.wire; only its opaque-payload envelope, "
+                f"{', '.join(sorted(q for _, q in PICKLE_ALLOWED_SITES))}, "
+                f"may pickle)",
                 file=sys.stderr,
             )
         else:
