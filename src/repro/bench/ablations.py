@@ -16,7 +16,8 @@ way they do:
   aggregation PR 9 adds).
 
 All sweeps share one parametrized degree-counting cell
-(:func:`degree_cell`); the straggler comparison has its own cells.
+(:func:`degree_cell`, also the cell of Figs 6a/6b); the straggler
+comparison has its own cells.
 Cells go through :mod:`repro.exec`, so ablations parallelize and cache
 like the figures do.
 """
@@ -29,14 +30,15 @@ import numpy as np
 
 from ..apps import make_connected_components, make_degree_counting
 from ..baselines import make_bsp_degree_counting
+from ..core import YgmResult
 from ..exec import Job, Pool, run_jobs
 from ..graph import er_stream, rmat_stream
 from ..machine import bench_machine
-from .harness import SweepConfig, run_mpi, run_ygm
+from .harness import run_mpi, run_ygm
 from .report import Table
 
 
-def degree_cell(
+def degree_run(
     *,
     nodes: int,
     cores: int,
@@ -47,8 +49,9 @@ def degree_cell(
     num_vertices: int,
     seed: int,
     eager_threshold: Optional[int] = None,
-) -> dict:
-    """One degree-counting run, returning every stat the ablations read."""
+    tracer=None,
+) -> YgmResult:
+    """One degree-counting run: the Fig 6 panels' and the ablations' cell."""
     stream = er_stream(
         num_vertices=num_vertices, edges_per_rank=edges_per_rank, seed=seed
     )
@@ -56,13 +59,20 @@ def degree_cell(
     if eager_threshold is not None:
         overrides["eager_threshold"] = eager_threshold
     machine = bench_machine(nodes, cores_per_node=cores, **overrides)
-    res = run_ygm(
+    return run_ygm(
         make_degree_counting(stream, batch_size=batch_size),
         machine,
         scheme,
         capacity,
         seed=seed,
+        tracer=tracer,
     )
+
+
+def degree_cell(**kwargs) -> dict:
+    """:func:`degree_run` as a pool job: every stat the figures and
+    ablations read."""
+    res = degree_run(**kwargs)
     stats = res.mailbox_stats
     return {
         "seconds": res.elapsed,

@@ -6,19 +6,15 @@ studies.  Figures can be given positionally (``fig6``, ``6a``) or via
 the default quick sweep finishes each figure in seconds to a couple of
 minutes.
 
-``--trace out.json`` / ``--metrics out.csv`` switch to the traced
-single-run mode (see :mod:`repro.bench.tracing`): one representative
-configuration of the first requested figure runs with the observability
-layer enabled, emitting a Chrome ``trace_event`` timeline (one lane per
-rank plus NIC lanes; load in chrome://tracing or Perfetto) and a
-per-interval metrics table.
+``--trace out.json`` / ``--metrics out.csv`` / ``--profile out.html``
+switch to an instrumented run of the first requested figure's own cell
+(see :mod:`repro.bench.instrumented`): a Chrome ``trace_event``
+timeline, a per-interval metrics table, and a self-contained HTML (plus
+JSON) causal profile comparing every routing scheme.  One invocation
+writes every output it names.
 
-``--profile`` switches to the causal-profile mode (see
-:mod:`repro.bench.profiling`): one representative configuration of the
-first requested figure runs under *every* routing scheme with the
-lineage profiler enabled, and a self-contained HTML report (plus a JSON
-document; ``--profile-out`` sets the path) compares the schemes'
-critical paths to quiescence, per-rank utilization and per-hop latency.
+Every figure and ablation id is one :data:`REGISTRY` entry; ``--fig``,
+:func:`expand_figs` and the instrumented runs all read it.
 
 ``--check`` switches to the correctness-harness mode (see
 :mod:`repro.check` and TESTING.md): the routing-differential oracle and
@@ -43,84 +39,102 @@ unchanged sweeps near-instant.  ``--no-cache`` disables it,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
+import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..exec import Pool
-from .harness import SweepConfig
+from . import ablations, fig5, fig6, fig7, fig8
+from .harness import Panel, SweepConfig
+from .report import Table
 
-FIGS = ["5", "6a", "6b", "7a", "7b", "8a", "8c", "8d"]
-ABLATIONS = ["capacity", "combining", "cores", "eager", "hybrid", "straggler"]
+
+class Figure(NamedTuple):
+    """One registry entry: a figure panel or an ablation."""
+
+    #: The group id that runs it: ``all`` (paper figures) or ``ablations``.
+    group: str
+    #: ``run(sweep, quick, pool)`` -> the figure's table.
+    run: Callable[[SweepConfig, bool, Optional[Pool]], Table]
+    #: Scaling panels only: the :class:`Panel` instrumented runs read.
+    panel: Optional[Callable[[SweepConfig], Panel]] = None
 
 
-def run_figure(
-    fig: str,
-    sweep: SweepConfig,
-    quick: bool,
-    pool: Optional[Pool] = None,
-):
-    from . import ablations, fig5, fig6, fig7, fig8
+def _figure(driver: Callable[..., Table], panel=None, **kwargs) -> Figure:
+    return Figure(
+        "all", lambda sweep, quick, pool: driver(sweep, pool=pool, **kwargs), panel
+    )
 
-    if fig == "5":
-        return [fig5.run(quick=quick, pool=pool)]
-    if fig == "6a":
-        return [fig6.run_weak(sweep, pool=pool)]
-    if fig == "6b":
-        return [fig6.run_strong(sweep, pool=pool)]
-    if fig == "7a":
-        return [fig7.run_weak(sweep, pool=pool)]
-    if fig == "7b":
-        return [fig7.run_strong(sweep, pool=pool)]
-    if fig == "8a" or fig == "8b":
-        return [fig8.run_weak(sweep, skewed=True, pool=pool)]
-    if fig == "8c":
-        return [fig8.run_weak(sweep, skewed=False, pool=pool)]
-    if fig == "8d":
-        return [fig8.run_strong_webgraph(sweep, pool=pool)]
-    if fig == "capacity":
-        return [ablations.run_capacity_sweep(pool=pool)]
-    if fig == "combining":
-        return [ablations.run_combining_sweep(pool=pool)]
-    if fig == "cores":
-        return [ablations.run_cores_sweep(pool=pool)]
-    if fig == "eager":
-        return [ablations.run_eager_threshold_sweep(pool=pool)]
-    if fig == "hybrid":
-        return [ablations.run_hybrid_comparison(pool=pool)]
-    if fig == "straggler":
-        return [ablations.run_straggler_comparison(pool=pool)]
-    raise ValueError(f"unknown figure {fig!r}")
+
+def _ablation(driver: Callable[..., Table]) -> Figure:
+    return Figure("ablations", lambda sweep, quick, pool: driver(pool=pool))
+
+
+#: Every figure and ablation id, in the order ``all`` / ``ablations``
+#: run them.
+REGISTRY: Dict[str, Figure] = {
+    "5": Figure("all", lambda sweep, quick, pool: fig5.run(quick=quick, pool=pool)),
+    "6a": _figure(fig6.run_weak, fig6.weak_panel),
+    "6b": _figure(fig6.run_strong, fig6.strong_panel),
+    "7a": _figure(fig7.run_weak, fig7.weak_panel),
+    "7b": _figure(fig7.run_strong, fig7.strong_panel),
+    "8a": _figure(fig8.run_weak, skewed=True),
+    "8c": _figure(fig8.run_weak, skewed=False),
+    "8d": _figure(fig8.run_strong_webgraph),
+    "capacity": _ablation(ablations.run_capacity_sweep),
+    "combining": _ablation(ablations.run_combining_sweep),
+    "cores": _ablation(ablations.run_cores_sweep),
+    "eager": _ablation(ablations.run_eager_threshold_sweep),
+    "hybrid": _ablation(ablations.run_hybrid_comparison),
+    "straggler": _ablation(ablations.run_straggler_comparison),
+}
+#: Fig 8b is the delegate column of the 8a sweep.
+ALIASES = {"8b": "8a"}
+GROUPS = ("all", "ablations")
 
 
 def expand_figs(figs: List[str]) -> List[str]:
-    """Normalize figure ids: strip a ``fig`` prefix, expand groups.
+    """Normalize figure ids to :data:`REGISTRY` keys.
 
-    ``fig6`` / ``6`` expand to every figure panel starting with ``6``;
-    ``all`` / ``ablations`` expand to their full lists.
+    Strips a ``fig`` prefix and resolves aliases; ``fig6`` / ``6``
+    expand to every paper figure panel starting with ``6``; ``all`` /
+    ``ablations`` expand to their groups.
     """
-    known = FIGS + ["8b"] + ABLATIONS
     expanded: List[str] = []
     for raw in figs:
         f = raw.lower()
         if f.startswith("fig"):
             f = f[3:]
-        if f == "all":
-            expanded.extend(FIGS)
-        elif f == "ablations":
-            expanded.extend(ABLATIONS)
-        elif f in known:
+        f = ALIASES.get(f, f)
+        if f in GROUPS:
+            expanded.extend(k for k, fig in REGISTRY.items() if fig.group == f)
+        elif f in REGISTRY:
             expanded.append(f)
         else:
-            panels = [k for k in FIGS if k.startswith(f)]
+            panels = [
+                k for k, fig in REGISTRY.items()
+                if fig.group == "all" and k.startswith(f)
+            ]
             # "" is a prefix of every id: a bare "fig" names no figure.
             if not f or not panels:
                 raise ValueError(
-                    f"unknown figure {raw!r}; known: {known + ['all', 'ablations']}"
+                    f"unknown figure {raw!r}; known: "
+                    f"{[*REGISTRY, *ALIASES, *GROUPS]}"
                 )
             expanded.extend(panels)
     return expanded
+
+
+def _check_writable(path: str) -> None:
+    """Raise ``OSError`` if ``path`` cannot be written; create nothing."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fig",
         action="append",
         dest="figs",
-        choices=FIGS + ["8b"] + ABLATIONS + ["all", "ablations"],
+        choices=[*REGISTRY, *ALIASES, *GROUPS],
         help="figure id (repeatable); 'all' runs every paper figure, "
         "'ablations' every ablation",
     )
@@ -183,35 +197,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         metavar="PATH",
-        help="traced mode: write a Chrome trace_event JSON timeline of one "
-        "representative configuration of the first requested figure",
+        help="instrumented run: write a Chrome trace_event JSON timeline of "
+        "the first requested figure's NLNR cell",
     )
     parser.add_argument(
         "--metrics",
         metavar="PATH",
-        help="traced mode: write the per-interval metrics table (CSV)",
-    )
-    parser.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=None,
-        help="metrics bucket width in simulated seconds (default: run/50)",
+        help="instrumented run: write the same cell's per-interval metrics "
+        "table (CSV)",
     )
     parser.add_argument(
         "--profile",
-        action="store_true",
-        help="causal-profile mode: run one representative configuration of "
-        "the first requested figure under every routing scheme with the "
-        "lineage profiler, and write a self-contained HTML report (plus "
-        "JSON) with the critical path to quiescence, per-rank utilization "
-        "and per-hop latency histograms",
-    )
-    parser.add_argument(
-        "--profile-out",
         metavar="PATH",
-        default=None,
-        help="with --profile: HTML output path (default: profile_<fig>.html; "
-        "the JSON document lands next to it with a .json suffix)",
+        help="instrumented run: profile the first requested figure's cell "
+        "under every routing scheme and write a self-contained HTML report "
+        "to PATH (plus JSON next to it) with the critical path to "
+        "quiescence, per-rank utilization and per-hop latency histograms",
     )
     parser.add_argument(
         "--check",
@@ -305,63 +306,39 @@ def main(argv: List[str] = None) -> int:
         parser.error(str(exc))
 
     sweep = SweepConfig.full() if args.full else SweepConfig.quick()
-    if args.seed != sweep.seed:
-        sweep = SweepConfig(
-            cores_per_node=sweep.cores_per_node,
-            node_counts=sweep.node_counts,
-            mailbox_capacity=sweep.mailbox_capacity,
-            seed=args.seed,
-        )
+    sweep = dataclasses.replace(sweep, seed=args.seed)
 
-    if args.profile:
-        from .profiling import run_profiled
+    if args.trace or args.metrics or args.profile:
+        from .instrumented import json_path, run_instrumented
 
-        html_path = args.profile_out or f"profile_{expanded[0]}.html"
-        json_path = (
-            html_path[: -len(".html")] + ".json"
-            if html_path.endswith(".html")
-            else html_path + ".json"
-        )
-        for path in (html_path, json_path):
+        panel = REGISTRY[expanded[0]].panel
+        if panel is None:
+            parser.error(
+                f"figure {expanded[0]!r} has no instrumented run; "
+                f"instrumented figures: "
+                f"{[k for k, fig in REGISTRY.items() if fig.panel]}"
+            )
+        outputs = [args.trace, args.metrics]
+        if args.profile:
+            outputs += [args.profile, json_path(args.profile)]
+        # Fail fast on unwritable output paths -- before the simulation.
+        for path in filter(None, outputs):
             try:
-                with open(path, "a"):
-                    pass
+                _check_writable(path)
             except OSError as exc:
                 parser.error(f"cannot write {path}: {exc}")
         start = time.perf_counter()
         try:
-            table = run_profiled(expanded[0], sweep, html_path, json_path)
-        except (ValueError, OSError) as exc:
-            parser.error(str(exc))
-        wall = time.perf_counter() - start
-        print(table.render())
-        print(f"# harness wall-clock: {wall:.1f}s")
-        return 0
-
-    if args.trace or args.metrics:
-        from .tracing import run_traced
-
-        # Fail fast on unwritable output paths -- before the simulation.
-        for path in (args.trace, args.metrics):
-            if path:
-                try:
-                    with open(path, "a"):
-                        pass
-                except OSError as exc:
-                    parser.error(f"cannot write {path}: {exc}")
-        start = time.perf_counter()
-        try:
-            table = run_traced(
-                expanded[0],
-                sweep,
+            tables = run_instrumented(
+                panel(sweep),
                 trace_path=args.trace,
                 metrics_path=args.metrics,
-                metrics_interval=args.metrics_interval,
+                profile_path=args.profile,
             )
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
         wall = time.perf_counter() - start
-        print(table.render())
+        print("\n\n".join(table.render() for table in tables))
         print(f"# harness wall-clock: {wall:.1f}s")
         return 0
 
@@ -371,12 +348,7 @@ def main(argv: List[str] = None) -> int:
     for fig in expanded:
         start = time.perf_counter()
         try:
-            tables = run_figure(
-                fig,
-                sweep,
-                quick=not args.full,
-                pool=pool,
-            )
+            table = REGISTRY[fig].run(sweep, not args.full, pool)
         except KeyboardInterrupt:
             print("\n# interrupted; workers terminated", file=sys.stderr)
             return 130
@@ -385,10 +357,9 @@ def main(argv: List[str] = None) -> int:
             print(f"# figure {fig} FAILED: {exc}", file=sys.stderr)
             continue
         wall = time.perf_counter() - start
-        for table in tables:
-            print(table.render())
-            print(f"# harness wall-clock: {wall:.1f}s")
-            print()
+        print(table.render())
+        print(f"# harness wall-clock: {wall:.1f}s")
+        print()
     if failed:
         print(
             f"# {len(failed)} figure(s) failed: {', '.join(failed)}",

@@ -13,182 +13,81 @@ Expected shape: NoRoute falls over past a few nodes; NodeLocal and
 NodeRemote track each other (uniform traffic) and beat NLNR at small N
 (extra local hop); NLNR scales furthest.
 
-Every ``(nodes, scheme)`` cell is an independent simulation, expressed
-as a module-level cell function (:func:`weak_cell` / :func:`strong_cell`)
-that rebuilds its workload from scalar kwargs; the drivers submit cells
-through :mod:`repro.exec` and aggregate in deterministic sweep order,
-so ``--jobs N`` output is byte-identical to serial.
+Both panels run the ablations' degree-counting cell
+(:func:`repro.bench.ablations.degree_cell`) over the sweep's
+``(nodes, scheme)`` grid; each panel is one
+:class:`~repro.bench.harness.Panel`, which the figure table and the
+instrumented runs (``--trace`` / ``--profile``) share.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..apps import make_degree_counting
-from ..exec import Job, Pool, run_jobs
-from ..graph import er_stream
-from ..machine import bench_machine
-from .harness import SweepConfig, efficiency, run_ygm, schemes_for
+from ..exec import Pool
+from .ablations import degree_cell, degree_run
+from .harness import Panel, SweepConfig
 from .report import Table
 
 
-def weak_cell(
-    *,
-    nodes: int,
-    scheme: str,
-    cores_per_node: int,
-    mailbox_capacity: int,
-    edges_per_rank: int,
-    verts_per_rank: int,
-    batch_size: int,
-    seed: int,
-) -> dict:
-    """One (nodes, scheme) cell of Fig 6a, rebuilt from scalars."""
-    nranks = nodes * cores_per_node
-    stream = er_stream(
-        num_vertices=verts_per_rank * nranks,
-        edges_per_rank=edges_per_rank,
-        seed=seed,
-    )
-    res = run_ygm(
-        make_degree_counting(stream, batch_size=batch_size),
-        bench_machine(nodes, cores_per_node=cores_per_node),
-        scheme,
-        mailbox_capacity,
-        seed=seed,
-    )
-    return {
-        "seconds": res.elapsed,
-        "avg_remote_pkt_B": res.mailbox_stats.avg_remote_packet_bytes,
-    }
-
-
-def strong_cell(
-    *,
-    nodes: int,
-    scheme: str,
-    cores_per_node: int,
-    mailbox_capacity: int,
-    total_edges: int,
-    total_verts: int,
-    batch_size: int,
-    seed: int,
-) -> dict:
-    """One (nodes, scheme) cell of Fig 6b."""
-    nranks = nodes * cores_per_node
-    stream = er_stream(
-        num_vertices=total_verts,
-        edges_per_rank=max(1, total_edges // nranks),
-        seed=seed,
-    )
-    res = run_ygm(
-        make_degree_counting(stream, batch_size=batch_size),
-        bench_machine(nodes, cores_per_node=cores_per_node),
-        scheme,
-        mailbox_capacity,
-        seed=seed,
-    )
-    return {"seconds": res.elapsed}
-
-
-def _grid(sweep: SweepConfig):
-    for nodes in sweep.node_counts:
-        for scheme in schemes_for(nodes, sweep.cores_per_node):
-            yield nodes, scheme
-
-
-def run_weak(
-    sweep: Optional[SweepConfig] = None,
+def weak_panel(
+    sweep: SweepConfig,
     edges_per_rank: int = 2**12,
     verts_per_rank: int = 2**10,
     batch_size: int = 2**12,
-    pool: Optional[Pool] = None,
-) -> Table:
-    sweep = sweep or SweepConfig.quick()
-    table = Table(
+) -> Panel:
+    """Fig 6a: fixed work per rank."""
+    return Panel(
+        fig="6a",
         title="Fig 6a: degree counting, weak scaling "
         f"({edges_per_rank} edges/rank, {verts_per_rank} vertices/rank, "
         f"C={sweep.cores_per_node}, mailbox {sweep.mailbox_capacity})",
-        columns=["nodes", "scheme", "seconds", "efficiency", "avg_remote_pkt_B"],
+        sweep=sweep,
+        weak=True,
+        simulate=degree_run,
+        cell=degree_cell,
+        workload=lambda nodes: dict(
+            batch_size=batch_size,
+            edges_per_rank=edges_per_rank,
+            num_vertices=verts_per_rank * nodes * sweep.cores_per_node,
+        ),
+        extra=("avg_remote_pkt_B",),
     )
-    grid = list(_grid(sweep))
-    cells = run_jobs(
-        [
-            Job(
-                fn="repro.bench.fig6:weak_cell",
-                kwargs=dict(
-                    nodes=nodes,
-                    scheme=scheme,
-                    cores_per_node=sweep.cores_per_node,
-                    mailbox_capacity=sweep.mailbox_capacity,
-                    edges_per_rank=edges_per_rank,
-                    verts_per_rank=verts_per_rank,
-                    batch_size=batch_size,
-                    seed=sweep.seed,
-                ),
-                label=f"fig6a N={nodes} {scheme}",
-            )
-            for nodes, scheme in grid
-        ],
-        pool,
-    )
-    base: dict = {}
-    for (nodes, scheme), cell in zip(grid, cells):
-        base.setdefault(scheme, (cell["seconds"], nodes))
-        b_el, b_n = base[scheme]
-        table.add(
-            nodes=nodes,
-            scheme=scheme,
-            seconds=cell["seconds"],
-            efficiency=efficiency(b_el, b_n, cell["seconds"], nodes, weak=True),
-            avg_remote_pkt_B=cell["avg_remote_pkt_B"],
-        )
-    return table
 
 
-def run_strong(
-    sweep: Optional[SweepConfig] = None,
+def strong_panel(
+    sweep: SweepConfig,
     total_edges: int = 2**17,
     total_verts: int = 2**14,
     batch_size: int = 2**12,
-    pool: Optional[Pool] = None,
-) -> Table:
-    sweep = sweep or SweepConfig.quick()
-    table = Table(
+) -> Panel:
+    """Fig 6b: fixed total work."""
+    return Panel(
+        fig="6b",
         title="Fig 6b: degree counting, strong scaling "
         f"({total_edges} edges, {total_verts} vertices total, "
         f"C={sweep.cores_per_node}, mailbox {sweep.mailbox_capacity})",
-        columns=["nodes", "scheme", "seconds", "efficiency"],
+        sweep=sweep,
+        weak=False,
+        simulate=degree_run,
+        cell=degree_cell,
+        workload=lambda nodes: dict(
+            batch_size=batch_size,
+            edges_per_rank=max(1, total_edges // (nodes * sweep.cores_per_node)),
+            num_vertices=total_verts,
+        ),
     )
-    grid = list(_grid(sweep))
-    cells = run_jobs(
-        [
-            Job(
-                fn="repro.bench.fig6:strong_cell",
-                kwargs=dict(
-                    nodes=nodes,
-                    scheme=scheme,
-                    cores_per_node=sweep.cores_per_node,
-                    mailbox_capacity=sweep.mailbox_capacity,
-                    total_edges=total_edges,
-                    total_verts=total_verts,
-                    batch_size=batch_size,
-                    seed=sweep.seed,
-                ),
-                label=f"fig6b N={nodes} {scheme}",
-            )
-            for nodes, scheme in grid
-        ],
-        pool,
-    )
-    base: dict = {}
-    for (nodes, scheme), cell in zip(grid, cells):
-        base.setdefault(scheme, (cell["seconds"], nodes))
-        b_el, b_n = base[scheme]
-        table.add(
-            nodes=nodes,
-            scheme=scheme,
-            seconds=cell["seconds"],
-            efficiency=efficiency(b_el, b_n, cell["seconds"], nodes, weak=False),
-        )
-    return table
+
+
+def run_weak(
+    sweep: Optional[SweepConfig] = None, pool: Optional[Pool] = None, **workload
+) -> Table:
+    """The Fig 6a table; ``workload`` overrides :func:`weak_panel`'s."""
+    return weak_panel(sweep or SweepConfig.quick(), **workload).run(pool)
+
+
+def run_strong(
+    sweep: Optional[SweepConfig] = None, pool: Optional[Pool] = None, **workload
+) -> Table:
+    """The Fig 6b table; ``workload`` overrides :func:`strong_panel`'s."""
+    return strong_panel(sweep or SweepConfig.quick(), **workload).run(pool)

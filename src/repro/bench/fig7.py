@@ -10,10 +10,10 @@ Paper setup (scaled down):
 Expected shape: NoRoute worst; NodeLocal/NodeRemote best at small N;
 NLNR wins at scale; broadcast count grows with weak-scaled graph size.
 
-Cells (:func:`weak_cell` / :func:`strong_cell`) are independent
-simulations rebuilt from scalar kwargs and submitted through
-:mod:`repro.exec`; aggregation order is the sweep order, so parallel
-tables match serial ones byte for byte.
+Both panels run :func:`cc_cell` over the sweep's ``(nodes, scheme)``
+grid; each panel is one :class:`~repro.bench.harness.Panel`, which the
+figure table and the instrumented runs (``--trace`` / ``--profile``)
+share.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ import math
 from typing import Optional
 
 from ..apps import make_connected_components
-from ..exec import Job, Pool, run_jobs
+from ..core import YgmResult
+from ..exec import Pool
 from ..graph import GRAPH500_PARAMS, rmat_stream, scaled_delegate_threshold
 from ..machine import bench_machine
-from .harness import SweepConfig, efficiency, run_ygm, schemes_for
+from .harness import Panel, SweepConfig, run_ygm
 from .report import Table
 
 
@@ -34,29 +35,36 @@ def _threshold(scale: int, total_edges: int, fraction: float) -> float:
     return scaled_delegate_threshold(scale, total_edges, a, b, fraction=fraction)
 
 
-def cc_cell(
+def cc_run(
     *,
     nodes: int,
     scheme: str,
-    cores_per_node: int,
-    mailbox_capacity: int,
+    cores: int,
+    capacity: int,
     scale: int,
     edges_per_rank: int,
     threshold: float,
     batch_size: int,
     seed: int,
-) -> dict:
-    """One (nodes, scheme) connected-components cell (both panels)."""
+    tracer=None,
+) -> YgmResult:
+    """One connected-components run with delegates (both panels' cell)."""
     stream = rmat_stream(scale, edges_per_rank, seed=seed)
-    res = run_ygm(
+    return run_ygm(
         make_connected_components(
             stream, delegate_threshold=threshold, batch_size=batch_size
         ),
-        bench_machine(nodes, cores_per_node=cores_per_node),
+        bench_machine(nodes, cores_per_node=cores),
         scheme,
-        mailbox_capacity,
+        capacity,
         seed=seed,
+        tracer=tracer,
     )
+
+
+def cc_cell(**kwargs) -> dict:
+    """:func:`cc_run` as a pool job: the stats both tables read."""
+    res = cc_run(**kwargs)
     return {
         "seconds": res.elapsed,
         "passes": res.values[0].passes,
@@ -65,123 +73,79 @@ def cc_cell(
     }
 
 
-def run_weak(
-    sweep: Optional[SweepConfig] = None,
+def weak_panel(
+    sweep: SweepConfig,
     verts_per_node_log2: int = 9,
     edges_per_node_log2: int = 12,
     delegate_fraction: float = 0.05,
     batch_size: int = 2**12,
-    pool: Optional[Pool] = None,
-) -> Table:
-    sweep = sweep or SweepConfig.quick()
-    table = Table(
+) -> Panel:
+    """Fig 7a: fixed work per node, the graph grows with N."""
+
+    def workload(nodes: int) -> dict:
+        scale = verts_per_node_log2 + max(0, int(math.log2(nodes)))
+        total_edges = (1 << edges_per_node_log2) * nodes
+        return dict(
+            scale=scale,
+            edges_per_rank=max(1, total_edges // (nodes * sweep.cores_per_node)),
+            threshold=_threshold(scale, total_edges, delegate_fraction),
+            batch_size=batch_size,
+        )
+
+    return Panel(
+        fig="7a",
         title="Fig 7a: connected components, weak scaling "
         f"(2^{verts_per_node_log2} verts/node, 2^{edges_per_node_log2} edges/node, "
         f"RMAT {GRAPH500_PARAMS}, C={sweep.cores_per_node})",
-        columns=[
-            "nodes", "scheme", "seconds", "efficiency",
-            "passes", "delegates", "broadcasts",
-        ],
+        sweep=sweep,
+        weak=True,
+        simulate=cc_run,
+        cell=cc_cell,
+        workload=workload,
+        extra=("passes", "delegates", "broadcasts"),
+        note="delegate threshold scaled with the expected largest RMAT degree "
+        "(Section VI-B); broadcasts grow with graph size as in the paper",
     )
-    grid = []
-    jobs = []
-    for nodes in sweep.node_counts:
-        scale = verts_per_node_log2 + max(0, int(math.log2(nodes)))
-        total_edges = (1 << edges_per_node_log2) * nodes
-        edges_per_rank = max(1, total_edges // (nodes * sweep.cores_per_node))
-        threshold = _threshold(scale, total_edges, delegate_fraction)
-        for scheme in schemes_for(nodes, sweep.cores_per_node):
-            grid.append((nodes, scheme))
-            jobs.append(
-                Job(
-                    fn="repro.bench.fig7:cc_cell",
-                    kwargs=dict(
-                        nodes=nodes,
-                        scheme=scheme,
-                        cores_per_node=sweep.cores_per_node,
-                        mailbox_capacity=sweep.mailbox_capacity,
-                        scale=scale,
-                        edges_per_rank=edges_per_rank,
-                        threshold=threshold,
-                        batch_size=batch_size,
-                        seed=sweep.seed,
-                    ),
-                    label=f"fig7a N={nodes} {scheme}",
-                )
-            )
-    cells = run_jobs(jobs, pool)
-    base: dict = {}
-    for (nodes, scheme), cell in zip(grid, cells):
-        base.setdefault(scheme, (cell["seconds"], nodes))
-        b_el, b_n = base[scheme]
-        table.add(
-            nodes=nodes,
-            scheme=scheme,
-            seconds=cell["seconds"],
-            efficiency=efficiency(b_el, b_n, cell["seconds"], nodes, weak=True),
-            passes=cell["passes"],
-            delegates=cell["delegates"],
-            broadcasts=cell["broadcasts"],
-        )
-    table.note(
-        "delegate threshold scaled with the expected largest RMAT degree "
-        "(Section VI-B); broadcasts grow with graph size as in the paper"
-    )
-    return table
 
 
-def run_strong(
-    sweep: Optional[SweepConfig] = None,
+def strong_panel(
+    sweep: SweepConfig,
     total_verts_log2: int = 12,
     total_edges_log2: int = 15,
     delegate_fraction: float = 0.05,
     batch_size: int = 2**12,
-    pool: Optional[Pool] = None,
-) -> Table:
-    sweep = sweep or SweepConfig.quick()
-    table = Table(
+) -> Panel:
+    """Fig 7b: one graph, more nodes."""
+    total_edges = 1 << total_edges_log2
+    threshold = _threshold(total_verts_log2, total_edges, delegate_fraction)
+    return Panel(
+        fig="7b",
         title="Fig 7b: connected components, strong scaling "
         f"(2^{total_verts_log2} vertices, 2^{total_edges_log2} edges total, "
         f"C={sweep.cores_per_node})",
-        columns=["nodes", "scheme", "seconds", "efficiency", "passes", "broadcasts"],
+        sweep=sweep,
+        weak=False,
+        simulate=cc_run,
+        cell=cc_cell,
+        workload=lambda nodes: dict(
+            scale=total_verts_log2,
+            edges_per_rank=max(1, total_edges // (nodes * sweep.cores_per_node)),
+            threshold=threshold,
+            batch_size=batch_size,
+        ),
+        extra=("passes", "broadcasts"),
     )
-    scale = total_verts_log2
-    total_edges = 1 << total_edges_log2
-    threshold = _threshold(scale, total_edges, delegate_fraction)
-    grid = []
-    jobs = []
-    for nodes in sweep.node_counts:
-        nranks = nodes * sweep.cores_per_node
-        for scheme in schemes_for(nodes, sweep.cores_per_node):
-            grid.append((nodes, scheme))
-            jobs.append(
-                Job(
-                    fn="repro.bench.fig7:cc_cell",
-                    kwargs=dict(
-                        nodes=nodes,
-                        scheme=scheme,
-                        cores_per_node=sweep.cores_per_node,
-                        mailbox_capacity=sweep.mailbox_capacity,
-                        scale=scale,
-                        edges_per_rank=max(1, total_edges // nranks),
-                        threshold=threshold,
-                        batch_size=batch_size,
-                        seed=sweep.seed,
-                    ),
-                    label=f"fig7b N={nodes} {scheme}",
-                )
-            )
-    cells = run_jobs(jobs, pool)
-    base: dict = {}
-    for (nodes, scheme), cell in zip(grid, cells):
-        base.setdefault(scheme, (cell["seconds"], nodes))
-        b_el, b_n = base[scheme]
-        table.add(
-            nodes=nodes,
-            scheme=scheme,
-            seconds=cell["seconds"],
-            efficiency=efficiency(b_el, b_n, cell["seconds"], nodes, weak=False),
-            passes=cell["passes"],
-            broadcasts=cell["broadcasts"],
-        )
-    return table
+
+
+def run_weak(
+    sweep: Optional[SweepConfig] = None, pool: Optional[Pool] = None, **workload
+) -> Table:
+    """The Fig 7a table; ``workload`` overrides :func:`weak_panel`'s."""
+    return weak_panel(sweep or SweepConfig.quick(), **workload).run(pool)
+
+
+def run_strong(
+    sweep: Optional[SweepConfig] = None, pool: Optional[Pool] = None, **workload
+) -> Table:
+    """The Fig 7b table; ``workload`` overrides :func:`strong_panel`'s."""
+    return strong_panel(sweep or SweepConfig.quick(), **workload).run(pool)

@@ -4,18 +4,22 @@ Each figure module builds workloads, sweeps ``(scheme, nodes)`` grids and
 returns :class:`~repro.bench.report.Table` objects whose rows mirror the
 series plotted in the paper.  Simulated seconds are the measured
 quantity; wall-clock time of the simulation itself is what
-``benchmarks/ygmbench`` measures.
+``benchmarks/ygmbench`` measures.  The four scaling panels (Figs 6a-7b)
+are each one :class:`Panel`: the figure table and the instrumented runs
+(:mod:`repro.bench.instrumented`) both build their cells from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import YgmResult, YgmWorld
 from ..core.routing import PAPER_SCHEMES
+from ..exec import Job, Pool, run_jobs
 from ..machine import MachineConfig, bench_machine
 from ..mpi import World
+from .report import Table
 
 
 @dataclass(frozen=True)
@@ -89,3 +93,75 @@ def efficiency(base_elapsed: float, base_nodes: int, elapsed: float, nodes: int,
     if weak:
         return base_elapsed / elapsed
     return (base_elapsed / elapsed) * (base_nodes / nodes)
+
+
+@dataclass(frozen=True)
+class Panel:
+    """One scaling panel: a cell per ``(nodes, scheme)`` of the sweep.
+
+    ``simulate(**cell_kwargs(nodes, scheme), tracer=...)`` is the cell's
+    simulation; ``cell`` (same kwargs) is its pool job, reducing that
+    simulation to the row stats the table reads (``seconds`` plus
+    ``extra``).  ``workload(nodes)`` is the panel's part of the kwargs.
+    """
+
+    fig: str
+    title: str
+    sweep: SweepConfig
+    weak: bool
+    simulate: Callable[..., YgmResult]
+    cell: Callable[..., dict]
+    workload: Callable[[int], dict]
+    extra: Tuple[str, ...] = ()
+    note: Optional[str] = None
+
+    def cell_kwargs(self, nodes: int, scheme: str) -> dict:
+        """The kwargs of the ``(nodes, scheme)`` cell."""
+        return dict(
+            nodes=nodes,
+            scheme=scheme,
+            cores=self.sweep.cores_per_node,
+            capacity=self.sweep.mailbox_capacity,
+            seed=self.sweep.seed,
+            **self.workload(nodes),
+        )
+
+    def run(self, pool: Optional[Pool] = None) -> Table:
+        """The figure table: every cell, with each scheme's efficiency
+        relative to its smallest node count."""
+        grid = [
+            (nodes, scheme)
+            for nodes in self.sweep.node_counts
+            for scheme in schemes_for(nodes, self.sweep.cores_per_node)
+        ]
+        fn = f"{self.cell.__module__}:{self.cell.__name__}"
+        cells = run_jobs(
+            [
+                Job(
+                    fn=fn,
+                    kwargs=self.cell_kwargs(nodes, scheme),
+                    label=f"fig{self.fig} N={nodes} {scheme}",
+                )
+                for nodes, scheme in grid
+            ],
+            pool,
+        )
+        table = Table(
+            title=self.title,
+            columns=["nodes", "scheme", "seconds", "efficiency", *self.extra],
+        )
+        base: dict = {}
+        for (nodes, scheme), cell in zip(grid, cells):
+            b_el, b_n = base.setdefault(scheme, (cell["seconds"], nodes))
+            table.add(
+                nodes=nodes,
+                scheme=scheme,
+                seconds=cell["seconds"],
+                efficiency=efficiency(
+                    b_el, b_n, cell["seconds"], nodes, weak=self.weak
+                ),
+                **{col: cell[col] for col in self.extra},
+            )
+        if self.note:
+            table.note(self.note)
+        return table

@@ -1,7 +1,7 @@
 """The :class:`Job` abstraction: a picklable, hashable unit of sweep work.
 
 A job names a module-level *cell function* by dotted path
-(``"repro.bench.fig6:weak_cell"``) plus JSON-serializable keyword
+(``"repro.bench.ablations:degree_cell"``) plus JSON-serializable keyword
 arguments.  That representation serves three masters at once:
 
 * **picklability** -- only the path string and plain data cross the

@@ -19,16 +19,18 @@ Typical use::
     tracer.export_chrome("trace.json")    # chrome://tracing / Perfetto
     tracer.export_metrics("metrics.csv")  # per-interval table
 
-or, from the bench CLI::
+or, from the bench CLI, on a figure panel's own cell
+(:mod:`repro.bench.instrumented`)::
 
-    python -m repro.bench fig6 --trace trace.json --metrics metrics.csv
+    python -m repro.bench 6a --trace trace.json --metrics metrics.csv
 
 Beyond event tracing, ``Tracer(profile=True)`` enables the causal
 message-lineage profiler (:mod:`repro.trace.profile`): per-message
 causal DAGs, critical-path extraction with per-hop stage breakdowns,
 and per-rank time attribution, rendered to a self-contained HTML report
 by :mod:`repro.trace.profile_report` (CLI:
-``python -m repro.bench 6a --profile``).
+``python -m repro.bench 6a --profile profile_6a.html``; one invocation
+may name ``--trace``, ``--metrics`` and ``--profile`` together).
 """
 
 from .chrome import export_chrome, to_chrome_events
@@ -40,7 +42,6 @@ from .tracer import (
     ALL_CATEGORIES,
     DEFAULT_CATEGORIES,
     CallbackSink,
-    JsonlSink,
     MemorySink,
     Sink,
     TraceEvent,
@@ -52,7 +53,6 @@ __all__ = [
     "BUCKETS",
     "CallbackSink",
     "DEFAULT_CATEGORIES",
-    "JsonlSink",
     "LineageProfiler",
     "METRIC_COLUMNS",
     "MemorySink",

@@ -21,7 +21,6 @@ Events are fanned out to pluggable :class:`Sink` objects.  The default
 
 from __future__ import annotations
 
-import json
 from time import perf_counter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -73,50 +72,6 @@ class CallbackSink(Sink):
 
     def record(self, event: TraceEvent) -> None:
         self.callback(event)
-
-
-def _jsonable(value):
-    """Best-effort JSON coercion for event args (numpy scalars, tuples)."""
-    item = getattr(value, "item", None)
-    if item is not None:  # numpy scalar
-        return item()
-    return repr(value)
-
-
-class JsonlSink(Sink):
-    """Streams events to a JSON-lines file -- constant memory.
-
-    The in-memory :class:`MemorySink` is unbounded; for long traced runs
-    attach a ``JsonlSink`` instead (alone, or alongside a ``MemorySink``)
-    and post-process the ``.jsonl`` file.  One JSON object per line with
-    the :class:`TraceEvent` fields (``dur``/``args`` omitted when empty).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._file = open(path, "w")
-        #: Events written so far.
-        self.count = 0
-
-    def record(self, event: TraceEvent) -> None:
-        rec: Dict[str, object] = {
-            "ts": event.ts,
-            "cat": event.cat,
-            "name": event.name,
-            "ph": event.ph,
-            "lane": event.lane,
-        }
-        if event.dur:
-            rec["dur"] = event.dur
-        if event.args:
-            rec["args"] = event.args
-        self._file.write(json.dumps(rec, default=_jsonable))
-        self._file.write("\n")
-        self.count += 1
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
 
 
 #: Categories recorded by default: application annotations, mailbox
@@ -233,8 +188,7 @@ class Tracer:
         configured = ", ".join(type(s).__name__ for s in self.sinks) or "no sinks"
         raise ValueError(
             f"Tracer.events needs a MemorySink, but this tracer has {configured}; "
-            "add a MemorySink or read the streaming sink's output (e.g. the "
-            "JsonlSink's .jsonl file) instead"
+            "add a MemorySink or consume the events in a streaming sink instead"
         )
 
     # -- exporters (convenience wrappers) ------------------------------------

@@ -1,13 +1,15 @@
-"""End-to-end tests of the bench CLI's causal-profile mode."""
+"""End-to-end tests of the bench CLI's instrumented runs (``--profile``,
+``--trace``, ``--metrics``)."""
 
 import html.parser
 import json
 
 import pytest
 
-from repro.bench.cli import main
+from repro.bench import fig6
+from repro.bench.cli import REGISTRY, main
 from repro.bench.harness import SweepConfig
-from repro.bench.profiling import pick_nodes, profile_figure, run_profiled
+from repro.bench.instrumented import pick_nodes, run_instrumented
 
 #: Tiny sweep: 2 nodes x 2 cores is the smallest shape where all four
 #: paper schemes are valid (NLNR needs nodes >= cores).
@@ -35,29 +37,32 @@ def test_pick_nodes_prefers_all_schemes_valid():
     assert pick_nodes(small) == 2
 
 
-def test_profile_figure_covers_all_schemes():
-    profiles = profile_figure("6a", TINY)
-    assert [p.scheme for p in profiles] == [
+@pytest.fixture(scope="module")
+def profiled_6a(tmp_path_factory):
+    """Fig 6a at TINY profiled under every scheme: (tables, html, json)."""
+    out = tmp_path_factory.mktemp("profile")
+    html_path = out / "p.html"
+    tables = run_instrumented(fig6.weak_panel(TINY), profile_path=str(html_path))
+    return tables, html_path, out / "p.json"
+
+
+def test_profile_figure_covers_all_schemes(profiled_6a):
+    _, _, json_path = profiled_6a
+    schemes = json.loads(json_path.read_text())["schemes"]
+    assert [p["scheme"] for p in schemes] == [
         "noroute", "node_local", "node_remote", "nlnr"
     ]
-    for p in profiles:
-        assert p.elapsed > 0
-        assert p.messages > 0
-        assert p.packets > 0
-        assert p.critical_path
-        assert len(p.rank_buckets) == p.nranks == 4
-        assert sum(p.cp_stages.values()) == pytest.approx(p.elapsed, rel=1e-9)
+    for p in schemes:
+        assert p["elapsed"] > 0
+        assert p["messages"] > 0
+        assert p["packets"] > 0
+        assert p["critical_path"]
+        assert len(p["rank_buckets"]) == p["nranks"] == 4
+        assert sum(p["cp_stages"].values()) == pytest.approx(p["elapsed"], rel=1e-9)
 
 
-def test_profile_figure_rejects_unprofilable():
-    with pytest.raises(ValueError, match="no profiled mode"):
-        profile_figure("capacity", TINY)
-
-
-def test_run_profiled_writes_reports(tmp_path, capsys):
-    html_path = tmp_path / "p.html"
-    json_path = tmp_path / "p.json"
-    table = run_profiled("6a", TINY, str(html_path), str(json_path))
+def test_run_profiled_writes_reports(profiled_6a):
+    (table,), html_path, json_path = profiled_6a
     rendered = table.render()
     assert "nlnr" in rendered and "comm_share" in rendered
 
@@ -77,11 +82,36 @@ def test_run_profiled_writes_reports(tmp_path, capsys):
     assert page.startswith("<!DOCTYPE html>")
 
 
+@pytest.mark.parametrize("fig", ["6a", "6b", "7a", "7b"])
+def test_traced_run_is_the_figure_cell(fig, tmp_path):
+    """The traced NLNR run is the figure's own (2 nodes, nlnr) cell."""
+    table = REGISTRY[fig].run(TINY, True, None)
+    (traced,) = run_instrumented(
+        REGISTRY[fig].panel(TINY), metrics_path=str(tmp_path / "m.csv")
+    )
+    assert "scheme nlnr" in traced.title
+    assert traced.rows[0]["seconds"] == table.series(
+        "scheme", "seconds", nodes=2
+    )["nlnr"]
+
+
+@pytest.mark.parametrize("fig", ["6a", "7a"])
+def test_profiled_runs_are_the_figure_cells(fig, tmp_path):
+    """Every scheme's profiled run is the figure's cell at that scheme."""
+    table = REGISTRY[fig].run(TINY, True, None)
+    (profile,) = run_instrumented(
+        REGISTRY[fig].panel(TINY), profile_path=str(tmp_path / "p.html")
+    )
+    assert profile.series("scheme", "seconds") == table.series(
+        "scheme", "seconds", nodes=2
+    )
+
+
 def test_cli_profile_mode(tmp_path, capsys, monkeypatch):
     # Shrink the sweep the CLI builds so the smoke test stays fast.
     monkeypatch.setattr(SweepConfig, "quick", classmethod(lambda cls: TINY))
     out_path = tmp_path / "profile.html"
-    rc = main(["6a", "--profile", "--profile-out", str(out_path)])
+    rc = main(["6a", "--profile", str(out_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "Causal profile" in out and "wall-clock" in out
@@ -89,6 +119,19 @@ def test_cli_profile_mode(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "profile.json").read_text())["schemes"]
 
 
+def test_cli_profile_writes_every_named_output(tmp_path, capsys, monkeypatch):
+    """``--profile`` does not drop ``--trace`` / ``--metrics``."""
+    monkeypatch.setattr(SweepConfig, "quick", classmethod(lambda cls: TINY))
+    p, t, m = tmp_path / "p.html", tmp_path / "t.json", tmp_path / "m.csv"
+    rc = main(["6a", "--profile", str(p), "--trace", str(t), "--metrics", str(m)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "Traced run" in out and "Causal profile" in out
+    assert json.loads(t.read_text())["traceEvents"]
+    assert m.read_text().startswith("t_start")
+    assert p.exists() and (tmp_path / "p.json").exists()
+
+
 def test_cli_profile_rejects_unprofilable_figure(tmp_path):
     with pytest.raises(SystemExit):
-        main(["capacity", "--profile", "--profile-out", str(tmp_path / "p.html")])
+        main(["capacity", "--profile", str(tmp_path / "p.html")])

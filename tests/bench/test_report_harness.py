@@ -93,7 +93,9 @@ def test_cli_rejects_a_job_timeout_that_is_not_finite_and_positive(
     from repro.bench import cli
 
     ran = []
-    monkeypatch.setattr(cli, "run_figure", lambda *a, **k: ran.append(a) or [])
+    monkeypatch.setitem(
+        cli.REGISTRY, "6a", cli.REGISTRY["6a"]._replace(run=lambda *a: ran.append(a))
+    )
     with pytest.raises(SystemExit) as exc:
         cli.main(["--job-timeout", value, "--jobs", "2", "--no-cache", "6a"])
     assert exc.value.code == 2

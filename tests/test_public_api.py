@@ -124,14 +124,15 @@ PDES_DELETED = {
 }
 TRACE_EXPORTS = {
     "ALL_CATEGORIES", "BUCKETS", "CallbackSink", "DEFAULT_CATEGORIES",
-    "JsonlSink", "LineageProfiler", "METRIC_COLUMNS", "MemorySink", "STAGES",
+    "LineageProfiler", "METRIC_COLUMNS", "MemorySink", "STAGES",
     "SchemeProfile", "Sink", "TraceEvent", "Tracer", "WALL_CLOCK_COLUMNS",
     "analyze_profile", "compute_metrics", "export_chrome", "export_metrics",
     "render_html", "report_document", "write_report",
 }
-#: Deleted with the PDES attribution report and the ``rank_group`` column.
+#: Deleted with the PDES attribution report and the ``rank_group`` column,
+#: and the streaming ``JsonlSink`` nothing constructed.
 TRACE_DELETED = {
-    "AttributionError", "MIN_COVERAGE", "PDES_ATTRIBUTION_SCHEMA",
+    "AttributionError", "JsonlSink", "MIN_COVERAGE", "PDES_ATTRIBUTION_SCHEMA",
     "STRING_COLUMNS", "render_attribution_html", "validate_attribution",
     "write_attribution_report",
 }
@@ -139,8 +140,7 @@ TRACE_DELETED = {
 BENCH_CLI_FLAGS = {
     "FIG", "--fig", "--full", "--seed", "--jobs", "--no-cache",
     "--clear-cache", "--cache-dir", "--job-timeout", "--trace", "--metrics",
-    "--metrics-interval", "--profile", "--profile-out", "--check",
-    "--fuzz-runs", "--check-app", "--check-scale",
+    "--profile", "--check", "--fuzz-runs", "--check-app", "--check-scale",
 }
 
 
@@ -211,7 +211,7 @@ def test_trace_surface_stays_within_budget():
     from repro import trace
     from repro.trace import metrics
 
-    assert set(trace.__all__) <= TRACE_EXPORTS  # 21 names
+    assert set(trace.__all__) <= TRACE_EXPORTS  # 20 names
     assert not {n for n in dir(trace) if not n.startswith("_")} & TRACE_DELETED
     assert "rank_group" not in metrics.COLUMNS
     assert not hasattr(trace.Tracer(), "worker_progress")
@@ -224,15 +224,23 @@ def test_bench_cli_flags_stay_within_budget():
     for action in build_parser()._actions:
         if action.dest != "help":
             flags.update(action.option_strings or [action.metavar])
-    assert flags == BENCH_CLI_FLAGS  # 17 flags and the positional
+    assert flags == BENCH_CLI_FLAGS  # 15 flags and the positional
 
 
 @pytest.mark.parametrize(
-    "argv", [["--perf"], ["pdes"], ["--attribute"], ["--pdes-workers", "2"]],
-    ids=["perf", "pdes", "attribute", "pdes-workers"],
+    "argv",
+    [
+        ["--perf"], ["pdes"], ["--attribute"], ["--pdes-workers", "2"],
+        ["6a", "--profile-out", "x"], ["6a", "--metrics-interval", "1"],
+    ],
+    ids=[
+        "perf", "pdes", "attribute", "pdes-workers", "profile-out",
+        "metrics-interval",
+    ],
 )
 def test_deleted_cli_modes_do_not_parse(argv):
-    """The wall-clock harness and the PDES modes are gone, not hidden."""
+    """The wall-clock harness, the PDES modes and the profile/metrics
+    side flags are gone, not hidden."""
     from repro.bench.cli import main
 
     with pytest.raises(SystemExit) as exc:

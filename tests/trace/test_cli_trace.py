@@ -5,7 +5,13 @@ import json
 
 import pytest
 
-from repro.bench.cli import expand_figs, main
+from repro.bench.cli import REGISTRY, build_parser, expand_figs, main
+from repro.bench.report import Table
+
+
+def _fig_choices():
+    (action,) = [a for a in build_parser()._actions if a.dest == "figs"]
+    return list(action.choices)
 
 
 # ----------------------------------------------------------- fig expansion
@@ -37,6 +43,37 @@ def test_expand_figs_empty_id_raises(raw):
     with pytest.raises(SystemExit) as exc:
         main([raw])
     assert exc.value.code == 2
+
+
+def test_every_accepted_id_runs_through_the_registry(monkeypatch, capsys):
+    ran = []
+    for key, fig in list(REGISTRY.items()):
+        monkeypatch.setitem(
+            REGISTRY,
+            key,
+            fig._replace(
+                run=lambda sweep, quick, pool, key=key: ran.append(key)
+                or Table(title=key, columns=[])
+            ),
+        )
+    for fig_id in _fig_choices():
+        for argv in (["--fig", fig_id], [fig_id]):
+            ran.clear()
+            assert main(argv) == 0
+            assert ran == expand_figs([fig_id])
+            assert set(ran) <= set(REGISTRY)
+
+
+def test_registry_lists_each_id_once():
+    choices = _fig_choices()
+    assert len(choices) == len(set(choices))
+    # The two groups partition the registry, in registry order.
+    assert expand_figs(["all", "ablations"]) == list(REGISTRY)
+    assert expand_figs(["8b"]) == ["8a"]  # an alias, not a second entry
+    assert expand_figs(["all"]).count("8a") == 1
+    assert [k for k, fig in REGISTRY.items() if fig.panel] == [
+        "6a", "6b", "7a", "7b"
+    ]
 
 
 # ------------------------------------------------------------- traced mode
@@ -78,6 +115,24 @@ def test_cli_trace_only(tmp_path, capsys):
 def test_cli_traced_mode_rejects_untraceable_figure(tmp_path):
     with pytest.raises(SystemExit):
         main(["capacity", "--trace", str(tmp_path / "t.json")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--trace", "t.json"],
+        ["capacity", "--metrics", "m.csv"],
+        ["capacity", "--profile", "p.html"],
+        ["6a", "--trace", "t.json", "--metrics", "missing/m.csv"],
+    ],
+    ids=["trace", "metrics", "profile", "unwritable"],
+)
+def test_rejected_instrumented_run_leaves_no_files(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_unknown_figure_exits(tmp_path):

@@ -10,7 +10,6 @@ from repro.machine import small
 from repro.trace import (
     ALL_CATEGORIES,
     CallbackSink,
-    JsonlSink,
     MemorySink,
     Tracer,
     compute_metrics,
@@ -52,39 +51,6 @@ def test_tracer_without_memory_sink_rejects_event_access():
         _ = tr.events
     with pytest.raises(ValueError, match="no sinks"):
         _ = Tracer(sinks=[]).events
-
-
-def test_jsonl_sink_streams_events(tmp_path):
-    path = tmp_path / "events.jsonl"
-    sink = JsonlSink(str(path))
-    tr = Tracer(sinks=[sink])
-    tr.instant(1.0, "mpi", "packet_injected", "rank 0", dst=3, nbytes=64)
-    tr.complete(2.0, 0.5, "resource", "hold", "nic_tx[0]")
-    tr.counter(3.0, "mpi", "unexpected_depth", "rank 1", np.int64(7))
-    tr.close()
-    assert sink.count == 3
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    recs = [json.loads(line) for line in lines]
-    assert recs[0] == {
-        "ts": 1.0, "cat": "mpi", "name": "packet_injected", "ph": "i",
-        "lane": "rank 0", "args": {"dst": 3, "nbytes": 64},
-    }
-    assert recs[1]["dur"] == 0.5
-    assert recs[2]["args"] == {"value": 7}  # numpy scalar coerced
-    sink.close()  # idempotent
-
-
-def test_jsonl_sink_full_run_matches_memory_sink(tmp_path):
-    path = tmp_path / "run.jsonl"
-    sink = JsonlSink(str(path))
-    tr = Tracer(sinks=[MemorySink(), sink])
-    _run_traced(tr)
-    tr.close()
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(tr.events) == sink.count
-    for line in lines:
-        json.loads(line)
 
 
 # ------------------------------------------------------- instrumented runs
