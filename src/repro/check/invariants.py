@@ -193,11 +193,15 @@ class InvariantChecker:
                         f"rank {inbox.rank}: {inbox.pending_unexpected} packets "
                         "left in the unexpected queue at finalize"
                     )
+                # One store may carry several kinds: audit it once.
+                by_store: Dict[int, Tuple[Any, List[Any]]] = {}
                 for (_ctx, kind), store in inbox.subscribed_stores().items():
+                    by_store.setdefault(id(store), (store, []))[1].append(kind)
+                for store, kinds in by_store.values():
                     if len(store):
                         self._fail(
                             f"rank {inbox.rank}: {len(store)} undelivered "
-                            f"packets in subscribed store {kind!r} at finalize"
+                            f"packets in subscribed store {kinds!r} at finalize"
                         )
         if self.strict_epochs and self._open:
             partial = {

@@ -89,9 +89,11 @@ class Mailbox:
 
         self._app_kind = ("ygm", mailbox_id, "app")
         self._term_kind = ("ygm", mailbox_id, "term")
-        inbox = ctx.world.inboxes[ctx.world_rank]
-        self._app_store = inbox.subscribe(self.comm.ctx, self._app_kind)
-        self._term_store = inbox.subscribe(self.comm.ctx, self._term_kind)
+        #: The mailbox's one inbox: application and termination packets
+        #: in arrival order (the paper's single receive loop).
+        self._store = ctx.world.inboxes[ctx.world_rank].subscribe(
+            self.comm.ctx, self._app_kind, self._term_kind
+        )
 
         self._buffers: Dict[int, CoalescingBuffer] = {}
         #: The causal profiler (:mod:`repro.trace.profile`) when the
@@ -405,7 +407,8 @@ class Mailbox:
 
     @property
     def has_incoming(self) -> bool:
-        return len(self._app_store) > 0
+        """Whether any packet -- application or termination -- is waiting."""
+        return len(self._store) > 0
 
     def flush(self) -> Generator:
         """Send every nonempty coalescing buffer along its next hop."""
@@ -522,20 +525,29 @@ class Mailbox:
 
     # -------------------------------------------------------------- receiving
     def progress(self) -> Generator:
-        """Process all already-arrived packets; returns packets handled.
+        """Process all already-arrived packets; returns application packets
+        handled.
+
+        Termination packets only update the detector's cache, so they do
+        not count: the detector advances only after a pass that handled
+        no application traffic.
 
         Forwarded (intermediary) traffic generated while processing is
         flushed before returning, so a rank sitting in its communication
         context keeps the routes moving.
         """
         handled = 0
+        store = self._store
+        term_kind = self._term_kind
         while True:
-            pkt = self._app_store.try_get()
+            pkt = store.try_get()
             if pkt is None:
                 break
+            if pkt.kind == term_kind:
+                self._term.on_packet(pkt.tag, pkt.payload)
+                continue
             yield from self._handle_packet(pkt)
             handled += 1
-        self._drain_term()
         if handled and self._queued:
             # Forwarding may have enqueued follow-on packets.
             yield from self.flush()
@@ -782,13 +794,6 @@ class Mailbox:
     def _send_term(self, dest: int, payload, tag) -> Generator:
         yield from self.comm.send(dest, payload, tag=tag, kind=self._term_kind)
 
-    def _drain_term(self) -> None:
-        while True:
-            pkt = self._term_store.try_get()
-            if pkt is None:
-                return
-            self._term.on_packet(pkt.tag, pkt.payload)
-
     def _advance_term(self) -> Generator:
         """Drive the detector; trace any rounds completed by this call."""
         rounds_before = self._term.rounds_completed
@@ -820,7 +825,6 @@ class Mailbox:
             handled = yield from self.progress()
             if handled or self._queued:
                 continue
-            self._drain_term()
             progressed = yield from self._advance_term()
             if self._term.done:
                 self.stats.term_rounds += self._term.rounds_completed
@@ -843,7 +847,6 @@ class Mailbox:
             self._term.reset()
         yield from self.flush()
         yield from self.progress()
-        self._drain_term()
         yield from self._advance_term()
         if self._term.done:
             self.stats.term_rounds += self._term.rounds_completed
@@ -895,10 +898,8 @@ class Mailbox:
             )
 
     def _wait_any_traffic(self) -> Generator:
-        get_app = self._app_store.get()
-        get_term = self._term_store.get()
         blocked_at = self.ctx.sim.now
-        yield self.ctx.sim.any_of([get_app, get_term])
+        pkt = yield self._store.get()
         idle = self.ctx.sim.now - blocked_at
         self.stats.idle_time += idle
         if self._prof is not None:
@@ -906,12 +907,7 @@ class Mailbox:
         tracer = self.ctx.sim.tracer
         if tracer is not None and tracer.wants("mailbox"):
             tracer.complete(blocked_at, idle, "mailbox", "idle", self._lane)
-        if get_app.triggered:
-            yield from self._handle_packet(get_app.value)
-        else:
-            get_app.cancel()
-        if get_term.triggered:
-            pkt = get_term.value
+        if pkt.kind == self._term_kind:
             self._term.on_packet(pkt.tag, pkt.payload)
         else:
-            get_term.cancel()
+            yield from self._handle_packet(pkt)

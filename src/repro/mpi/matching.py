@@ -7,9 +7,11 @@ This mirrors how MPI implementations match incoming traffic:
 * otherwise they land in the *unexpected-message queue*, which future
   receives scan before blocking,
 * additionally, whole traffic classes ``(ctx, kind)`` can be *subscribed*
-  to a :class:`~repro.sim.stores.Store` -- the YGM transport uses this to
-  steer its application and termination channels into dedicated queues it
-  can progress independently of MPI-style matching.
+  to a :class:`~repro.sim.stores.Store` -- several classes to one store,
+  in arrival order.  Each YGM mailbox steers its application and
+  termination channels into one such inbox, so its progress loop is one
+  receive that dispatches on the packet kind, independent of MPI-style
+  matching.
 """
 
 from __future__ import annotations
@@ -58,21 +60,20 @@ class Inbox:
         self.unexpected_peak = 0
 
     # -- subscription ---------------------------------------------------------
-    def subscribe(self, ctx: int, kind: str) -> Store:
-        """Route all ``(ctx, kind)`` packets into a dedicated store.
+    def subscribe(self, ctx: int, *kinds: str) -> Store:
+        """Route every ``(ctx, kind)`` packet of ``kinds`` into one new store.
 
-        Must be installed before any matching traffic arrives; packets of
-        a subscribed class never enter the posted/unexpected machinery.
+        Packets of a subscribed class never enter the posted/unexpected
+        machinery.  Earlier arrivals of any listed class (a fast peer's
+        traffic can beat this rank's subscription) are re-steered into
+        the store in arrival order; unrelated packets stay unexpected.
         """
-        key = (ctx, kind)
-        if key in self._subscriptions:
-            return self._subscriptions[key]
-        store = Store(self.sim, name=f"inbox[{self.rank}]:{kind}")
-        self._subscriptions[key] = store
-        # Re-steer any earlier arrivals of this class.
+        store = Store(self.sim, name=f"inbox[{self.rank}]:{kinds}")
+        for kind in kinds:
+            self._subscriptions[(ctx, kind)] = store
         keep: List[Packet] = []
         for pkt in self._unexpected:
-            if pkt.ctx == ctx and pkt.kind == kind:
+            if pkt.ctx == ctx and pkt.kind in kinds:
                 store.put(pkt)
             else:
                 keep.append(pkt)
@@ -140,5 +141,6 @@ class Inbox:
 
     def subscribed_stores(self) -> Dict[Tuple[int, str], Store]:
         """Snapshot of the subscribed traffic-class stores (diagnostics;
-        the invariant checker audits them for undrained packets)."""
+        the invariant checker audits them for undrained packets).  One
+        store may appear under several keys."""
         return dict(self._subscriptions)

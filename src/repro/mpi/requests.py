@@ -51,9 +51,7 @@ class RecvRequest(Request):
 
     def cancel(self) -> None:
         """Withdraw the receive if not yet matched."""
-        cancel = getattr(self._event, "cancel", None)
-        if cancel is not None and not self._event.triggered:
-            cancel()
+        self._event.cancel()
 
     def _finish(self, packet) -> Message:
         return self._translate(packet)

@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 import numpy as np
 
 from ..machine import Machine, MachineConfig
-from ..sim import Simulator
+from ..sim import DeadlockError, Simulator
 from .comm import Comm
 from .matching import Inbox
 
@@ -139,12 +139,22 @@ class World:
 
         ``rank_main`` must be a generator function (the simulated process
         body).  Returns per-rank results and the simulated makespan.
+
+        An exception escaping a rank program becomes that rank's value.
+        If the surviving ranks then deadlock (typically waiting on the
+        dead one), the :class:`~repro.sim.DeadlockError` names the
+        lowest failed rank and is chained ``from`` its exception.
         """
         contexts = [self.make_context(r) for r in range(self.nranks)]
         finish_times: List[float] = [float("nan")] * self.nranks
+        failed_at: Dict[int, float] = {}
 
         def wrapper(ctx: RankContext) -> Generator:
-            value = yield from rank_main(ctx)
+            try:
+                value = yield from rank_main(ctx)
+            except Exception:
+                failed_at[ctx.rank] = self.sim.now
+                raise
             finish_times[ctx.rank] = self.sim.now
             return value
 
@@ -152,10 +162,20 @@ class World:
             (wrapper(ctx) for ctx in contexts),
             names=[f"rank{ctx.rank}" for ctx in contexts],
         )
-        if until is not None:
-            self.sim.run(until=until)
-        else:
-            self.sim.run_until_complete(*procs)
+        try:
+            if until is not None:
+                self.sim.run(until=until)
+            else:
+                self.sim.run_until_complete(*procs)
+        except DeadlockError as err:
+            if not failed_at:
+                raise
+            rank = min(failed_at)
+            exc = procs[rank].value
+            raise DeadlockError(
+                err.blocked, err.now,
+                detail=f"rank {rank} failed at t={failed_at[rank]!r}: {exc!r}",
+            ) from exc
         values = [p.value if p.triggered else None for p in procs]
         return WorldResult(
             values=values,

@@ -6,20 +6,20 @@ are generator coroutines (:class:`Process`) scheduled by a
 simulated clock of this kernel.
 
 The design follows the classic process-interaction style (cf. SimPy, which
-is not available offline): processes ``yield`` events; stores provide
-cancellable blocking gets; resources model contended hardware.
+is not available offline): processes ``yield`` one event at a time;
+stores provide blocking FIFO gets; resources model contended hardware.
+There are no condition events: a process that waits on several traffic
+classes reads them from one store (see :mod:`repro.mpi.matching`).
 """
 
 from .errors import DeadlockError, EventStateError, ProcessError, SimulationError
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import Event, Timeout
 from .kernel import Simulator
 from .process import Process
 from .resources import Resource
 from .stores import Store, StoreGet
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "DeadlockError",
     "Event",
     "EventStateError",

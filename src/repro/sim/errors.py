@@ -13,21 +13,23 @@ class DeadlockError(SimulationError):
 
     A deadlock in the simulated world almost always indicates a protocol
     bug (e.g. a receive posted for a message that is never sent), so the
-    kernel surfaces it loudly instead of returning silently.
+    kernel surfaces it loudly instead of returning silently.  ``detail``,
+    when given, is appended to the message: ``World.run`` names the
+    failed rank that left the others blocked there.
     """
 
-    def __init__(self, blocked: int, now: float):
+    def __init__(self, blocked: int, now: float, detail: str = ""):
         self.blocked = blocked
         self.now = now
         super().__init__(
             f"simulation deadlocked at t={now!r}: event queue empty but "
-            f"{blocked} process(es) still blocked"
+            f"{blocked} process(es) still blocked" + (f" ({detail})" if detail else "")
         )
 
 
 class EventStateError(SimulationError):
-    """Raised when an event is succeeded/failed more than once, or a
-    cancellation is attempted on an already-triggered event."""
+    """Raised when an event is succeeded/failed more than once, or its
+    value is read before it has triggered."""
 
 
 class ProcessError(SimulationError):

@@ -20,7 +20,7 @@ through the event queue in FIFO order of triggering.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional
 
 from .errors import EventStateError
 
@@ -129,8 +129,8 @@ class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds after creation.
 
     The value is assigned when the delay elapses (not at creation), so
-    ``triggered`` correctly reads False while the timeout is pending --
-    condition events (AnyOf/AllOf) rely on this.
+    ``triggered`` reads False while the timeout is pending, like every
+    other event that has not yet fired.
 
     Timeouts are the single most-allocated event type (every modelled
     cost is one), so construction writes the slots directly and the
@@ -159,78 +159,3 @@ class Timeout(Event):
         self._value = self._timeout_value
         self._ok = True
         super()._process()
-
-
-class AnyOf(Event):
-    """Triggers when the *first* of ``events`` triggers.
-
-    The value is the list of child events; the caller should inspect each
-    child's ``triggered`` flag (several may fire at the same timestamp) and
-    cancel those that support cancellation and did not fire.
-    """
-
-    __slots__ = ("events", "_done")
-
-    def __init__(self, sim: "Simulator", events: Sequence[Event]):  # noqa: F821
-        super().__init__(sim, name="any_of")
-        self.events = list(events)
-        self._done = False
-        if not self.events:
-            self.succeed(self.events)
-            return
-        for ev in self.events:
-            if ev.triggered:
-                # Child already triggered; fire immediately.
-                self._on_child(ev)
-                break
-        else:
-            for ev in self.events:
-                ev.attach(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._done:
-            return
-        self._done = True
-        if ev.ok is False:
-            self.fail(ev.value)
-        else:
-            self.succeed(self.events)
-
-
-class AllOf(Event):
-    """Triggers when *all* of ``events`` have triggered.
-
-    The value is the list of child event values, in input order.  Fails
-    fast if any child fails.
-    """
-
-    __slots__ = ("events", "_remaining", "_done")
-
-    def __init__(self, sim: "Simulator", events: Sequence[Event]):  # noqa: F821
-        super().__init__(sim, name="all_of")
-        self.events = list(events)
-        self._done = False
-        self._remaining = sum(1 for ev in self.events if not ev.triggered)
-        for ev in self.events:
-            if ev.triggered and ev.ok is False:
-                self._done = True
-                self.fail(ev.value)
-                return
-        if self._remaining == 0:
-            self.succeed([ev.value for ev in self.events])
-            return
-        for ev in self.events:
-            if not ev.triggered:
-                ev.attach(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._done:
-            return
-        if ev.ok is False:
-            self._done = True
-            self.fail(ev.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self._done = True
-            self.succeed([e.value for e in self.events])

@@ -38,7 +38,7 @@ import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from .errors import DeadlockError
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import Event, Timeout
 from .process import Process
 
 
@@ -120,14 +120,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event triggering ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def any_of(self, events: Sequence[Event]) -> AnyOf:
-        """An event triggering when the first of ``events`` triggers."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Sequence[Event]) -> AllOf:
-        """An event triggering when all of ``events`` have triggered."""
-        return AllOf(self, events)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Launch *gen* as a simulated process; returns its Process event."""

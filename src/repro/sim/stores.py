@@ -1,12 +1,13 @@
-"""FIFO message stores with cancellable gets.
+"""FIFO message stores with blocking gets.
 
 :class:`Store` is the rendezvous point between simulated message delivery
 and blocked receivers.  Puts never block (stores are unbounded -- flow
 control in the simulated network is modelled with
 :class:`~repro.sim.resources.Resource` holds, not store capacity).  Gets
-block until an item is available and are *cancellable*, which is what lets
-a process wait on "either an application message or a termination-protocol
-message" via :class:`~repro.sim.events.AnyOf` without losing items.
+block until an item is available and cannot be withdrawn: a process that
+waits for "either an application message or a termination-protocol
+message" subscribes both classes to one store and waits on one get
+(:meth:`repro.mpi.matching.Inbox.subscribe`).
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .errors import EventStateError
 from .events import _PENDING, Event
 
 
 class StoreGet(Event):
-    """A pending (cancellable) get on a :class:`Store`."""
+    """A pending get on a :class:`Store`."""
 
-    __slots__ = ("store", "_cancelled")
+    __slots__ = ("store",)
 
     def __init__(self, store: "Store"):
         # Gets are allocated on every receive poll; write the slots
@@ -32,34 +32,14 @@ class StoreGet(Event):
         self._ok = None
         self._processed = False
         self.store = store
-        self._cancelled = False
 
     @property
     def name(self) -> str:  # shadows the base slot; computed on demand
         return f"get:{self.store.name}"
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Withdraw this get if it has not yet been matched to an item.
-
-        Cancelling an already-triggered get raises
-        :class:`~repro.sim.errors.EventStateError` -- the caller must
-        consume the item instead (it has already been removed from the
-        store and would otherwise be lost).
-        """
-        if self.triggered:
-            raise EventStateError(
-                "cannot cancel a triggered StoreGet; consume its value instead"
-            )
-        self._cancelled = True
-        # Lazy removal: Store skips cancelled getters when matching.
-
 
 class Store:
-    """An unbounded FIFO queue of items with blocking, cancellable gets."""
+    """An unbounded FIFO queue of items with blocking gets."""
 
     def __init__(self, sim: "Simulator", name: str = ""):  # noqa: F821
         self.sim = sim
@@ -70,24 +50,12 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> Deque[Any]:
-        """The queued items (read-only use only)."""
-        return self._items
-
-    def peek(self) -> Any:
-        """Return (without removing) the head item; raises IndexError if empty."""
-        return self._items[0]
-
     def put(self, item: Any) -> None:
-        """Enqueue ``item``; wakes the oldest live getter, if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.cancelled:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
+        """Enqueue ``item``; wakes the oldest getter, if any."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
 
     def get(self) -> StoreGet:
         """Return an event that triggers with the next available item."""
@@ -103,9 +71,3 @@ class Store:
         if self._items:
             return self._items.popleft()
         return None
-
-    def drain(self) -> list:
-        """Remove and return all currently queued items."""
-        items = list(self._items)
-        self._items.clear()
-        return items

@@ -13,6 +13,7 @@ from repro.apps import make_degree_counting
 from repro.apps.degree_count import gather_global_degrees
 from repro.check import InvariantChecker, InvariantViolation, run_checked
 from repro.check.sequential import ref_degrees
+from repro.core.context import YgmWorld
 from repro.core.stats import MailboxStats
 from repro.graph import er_stream
 from repro.machine import small
@@ -137,6 +138,29 @@ def test_undrained_unexpected_queue_detected():
     world.run(rank_main)
     with pytest.raises(InvariantViolation, match="unexpected queue"):
         checker.finalize()
+
+
+def test_undrained_mailbox_inbox_reported_once_naming_every_kind():
+    # A termination packet nobody progresses stays in the receiving
+    # mailbox's inbox store.  That one store carries both the app and the
+    # term kind, so the checker must report it once, naming both.
+    checker = InvariantChecker()
+    world = checker.watch(YgmWorld(small(nodes=1, cores_per_node=2)))
+
+    def rank_main(ctx):
+        mb = ctx.mailbox(recv=lambda v: None)
+        if ctx.rank == 0:
+            yield from ctx.comm.send(1, (0, 0), tag=("r", 0, 0), kind=mb._term_kind)
+        return None
+
+    world.run(rank_main)
+    violations = []
+    checker._fail = violations.append
+    checker.finalize()
+    assert len(violations) == 1, violations
+    msg = violations[0]
+    assert msg.startswith("rank 1: 1 undelivered packets")
+    assert "('ygm', 0, 'app')" in msg and "('ygm', 0, 'term')" in msg
 
 
 def test_conservation_checks_fire_on_bad_stats():

@@ -6,14 +6,18 @@ serial and partitioned runs alike).  A mixed run -- deliveries
 interleaved with forwards -- must not leave its deferred forwards
 behind for a later ``post*`` to re-bin from the dead packet.
 
-The sender only flushes and the receiver only polls: no rank waits in
-``wait_empty`` on the one that dies, so ``world.run`` returns.
+In the first three tests the sender only flushes and the receiver only
+polls: no rank waits in ``wait_empty`` on the one that dies, so
+``world.run`` returns.  When a survivor does wait on it, the run ends in
+a deadlock chained to the failure (the last test).
 """
 
 import numpy as np
+import pytest
 
 from repro import YgmWorld
 from repro.machine import small
+from repro.sim import DeadlockError
 
 #: The handler raises on its K-th message.
 K = 3
@@ -104,3 +108,25 @@ def test_error_in_recv_batch_surfaces():
     res = _run("noroute", rank_main, nodes=2, cores=1)
     assert isinstance(res.values[1], Boom)
     assert res.values[1].args == (2 * K,)
+
+
+def test_error_while_peers_wait_empty_chains_the_deadlock():
+    """Rank 1 dies inside ``wait_empty``; rank 0, still in the termination
+    protocol, waits for it forever.  The deadlock must name rank 1 and
+    carry its exception as the cause instead of losing it."""
+    got = []
+
+    def rank_main(ctx):
+        mb = ctx.mailbox(recv=_raise_on_kth(got))
+        if ctx.rank == 0:
+            for i in range(2 * K):
+                yield from mb.send(1, ("m", i))
+        yield from mb.wait_empty()
+
+    with pytest.raises(DeadlockError) as ei:
+        _run("noroute", rank_main, nodes=2, cores=1)
+    err = ei.value
+    assert isinstance(err.__cause__, Boom)
+    assert err.__cause__.args == (("m", K - 1),)
+    assert "rank 1 failed at t=" in str(err)
+    assert f"deadlocked at t={err.now!r}" in str(err)

@@ -680,11 +680,16 @@ def _term_packet(mb, tag, payload):
     )
 
 
+def _deliver(mb, pkt):
+    """Hand ``pkt`` to the mailbox's rank the way the machine does."""
+    mb.ctx.world.inboxes[mb.ctx.world_rank].deliver(pkt)
+
+
 @pytest.mark.parametrize("order", ["app_first", "term_first"])
 def test_wait_any_traffic_same_timestamp_race(order):
     """An app packet and a term packet arriving at the same simulated
-    instant: _wait_any_traffic must consume both -- neither the losing
-    getter's cancellation nor wake-up ordering may drop a packet."""
+    instant: the idle wait takes the first, the next progress pass the
+    second -- whichever order they arrive in, neither is dropped."""
 
     def rank_main(ctx):
         got = []
@@ -693,21 +698,19 @@ def test_wait_any_traffic_same_timestamp_race(order):
 
         def injector():
             yield ctx.sim.timeout(1.0)
-            puts = [
-                lambda: mb._app_store.put(_app_packet(mb, "hello")),
-                lambda: mb._term_store.put(_term_packet(mb, tag, (1, 2))),
-            ]
+            pkts = [_app_packet(mb, "hello"), _term_packet(mb, tag, (1, 2))]
             if order == "term_first":
-                puts.reverse()
-            for put in puts:
-                put()
+                pkts.reverse()
+            for pkt in pkts:
+                _deliver(mb, pkt)
 
         ctx.sim.process(injector())
         yield from mb._wait_any_traffic()
-        mb._drain_term()  # pick up the term packet if it lost the race
+        handled = yield from mb.progress()  # the packet that arrived second
+        assert handled == (1 if order == "term_first" else 0)
         assert got == ["hello"]
         assert mb._term._cache.get(tag) == (1, 2)
-        assert len(mb._app_store) == 0 and len(mb._term_store) == 0
+        assert not mb.has_incoming
         return True
 
     res = make_world(1, 1).run(rank_main)
@@ -715,9 +718,8 @@ def test_wait_any_traffic_same_timestamp_race(order):
 
 
 def test_wait_any_traffic_cancelled_app_get_keeps_later_packet():
-    """A term-only wake-up cancels the app getter; an app packet arriving
-    later must still reach the next wait (not be stolen by the cancelled
-    getter)."""
+    """A term-only wake-up (which once cancelled a pending app get) must
+    leave an app packet arriving later for the next wait."""
 
     def rank_main(ctx):
         got = []
@@ -726,17 +728,17 @@ def test_wait_any_traffic_cancelled_app_get_keeps_later_packet():
 
         def injector():
             yield ctx.sim.timeout(1.0)
-            mb._term_store.put(_term_packet(mb, tag, (3, 4)))
+            _deliver(mb, _term_packet(mb, tag, (3, 4)))
             yield ctx.sim.timeout(1.0)
-            mb._app_store.put(_app_packet(mb, "later"))
+            _deliver(mb, _app_packet(mb, "later"))
 
         ctx.sim.process(injector())
-        yield from mb._wait_any_traffic()  # term-only: app get cancelled
+        yield from mb._wait_any_traffic()  # term-only wake-up
         assert got == []
         assert mb._term._cache.get(tag) == (3, 4)
         yield from mb._wait_any_traffic()  # must receive the app packet
         assert got == ["later"]
-        assert len(mb._app_store) == 0
+        assert not mb.has_incoming
         return True
 
     res = make_world(1, 1).run(rank_main)

@@ -114,21 +114,37 @@ def test_send_request_completes_before_delivery():
 
 # -------------------------------------------------------- matching engine
 def test_unexpected_queue_preserved_across_subscribe():
-    """Packets arriving before an inbox subscription are re-steered."""
+    """Packets arriving before an inbox subscription are re-steered: every
+    subscribed kind, in arrival order, into the one store.  (A fast
+    peer's termination packet can beat a slow rank's mailbox; leaving it
+    unexpected deadlocks the termination protocol.)"""
     from repro.mpi.envelope import Packet
     from repro.mpi.matching import Inbox
     from repro.sim import Simulator
 
-    sim = Simulator()
-    inbox = Inbox(sim, rank=0)
-    pkt = Packet(src=1, dst=0, ctx=0, kind="ygm_app", tag=0, payload="p", nbytes=8)
-    other = Packet(src=1, dst=0, ctx=0, kind="p2p", tag=0, payload="q", nbytes=8)
-    inbox.deliver(pkt)
-    inbox.deliver(other)
-    store = inbox.subscribe(0, "ygm_app")
-    assert len(store) == 1
-    assert store.try_get().payload == "p"
-    assert inbox.pending_unexpected == 1  # the p2p packet stays
+    app, term = ("ygm", 1, "app"), ("ygm", 1, "term")
+
+    def packet(kind, payload, ctx=0):
+        return Packet(src=1, dst=0, ctx=ctx, kind=kind, tag=0, payload=payload, nbytes=8)
+
+    for first, second in ((app, term), (term, app)):
+        sim = Simulator()
+        inbox = Inbox(sim, rank=0)
+        inbox.deliver(packet(first, "a"))
+        inbox.deliver(packet("p2p", "q"))
+        inbox.deliver(packet(second, "b"))
+        inbox.deliver(packet(app, "other ctx", ctx=1))
+        store = inbox.subscribe(0, app, term)
+        assert len(store) == 2
+        assert [store.try_get().kind for _ in range(2)] == [first, second]
+        assert inbox.pending_unexpected == 2  # the p2p and other-ctx packets stay
+        assert inbox.probe(0, "p2p").payload == "q"
+        assert inbox.probe(1, app).payload == "other ctx"
+        # Later arrivals of either kind join the same store.
+        inbox.deliver(packet(term, "c"))
+        inbox.deliver(packet(app, "d"))
+        assert [store.try_get().payload for _ in range(2)] == ["c", "d"]
+        assert inbox.pending_unexpected == 2
 
 
 def test_posted_receive_fifo_when_both_match():

@@ -1,8 +1,8 @@
-"""Unit tests for Store (cancellable gets) and Resource (FIFO server)."""
+"""Unit tests for Store (FIFO blocking gets) and Resource (FIFO server)."""
 
 import pytest
 
-from repro.sim import EventStateError, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 # ---------------------------------------------------------------- stores
@@ -68,125 +68,6 @@ def test_store_try_get_and_len():
     assert len(store) == 1
     assert store.try_get() == 7
     assert len(store) == 0
-
-
-def test_store_drain():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(4):
-        store.put(i)
-    assert store.drain() == [0, 1, 2, 3]
-    assert len(store) == 0
-
-
-def test_cancelled_get_does_not_steal_items():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def canceller(sim):
-        g = store.get()
-        t = sim.timeout(1)
-        yield sim.any_of([g, t])
-        assert not g.triggered
-        g.cancel()
-
-    def getter(sim):
-        yield sim.timeout(0.5)  # posted after canceller's get
-        item = yield store.get()
-        got.append(item)
-
-    def putter(sim):
-        yield sim.timeout(2)
-        store.put("only")
-
-    sim.process(canceller(sim))
-    sim.process(getter(sim))
-    sim.process(putter(sim))
-    sim.run()
-    assert got == ["only"]
-
-
-def test_put_after_all_getters_cancelled_queues_item():
-    """With only a cancelled getter waiting, put must queue the item
-    (not hand it to the dead getter)."""
-    sim = Simulator()
-    store = Store(sim)
-
-    def proc(sim):
-        g = store.get()
-        yield sim.any_of([g, sim.timeout(1)])
-        assert not g.triggered
-        g.cancel()
-        assert g.cancelled
-        store.put("kept")
-        assert len(store) == 1
-        assert store.try_get() == "kept"
-        return True
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value is True
-
-
-def test_put_skips_many_cancelled_getters():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def canceller(sim):
-        g = store.get()
-        yield sim.any_of([g, sim.timeout(1)])
-        g.cancel()
-
-    def live(sim):
-        yield sim.timeout(0.5)  # queued behind the cancelled getters
-        item = yield store.get()
-        got.append(item)
-
-    for _ in range(3):
-        sim.process(canceller(sim))
-    sim.process(live(sim))
-
-    def putter(sim):
-        yield sim.timeout(2)
-        store.put("x")
-
-    sim.process(putter(sim))
-    sim.run()
-    assert got == ["x"]
-
-
-def test_cancel_triggered_get_raises():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    g = store.get()
-    assert g.triggered
-    with pytest.raises(EventStateError):
-        g.cancel()
-
-
-def test_any_of_both_children_usable():
-    sim = Simulator()
-    a, b = Store(sim), Store(sim)
-    seen = []
-
-    def proc(sim):
-        ga, gb = a.get(), b.get()
-        yield sim.any_of([ga, gb])
-        for g in (ga, gb):
-            if g.triggered:
-                seen.append(g.value)
-            else:
-                g.cancel()
-
-    a.put("A")
-    b.put("B")
-    sim.process(proc(sim))
-    sim.run()
-    # Both were already available: both trigger.
-    assert sorted(seen) == ["A", "B"]
 
 
 # ------------------------------------------------------------- resources

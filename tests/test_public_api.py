@@ -90,14 +90,17 @@ ROUTING_SCHEME_DELETED = {
     "remote_partner_count",
 }
 SIM_EXPORTS = {
-    "AllOf", "AnyOf", "DeadlockError", "Event", "EventStateError", "Process",
-    "ProcessError", "Resource", "SimulationError", "Simulator", "Store",
-    "StoreGet", "Timeout",
+    "DeadlockError", "Event", "EventStateError", "Process", "ProcessError",
+    "Resource", "SimulationError", "Simulator", "Store", "StoreGet", "Timeout",
 }
 #: Deleted when a remote packet became one in-flight entry: the
 #: scheduled-callback event and the ``Simulator`` methods that made one.
-SIM_DELETED = {"Callback"}
-SIMULATOR_DELETED = {"schedule", "schedule_at", "schedule_batch"}
+#: Then, when each mailbox got one inbox store, the condition events and
+#: their factories (the idle wait was their only caller) ...
+SIM_DELETED = {"AllOf", "AnyOf", "Callback"}
+SIMULATOR_DELETED = {"all_of", "any_of", "schedule", "schedule_at", "schedule_batch"}
+#: ... and get cancellation plus the ``Store`` surface nothing called.
+STORE_DELETED = {"cancel", "cancelled", "drain", "items", "peek"}
 SERDE_EXPORTS = {
     "RecordSpec", "SerdeError", "clear_registry", "pack", "pack_into",
     "pack_many", "packed_size", "packed_size_many", "register", "registered",
@@ -185,12 +188,14 @@ def test_sim_surface_stays_within_budget():
     from repro import sim
     from repro.sim import events
 
-    assert set(sim.__all__) <= SIM_EXPORTS  # 13 names
+    assert set(sim.__all__) <= SIM_EXPORTS  # 11 names
     for name in SIM_DELETED:
         assert not hasattr(sim, name) and not hasattr(events, name)
     assert not {n for n in dir(sim.Simulator) if not n.startswith("_")} & (
         SIMULATOR_DELETED
     )
+    for cls in (sim.Store, sim.StoreGet):
+        assert not set(dir(cls)) & STORE_DELETED, cls
 
 
 def test_serde_surface_stays_within_budget():
