@@ -14,7 +14,7 @@ Layers (bottom up):
   NodeLocal / NodeRemote / NLNR routing schemes, coalescing, asynchronous
   broadcast, termination detection.
 * :mod:`repro.graph`, :mod:`repro.linalg` -- graph generators, delegate
-  partitioning, distributed CSC / SpMV substrate.
+  partitioning, distributed SpMV substrate.
 * :mod:`repro.apps` -- the paper's applications (degree counting,
   connected components, SpMV).
 * :mod:`repro.baselines` -- CombBLAS-like 2D SpMV and BSP alltoallv.

@@ -20,13 +20,15 @@ port of CombBLAS (the paper likewise uses only its SpMV).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Generator, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph.partition import BlockPartition
 from ..mpi import RankContext
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def choose_grid(nranks: int) -> Tuple[int, int]:
@@ -57,7 +59,13 @@ def partition_combblas_problem(
     vals: np.ndarray,
     x: np.ndarray,
 ) -> List[Combblas2DProblem]:
-    """Carve the global COO triples into the 2D grid blocks."""
+    """Carve the global COO triples into the 2D grid blocks.
+
+    The only function in :mod:`repro` that needs scipy, so it imports it
+    here rather than on every rank program's import path.
+    """
+    import scipy.sparse as sp
+
     pr, pc = choose_grid(nranks)
     row_part = BlockPartition(n, pr)
     col_part = BlockPartition(n, pc)

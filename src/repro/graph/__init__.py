@@ -1,6 +1,5 @@
-"""Graph substrate: generators, partitioning, delegates, distributed CSC."""
+"""Graph substrate: generators, partitioning, delegates."""
 
-from .csc import LocalCSC, build_local_csc, global_matrix_from_edges
 from .delegates import (
     DelegateSet,
     build_delegates,
@@ -27,15 +26,12 @@ __all__ = [
     "DelegateSet",
     "EdgeStream",
     "GRAPH500_PARAMS",
-    "LocalCSC",
     "UNIFORM_PARAMS",
     "build_delegates",
-    "build_local_csc",
     "degrees_from_edges",
     "er_stream",
     "erdos_renyi_edges",
     "find_delegates",
-    "global_matrix_from_edges",
     "permute_vertices",
     "rmat_edges",
     "rmat_expected_max_degree",

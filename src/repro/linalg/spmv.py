@@ -1,9 +1,9 @@
 """Distributed sparse matrix-dense vector product with delegates
 (paper Section V-C, Algorithm 2).
 
-The matrix is stored in CSC with a 1D cyclic partitioning of columns
-across ranks; ``x`` and ``y`` are partitioned the same way.  For a
-nonzero ``a_ij``:
+Each rank stores its nonzeros as COO triples, assigned by a 1D cyclic
+partitioning of columns across ranks; ``x`` and ``y`` are partitioned
+the same way.  For a nonzero ``a_ij``:
 
 * neither column delegated: stored at ``p(j)``; ``p(j)`` computes
   ``a_ij * x_j`` and **sends** the product to ``p(i)`` -- one multiply,

@@ -1,4 +1,4 @@
-"""Tests for partitioning, delegates and distributed CSC construction."""
+"""Tests for partitioning and delegates."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from repro.graph import (
     CyclicPartition,
     DelegateSet,
     build_delegates,
-    build_local_csc,
     degrees_from_edges,
     find_delegates,
-    global_matrix_from_edges,
     rmat_edges,
     rmat_expected_max_degree,
     scaled_delegate_threshold,
@@ -127,41 +125,3 @@ def test_split_edges_masks():
     assert list(du) == [False, True, False]
     assert list(dv) == [True, False, False]
     assert list(either) == [True, True, False]
-
-
-# -------------------------------------------------------------------- csc
-def test_local_csc_partitions_columns():
-    n, nranks = 10, 3
-    rows = np.array([0, 1, 2, 3, 4, 5])
-    cols = np.array([0, 1, 2, 3, 4, 5])
-    vals = np.arange(6, dtype=float)
-    slices = [build_local_csc(r, nranks, n, rows, cols, vals) for r in range(nranks)]
-    assert sum(s.nnz for s in slices) == 6
-    # Column 4 belongs to rank 1 (4 % 3), local column index 1 (4 // 3).
-    ridx, rvals = slices[1].column(1)
-    assert list(ridx) == [4]
-    assert list(rvals) == [4.0]
-
-
-def test_local_csc_triples_roundtrip_to_global():
-    rng = np.random.default_rng(1)
-    n, nranks, nnz = 50, 4, 300
-    rows = rng.integers(0, n, nnz)
-    cols = rng.integers(0, n, nnz)
-    vals = rng.random(nnz)
-    ref = global_matrix_from_edges(n, rows, cols, vals)
-    acc = np.zeros((n, n))
-    for r in range(nranks):
-        lr, lc, lv = build_local_csc(r, nranks, n, rows, cols, vals).triples()
-        np.add.at(acc, (lr, lc), lv)
-    assert np.allclose(acc, ref.toarray())
-
-
-def test_local_csc_duplicates_summed():
-    rows = np.array([2, 2])
-    cols = np.array([3, 3])
-    vals = np.array([1.0, 2.0])
-    local = build_local_csc(3, 4, 8, rows, cols, vals)  # 3 owns column 3
-    ridx, rvals = local.column(0)
-    assert list(ridx) == [2]
-    assert list(rvals) == [3.0]

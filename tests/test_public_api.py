@@ -2,6 +2,11 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +106,15 @@ SIM_DELETED = {"AllOf", "AnyOf", "Callback"}
 SIMULATOR_DELETED = {"all_of", "any_of", "schedule", "schedule_at", "schedule_batch"}
 #: ... and get cancellation plus the ``Store`` surface nothing called.
 STORE_DELETED = {"cancel", "cancelled", "drain", "items", "peek"}
+GRAPH_EXPORTS = {
+    "BlockPartition", "CyclicPartition", "DelegateSet", "EdgeStream",
+    "GRAPH500_PARAMS", "UNIFORM_PARAMS", "build_delegates",
+    "degrees_from_edges", "er_stream", "erdos_renyi_edges", "find_delegates",
+    "permute_vertices", "rmat_edges", "rmat_expected_max_degree",
+    "rmat_stream", "scaled_delegate_threshold",
+}
+#: Deleted with the distributed-CSC module nothing in the product built.
+GRAPH_DELETED = {"LocalCSC", "build_local_csc", "global_matrix_from_edges"}
 SERDE_EXPORTS = {
     "RecordSpec", "SerdeError", "clear_registry", "pack", "pack_into",
     "pack_many", "packed_size", "packed_size_many", "register", "registered",
@@ -198,6 +212,13 @@ def test_sim_surface_stays_within_budget():
         assert not set(dir(cls)) & STORE_DELETED, cls
 
 
+def test_graph_surface_stays_within_budget():
+    from repro import graph
+
+    assert set(graph.__all__) <= GRAPH_EXPORTS  # 16 names
+    assert not {n for n in dir(graph) if not n.startswith("_")} & GRAPH_DELETED
+
+
 def test_serde_surface_stays_within_budget():
     from repro import serde
 
@@ -230,6 +251,63 @@ def test_bench_cli_flags_stay_within_budget():
         if action.dest != "help":
             flags.update(action.option_strings or [action.metavar])
     assert flags == BENCH_CLI_FLAGS  # 15 flags and the positional
+
+
+#: Run in a fresh interpreter: importing every module of the package must
+#: load neither scipy nor networkx; scipy arrives only with the first
+#: CombBLAS block, and the blocks it builds are the dense matrix's.
+IMPORT_BUDGET_SCRIPT = textwrap.dedent(
+    """
+    import importlib, pkgutil, sys
+
+    import numpy as np
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
+    loaded = sorted(
+        name for name in sys.modules
+        if name.split(".")[0] in ("scipy", "networkx")
+    )
+    assert not loaded, f"imported on the import path: {loaded[:5]}"
+
+    from repro.baselines import partition_combblas_problem
+    from repro.graph.partition import BlockPartition
+
+    n, nranks = 9, 4
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, n, 30)
+    cols = rng.integers(0, n, 30)
+    vals = rng.random(30)
+    x = rng.random(n)
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), vals)
+    problems = partition_combblas_problem(nranks, n, rows, cols, vals, x)
+    assert "scipy.sparse" in sys.modules
+    pr, pc = problems[0].pr, problems[0].pc
+    for rank, prob in enumerate(problems):
+        pi, pj = divmod(rank, pc)
+        rlo, rhi = BlockPartition(n, pr).bounds(pi)
+        clo, chi = BlockPartition(n, pc).bounds(pj)
+        got = prob.block @ x[clo:chi]
+        assert np.allclose(got, dense[rlo:rhi, clo:chi] @ x[clo:chi]), rank
+    """
+)
+
+
+def test_scipy_and_networkx_stay_off_the_import_path():
+    """Only ``partition_combblas_problem`` needs scipy, and nothing in
+    the package needs networkx: a rank program that never builds a
+    CombBLAS block pays neither's import time nor resident pages."""
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
