@@ -96,8 +96,10 @@ class Tracer:
     sinks:
         Output sinks; defaults to a single :class:`MemorySink`.
     categories:
-        Enabled event categories (see :data:`DEFAULT_CATEGORIES`).
-        Layers skip recording entirely for disabled categories.
+        Enabled event categories, a subset of :data:`ALL_CATEGORIES`
+        (default :data:`DEFAULT_CATEGORIES`); an unknown name is a
+        ``ValueError``.  Layers skip recording entirely for disabled
+        categories.
     profile:
         Install a :class:`~repro.trace.profile.LineageProfiler` as
         :attr:`lineage`: the instrumented layers then track per-message
@@ -114,6 +116,12 @@ class Tracer:
     ) -> None:
         self.sinks: List[Sink] = list(sinks) if sinks is not None else [MemorySink()]
         self.categories = frozenset(categories)
+        unknown = self.categories - ALL_CATEGORIES
+        if unknown:
+            raise ValueError(
+                f"unknown trace categories {sorted(unknown)}; "
+                f"known: {sorted(ALL_CATEGORIES)}"
+            )
         #: The :class:`~repro.trace.profile.LineageProfiler`, or ``None``.
         #: Layers cache this once at construction; ``None`` keeps every
         #: lineage hook a single attribute check.

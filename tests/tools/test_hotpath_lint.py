@@ -11,6 +11,15 @@ import hotpath_lint  # noqa: E402
 
 
 def test_current_tree_is_clean():
+    # lint() skips a target that does not exist (fixture trees hold one
+    # file each), so a renamed or deleted target would check nothing.
+    targets = (
+        hotpath_lint.HOT_FILES + hotpath_lint.PICKLE_FREE_FILES
+        + hotpath_lint.VECTORIZED_FILES + hotpath_lint.RING_FILES
+        + hotpath_lint.PACKET_FILES + hotpath_lint.SIZING_FILES
+        + tuple(hotpath_lint.BINNING_SITES)
+    )
+    assert [rel for rel in targets if not (REPO / rel).is_file()] == []
     assert hotpath_lint.lint(REPO) == []
 
 

@@ -38,6 +38,15 @@ def test_tracer_category_gating():
     assert "kernel" in ALL_CATEGORIES
 
 
+def test_tracer_rejects_unknown_categories():
+    # A misspelt category used to be accepted and silently record nothing.
+    with pytest.raises(ValueError) as err:
+        Tracer(categories={"mailbx", "mpi", "kernal"})
+    unknown, known = str(err.value).split(";")
+    assert "'kernal'" in unknown and "'mailbx'" in unknown and "'mpi'" not in unknown
+    assert all(repr(name) in known for name in ALL_CATEGORIES)
+
+
 def test_callback_sink_streams_events():
     seen = []
     tr = Tracer(sinks=[MemorySink(), CallbackSink(seen.append)])
