@@ -26,7 +26,7 @@ vertices plus per-pass diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, Iterable, List, Optional
 
 import numpy as np
 
@@ -88,97 +88,18 @@ def make_connected_components(
     """
 
     def rank_main(ctx: YgmContext) -> Generator:
-        nranks, rank = ctx.nranks, ctx.rank
-        n = stream.num_vertices
-        part = CyclicPartition(n, nranks)
+        rank = ctx.rank
+        part = CyclicPartition(stream.num_vertices, ctx.nranks)
         handle_cost = ctx.machine.config.compute.per_message_handle
-        gen_cost = ctx.machine.config.compute.per_edge_gen
-
-        # ------------------------------------------------ edge generation
-        gen_u, gen_v = stream.all_edges(rank)
-        yield ctx.compute(len(gen_u) * gen_cost)
-
-        # ------------------------------------- phase A: find delegates
-        if delegate_threshold is not None:
-            degrees = np.zeros(part.local_count(rank), dtype=np.int64)
-
-            def on_deg(batch: np.ndarray) -> None:
-                ids = part.local_id_vec(batch["vertex"].astype(np.int64))
-                degrees[:] += np.bincount(ids, minlength=len(degrees))
-
-            deg_mb = ctx.mailbox(recv_batch=on_deg, capacity=capacity)
-            verts = np.concatenate((gen_u, gen_v))
-            yield from deg_mb.send_batch(
-                part.owner_vec(verts), DEG_SPEC.build(vertex=verts.astype("u8")),
-                spec=DEG_SPEC,
-            )
-            yield from deg_mb.wait_empty()
-            mine = part.local_vertices(rank)[degrees > delegate_threshold]
-            all_delegate_arrays = yield from ctx.comm.allgather(mine)
-            delegates = DelegateSet(np.concatenate(all_delegate_arrays))
-        else:
-            deg_mb = ctx.mailbox(recv_batch=lambda b: None, capacity=capacity)
-            yield from deg_mb.wait_empty()  # keep mailbox creation collective
-            delegates = DelegateSet(np.empty(0, dtype=np.int64))
-
-        # --------------------------------- phase B: distribute the edges
-        nd_src_parts: List[np.ndarray] = []
-        nd_dst_parts: List[np.ndarray] = []
-        mx_src_parts: List[np.ndarray] = []
-        mx_dst_parts: List[np.ndarray] = []
-
-        def on_edge(batch: np.ndarray) -> None:
-            plain = batch["kind"] == 0
-            nd_src_parts.append(batch["src"][plain].astype(np.int64))
-            nd_dst_parts.append(batch["dst"][plain].astype(np.int64))
-            mixed = ~plain
-            mx_src_parts.append(batch["src"][mixed].astype(np.int64))
-            mx_dst_parts.append(batch["dst"][mixed].astype(np.int64))
-
-        edge_mb = ctx.mailbox(recv_batch=on_edge, capacity=capacity)
-        du, dv, _either = delegates.split_edges(gen_u, gen_v)
-        dd_mask = du & dv
-        # Delegate-delegate edges stay where they were generated: both
-        # endpoints are replicated everywhere.
-        dd_u, dd_v = gen_u[dd_mask], gen_v[dd_mask]
-        for lo in range(0, len(gen_u), batch_size):
-            hi = lo + batch_size
-            u, v = gen_u[lo:hi], gen_v[lo:hi]
-            bu, bv, bdd = du[lo:hi], dv[lo:hi], dd_mask[lo:hi]
-            plain = ~(bu | bv)
-            # Plain edges: both directions, owned by the source's owner.
-            src = np.concatenate((u[plain], v[plain]))
-            dst = np.concatenate((v[plain], u[plain]))
-            # Mixed edges: colocate at the non-delegate endpoint's owner.
-            only_v = bv & ~bu & ~bdd
-            only_u = bu & ~bv & ~bdd
-            m_src = np.concatenate((u[only_v], v[only_u]))
-            m_dst = np.concatenate((v[only_v], u[only_u]))
-            all_src = np.concatenate((src, m_src))
-            all_dst = np.concatenate((dst, m_dst))
-            kinds = np.concatenate(
-                (np.zeros(len(src), dtype="u1"), np.ones(len(m_src), dtype="u1"))
-            )
-            if len(all_src):
-                yield from edge_mb.send_batch(
-                    part.owner_vec(all_src),
-                    EDGE_SPEC.build(
-                        src=all_src.astype("u8"), dst=all_dst.astype("u8"), kind=kinds
-                    ),
-                    spec=EDGE_SPEC,
-                )
-        yield from edge_mb.wait_empty()
-
-        def cat(parts: List[np.ndarray]) -> np.ndarray:
-            return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-        nd_src, nd_dst = cat(nd_src_parts), cat(nd_dst_parts)
-        mx_src, mx_dst = cat(mx_src_parts), cat(mx_dst_parts)
-        nd_src_local = part.local_id_vec(nd_src)
-        mx_src_local = part.local_id_vec(mx_src)
-        mx_dst_slot = delegates.slots_vec(mx_dst)
-        dd_u_slot = delegates.slots_vec(dd_u)
-        dd_v_slot = delegates.slots_vec(dd_v)
+        # Phases A and B run in a helper: the generated edges, the
+        # degree pre-pass and the distribution masks die on its return,
+        # before the first label pass.
+        (
+            delegates, nd_dst, nd_src_local,
+            mx_src_local, mx_dst_slot, dd_u_slot, dd_v_slot,
+        ) = yield from _load_graph(
+            ctx, stream, part, delegate_threshold, batch_size, capacity
+        )
 
         # ------------------------------- phase C: min-label propagation
         labels = part.local_vertices(rank).astype(np.int64)
@@ -235,19 +156,23 @@ def make_connected_components(
             changed[0] = False
             del_before = del_labels.copy()
 
-            # 1. Plain edges: ship my labels to neighbour owners.
-            for lo in range(0, len(nd_src), batch_size):
+            # 1. Plain edges: ship my labels to neighbour owners.  The
+            # batch is built inside the call: no frame keeps it.
+            for lo in range(0, len(nd_dst), batch_size):
                 hi = lo + batch_size
                 dst = nd_dst[lo:hi]
-                batch = CC_SPEC.build(
-                    vertex=dst.astype("u8"),
-                    label=labels[nd_src_local[lo:hi]].astype("u8"),
+                yield from label_mb.send_batch(
+                    part.owner_vec(dst),
+                    CC_SPEC.build(
+                        vertex=dst.astype("u8"),
+                        label=labels[nd_src_local[lo:hi]].astype("u8"),
+                    ),
+                    spec=CC_SPEC,
                 )
-                yield from label_mb.send_batch(part.owner_vec(dst), batch, spec=CC_SPEC)
 
             # 2. Colocated delegate edges: both directions, locally.
-            if len(mx_src):
-                yield ctx.compute(len(mx_src) * handle_cost)
+            if len(mx_src_local):
+                yield ctx.compute(len(mx_src_local) * handle_cost)
                 np.minimum.at(del_labels, mx_dst_slot, labels[mx_src_local])
                 before = labels[mx_src_local]
                 np.minimum.at(labels, mx_src_local, del_labels[mx_dst_slot])
@@ -295,6 +220,156 @@ def make_connected_components(
         )
 
     return rank_main
+
+
+def _load_graph(
+    ctx: YgmContext,
+    stream: EdgeStream,
+    part: CyclicPartition,
+    delegate_threshold: Optional[float],
+    batch_size: int,
+    capacity: Optional[int],
+) -> Generator:
+    """Generate the rank's edges, find the delegates (phase A) and
+    distribute the edges (phase B).
+
+    Returns what the label passes read: ``(delegates, nd_dst,
+    nd_src_local, mx_src_local, mx_dst_slot, dd_u_slot, dd_v_slot)``.
+    ``nd_*`` are the plain directed edges whose source this rank owns
+    (the source by local id); ``mx_*`` its colocated delegate edges (the
+    delegate endpoint by slot); ``dd_*`` the slots of its
+    delegate-delegate edges, kept where they were generated (both
+    endpoints are replicated everywhere).
+    """
+    gen_u, gen_v = stream.all_edges(ctx.rank)
+    yield ctx.compute(len(gen_u) * ctx.machine.config.compute.per_edge_gen)
+    delegates = yield from _find_delegates(
+        ctx, part, gen_u, gen_v, delegate_threshold, capacity
+    )
+    nd_src, nd_dst, mx_src, mx_dst, dd_u, dd_v = yield from _distribute_edges(
+        ctx, part, delegates, gen_u, gen_v, batch_size, capacity
+    )
+    return (
+        delegates, nd_dst, part.local_id_vec(nd_src),
+        part.local_id_vec(mx_src), delegates.slots_vec(mx_dst),
+        delegates.slots_vec(dd_u), delegates.slots_vec(dd_v),
+    )
+
+
+def _find_delegates(
+    ctx: YgmContext,
+    part: CyclicPartition,
+    gen_u: np.ndarray,
+    gen_v: np.ndarray,
+    threshold: Optional[float],
+    capacity: Optional[int],
+) -> Generator:
+    """Phase A: the delegates are the vertices whose degree, counted by a
+    YGM pre-pass, is above ``threshold`` (``None``: no delegates)."""
+    if threshold is None:
+        deg_mb = ctx.mailbox(recv_batch=lambda b: None, capacity=capacity)
+        yield from deg_mb.wait_empty()  # keep mailbox creation collective
+        return DelegateSet(np.empty(0, dtype=np.int64))
+    degrees = np.zeros(part.local_count(ctx.rank), dtype=np.int64)
+
+    def on_deg(batch: np.ndarray) -> None:
+        ids = part.local_id_vec(batch["vertex"].astype(np.int64))
+        degrees[:] += np.bincount(ids, minlength=len(degrees))
+
+    deg_mb = ctx.mailbox(recv_batch=on_deg, capacity=capacity)
+    yield from _send_degrees(deg_mb, part, gen_u, gen_v)
+    yield from deg_mb.wait_empty()
+    mine = part.local_vertices(ctx.rank)[degrees > threshold]
+    all_delegate_arrays = yield from ctx.comm.allgather(mine)
+    return DelegateSet(np.concatenate(all_delegate_arrays))
+
+
+def _send_degrees(mb, part: CyclicPartition, u: np.ndarray, v: np.ndarray) -> Iterable:
+    """Send both endpoints of every edge to their owners for counting."""
+    verts = np.concatenate((u, v))
+    return mb.send_batch(
+        part.owner_vec(verts), DEG_SPEC.build(vertex=verts.astype("u8")),
+        spec=DEG_SPEC,
+    )
+
+
+def _distribute_edges(
+    ctx: YgmContext,
+    part: CyclicPartition,
+    delegates: DelegateSet,
+    gen_u: np.ndarray,
+    gen_v: np.ndarray,
+    batch_size: int,
+    capacity: Optional[int],
+) -> Generator:
+    """Phase B: ship every edge to the rank that updates across it.
+
+    Returns ``(nd_src, nd_dst, mx_src, mx_dst, dd_u, dd_v)`` by global
+    vertex id (see :func:`_load_graph`).
+    """
+    nd_src_parts: List[np.ndarray] = []
+    nd_dst_parts: List[np.ndarray] = []
+    mx_src_parts: List[np.ndarray] = []
+    mx_dst_parts: List[np.ndarray] = []
+
+    def on_edge(batch: np.ndarray) -> None:
+        plain = batch["kind"] == 0
+        nd_src_parts.append(batch["src"][plain].astype(np.int64))
+        nd_dst_parts.append(batch["dst"][plain].astype(np.int64))
+        mixed = ~plain
+        mx_src_parts.append(batch["src"][mixed].astype(np.int64))
+        mx_dst_parts.append(batch["dst"][mixed].astype(np.int64))
+
+    edge_mb = ctx.mailbox(recv_batch=on_edge, capacity=capacity)
+    du, dv, _either = delegates.split_edges(gen_u, gen_v)
+    dd_mask = du & dv
+    for lo in range(0, len(gen_u), batch_size):
+        hi = lo + batch_size
+        yield from _send_edges(
+            edge_mb, part, gen_u[lo:hi], gen_v[lo:hi],
+            du[lo:hi], dv[lo:hi], dd_mask[lo:hi],
+        )
+    yield from edge_mb.wait_empty()
+
+    def cat(parts: List[np.ndarray]) -> np.ndarray:
+        out = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        parts.clear()  # on_edge lives as long as its mailbox: empty its lists
+        return out
+
+    return (
+        cat(nd_src_parts), cat(nd_dst_parts),
+        cat(mx_src_parts), cat(mx_dst_parts),
+        gen_u[dd_mask], gen_v[dd_mask],
+    )
+
+
+def _send_edges(
+    mb, part: CyclicPartition, u: np.ndarray, v: np.ndarray,
+    bu: np.ndarray, bv: np.ndarray, bdd: np.ndarray,
+) -> Iterable:
+    """Send one batch of edges (``bu``/``bv``: is the endpoint a
+    delegate; ``bdd``: are both) to the ranks that own them."""
+    plain = ~(bu | bv)
+    # Plain edges: both directions, owned by the source's owner.
+    src = np.concatenate((u[plain], v[plain]))
+    dst = np.concatenate((v[plain], u[plain]))
+    # Mixed edges: colocate at the non-delegate endpoint's owner.
+    only_v = bv & ~bu & ~bdd
+    only_u = bu & ~bv & ~bdd
+    m_src = np.concatenate((u[only_v], v[only_u]))
+    m_dst = np.concatenate((v[only_v], u[only_u]))
+    all_src = np.concatenate((src, m_src))
+    if not len(all_src):
+        return ()
+    all_dst = np.concatenate((dst, m_dst))
+    kinds = np.concatenate(
+        (np.zeros(len(src), dtype="u1"), np.ones(len(m_src), dtype="u1"))
+    )
+    return mb.send_batch(
+        part.owner_vec(all_src),
+        EDGE_SPEC.build(src=all_src.astype("u8"), dst=all_dst.astype("u8"), kind=kinds),
+        spec=EDGE_SPEC,
+    )
 
 
 def gather_global_labels(values: List[CCResult], num_vertices: int, nranks: int) -> np.ndarray:

@@ -17,7 +17,7 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Iterator, Optional
 
 import numpy as np
 
@@ -85,12 +85,23 @@ def make_degree_counting(
             mb = ctx.mailbox(recv_batch=on_batch, capacity=capacity)
         spec = DEGREE_COUNT_SPEC if combining else DEGREE_SPEC
         gen_cost = ctx.machine.config.compute.per_edge_gen
-        for u, v in stream.batches(ctx.rank, batch_size):
+
+        def generate_and_send(batches: Iterator) -> Generator:
+            """Charge the generation of the next edge batch, then send both
+            endpoints of every edge to their owners.
+
+            Returns what the send returned (the caller drives it), or
+            ``None`` at the end of the stream.  The edges and their
+            records die with this frame, so the caller enters the
+            mailbox holding none of them: the mailbox has the one copy.
+            """
+            edges = next(batches, None)
+            if edges is None:
+                return None
             # Charge edge generation (isolated from counting in the paper;
             # we charge it so computation/communication overlap is real).
-            yield ctx.compute(len(u) * gen_cost)
-            verts = np.concatenate((u, v))
-            dests = part.owner_vec(verts)
+            yield ctx.compute(len(edges[0]) * gen_cost)
+            verts = np.concatenate(edges)
             if combining:
                 batch = spec.build(
                     vertex=verts.astype("u8"),
@@ -98,7 +109,11 @@ def make_degree_counting(
                 )
             else:
                 batch = spec.build(vertex=verts.astype("u8"))
-            yield from mb.send_batch(dests, batch, spec=spec)
+            return mb.send_batch(part.owner_vec(verts), batch, spec=spec)
+
+        batches = stream.batches(ctx.rank, batch_size)
+        while (sent := (yield from generate_and_send(batches))) is not None:
+            yield from sent
         yield from mb.wait_empty()
         return degrees
 

@@ -53,8 +53,9 @@ class BcastEntry:
 class BatchEntry:
     """A batch of fixed-width record messages sharing a next hop.
 
-    ``dests`` carries the final destination rank of each record --
-    intermediaries re-bin on it; ``batch`` is the structured payload
+    ``dests`` carries the final destination rank of each record, in the
+    route table's unsigned key dtype -- intermediaries re-bin on it, and
+    it stays that narrow to delivery; ``batch`` is the structured payload
     array (same length).  ``lins`` is the parallel lineage-id array when
     the causal profiler is enabled, ``None`` otherwise.
     """
@@ -212,7 +213,9 @@ class CoalescingBuffer:
     open *columnar run*: plain per-field Python lists, materialised as
     one :class:`P2PColumns` entry only when the run is interrupted (an
     :meth:`add`) or the buffer is drained.  Entry order -- and therefore
-    packet content order -- is exactly the order of the calls.
+    packet content order -- is exactly the order of the calls.  The run's
+    lists are made on the first :meth:`add_p2p`, so a buffer that only
+    ever carries batches or broadcasts holds none.
     """
 
     __slots__ = (
@@ -226,10 +229,10 @@ class CoalescingBuffer:
         self.entries: List[Any] = [] if pool is None else pool.get()
         self.nbytes = 0  # wire bytes including per-entry headers
         self.count = 0  # messages
-        self._run_dests: List[int] = []
-        self._run_payloads: List[Any] = []
-        self._run_nbytes: List[int] = []
-        self._run_lins: List[Any] = []
+        self._run_dests: Optional[List[int]] = None
+        self._run_payloads: Optional[List[Any]] = None
+        self._run_nbytes: Optional[List[int]] = None
+        self._run_lins: Optional[List[Any]] = None
 
     def add(self, entry) -> None:
         """Append a whole entry, closing the open scalar run first."""
@@ -241,6 +244,9 @@ class CoalescingBuffer:
 
     def add_p2p(self, dest: int, payload: Any, nbytes: int, lin=None) -> None:
         """Append one scalar message to the open columnar run."""
+        if self._run_dests is None:
+            self._run_dests, self._run_payloads = [], []
+            self._run_nbytes, self._run_lins = [], []
         self._run_dests.append(dest)
         self._run_payloads.append(payload)
         self._run_nbytes.append(nbytes)

@@ -13,11 +13,25 @@ ranks are globally quiescent.
 
 Conventions:
 
-* methods that can block or take simulated time are generators -- drive
-  them with ``yield from`` inside the rank program;
+* ``send`` / ``send_many`` / ``send_batch`` / ``send_bcast`` post at
+  once and return what the caller drives with ``yield from``: the
+  communication context when the post filled the mailbox, else ``()``.
+  They are plain functions, so no suspended frame of theirs keeps the
+  caller's arguments, and a forgotten ``yield from`` still queues the
+  message (it only skips the communication context);
+* the other methods that can block or take simulated time
+  (``flush``, ``progress``, ``wait_empty``, ``test_empty``) are
+  generators -- drive them with ``yield from`` inside the rank program;
 * receive callbacks are plain functions; to emit messages from inside a
   callback use the nonblocking ``post`` / ``post_many`` / ``post_batch``
   / ``post_bcast`` (the surrounding communication context flushes them).
+
+A posted record is held once: the mailbox copies it into its coalescing
+buffers (the gather that groups a run by next hop), and the caller's
+arrays are free as soon as the ``send*`` call returns.  Record batches
+carry their destination column in the route table's key dtype
+(``uint8`` up to 256 ranks, ``uint16`` up to 65,536) from the range
+check to delivery; scalar runs keep ``int64`` destinations.
 
 Scalar point-to-point messages have one representation between the send
 call and the receive callback: struct-of-arrays runs
@@ -28,7 +42,7 @@ materialise as Python values only at the handler boundary.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 import numpy as np
 
@@ -173,10 +187,11 @@ class Mailbox:
         self._buffer_for(hop).add_p2p(dest, payload, size, lid)
         self._queued += 1
 
-    def send(self, dest: int, payload: Any, nbytes: Optional[int] = None) -> Generator:
-        """Queue a message; enter the communication context if full."""
+    def send(self, dest: int, payload: Any, nbytes: Optional[int] = None) -> Iterable:
+        """Queue a message; returns the communication context if that
+        filled the mailbox, else ``()`` (drive it with ``yield from``)."""
         self.post(dest, payload, nbytes=nbytes)
-        yield from self._maybe_communicate()
+        return self._communicate() if self._queued >= self.config.capacity else ()
 
     def post_many(
         self,
@@ -232,10 +247,10 @@ class Mailbox:
                 return
         self._bin_by_hop(dests, cols, sizes, lins, at_injection=True)
 
-    def send_many(self, dests, payloads, nbytes=None) -> Generator:
-        """Vectorized scalar send; may enter the communication context."""
+    def send_many(self, dests, payloads, nbytes=None) -> Iterable:
+        """Vectorized scalar send; returns what :meth:`send` returns."""
         self.post_many(dests, payloads, nbytes=nbytes)
-        yield from self._maybe_communicate()
+        return self._communicate() if self._queued >= self.config.capacity else ()
 
     def post_bcast(self, payload: Any, nbytes: Optional[int] = None) -> None:
         """Queue a broadcast to every other rank (callback-safe)."""
@@ -256,10 +271,11 @@ class Mailbox:
                 self._buffer_for(target).add(BcastEntry(self.rank, payload, size))
             self._queued += 1
 
-    def send_bcast(self, payload: Any, nbytes: Optional[int] = None) -> Generator:
-        """Broadcast to all other ranks (paper's SEND_BCAST)."""
+    def send_bcast(self, payload: Any, nbytes: Optional[int] = None) -> Iterable:
+        """Broadcast to all other ranks (paper's SEND_BCAST); returns what
+        :meth:`send` returns."""
         self.post_bcast(payload, nbytes=nbytes)
-        yield from self._maybe_communicate()
+        return self._communicate() if self._queued >= self.config.capacity else ()
 
     def post_batch(self, dests: np.ndarray, batch: np.ndarray, spec: Optional[RecordSpec] = None) -> None:
         """Queue a batch of fixed-width records, binned by next hop.
@@ -267,7 +283,9 @@ class Mailbox:
         ``dests[i]`` is the destination rank of record ``batch[i]``.
         This is the vectorized fast path (cf. mpi4py's buffer methods):
         per-message Python overhead is eliminated and intermediaries
-        re-bin with NumPy.
+        re-bin with NumPy.  The range check runs in ``int64`` (a negative
+        or too-large rank raises, never wraps); from there on the column
+        has the route table's key dtype.
         """
         if self._deferred_idx:
             self._flush_deferred()
@@ -283,6 +301,7 @@ class Mailbox:
             return
         if dests.min() < 0 or dests.max() >= self.comm.size:
             raise ValueError("destination rank out of range in batch")
+        dests = dests.astype(self.scheme._key_dtype)
         self.stats.app_messages_sent += len(dests)
         prof = self._prof
         lins = None
@@ -290,10 +309,10 @@ class Mailbox:
             lins = prof.new_batch(self.rank, dests, self.ctx.sim.now)
         self._bin_batch(dests, batch, at_injection=True, lins=lins)
 
-    def send_batch(self, dests: np.ndarray, batch: np.ndarray, spec: Optional[RecordSpec] = None) -> Generator:
-        """Vectorized send; may enter the communication context."""
+    def send_batch(self, dests: np.ndarray, batch: np.ndarray, spec: Optional[RecordSpec] = None) -> Iterable:
+        """Vectorized send; returns what :meth:`send` returns."""
         self.post_batch(dests, batch, spec=spec)
-        yield from self._maybe_communicate()
+        return self._communicate() if self._queued >= self.config.capacity else ()
 
     # -------------------------------------------------------------- internals
     def _buffer_for(self, hop: int) -> CoalescingBuffer:
@@ -394,10 +413,11 @@ class Mailbox:
             self._buffer_for(hop).add(entry)
             self._queued += e - s
 
-    def _maybe_communicate(self) -> Generator:
-        if self._queued >= self.config.capacity:
-            yield from self.flush()
-            yield from self.progress()
+    def _communicate(self) -> Generator:
+        """The communication context a full mailbox enters: flush every
+        buffer, then process what has arrived."""
+        yield from self.flush()
+        yield from self.progress()
 
     # --------------------------------------------------------------- flushing
     @property
@@ -551,7 +571,8 @@ class Mailbox:
         if handled and self._queued:
             # Forwarding may have enqueued follow-on packets.
             yield from self.flush()
-        yield from self._charge_pending_handles()
+        if self._pending_handle_cost > 0:
+            yield from self._charge_pending_handles()
         return handled
 
     def _handle_packet(self, pkt: Packet) -> Generator:
@@ -616,7 +637,8 @@ class Mailbox:
                     self.ctx.sim.now, "mailbox", "forward", self._lane,
                     entries=forwarded,
                 )
-        yield from self._charge_pending_handles()
+        if self._pending_handle_cost > 0:
+            yield from self._charge_pending_handles()
 
     def _handle_mixed_run(self, entry: P2PColumns, here: np.ndarray) -> None:
         """Handle a columnar run mixing terminal deliveries and forwards.
@@ -783,12 +805,14 @@ class Mailbox:
             prof.cause = prev
 
     def _charge_pending_handles(self) -> Generator:
-        if self._pending_handle_cost > 0:
-            cost, self._pending_handle_cost = self._pending_handle_cost, 0.0
-            t0 = self.ctx.sim.now
-            yield self.ctx.sim.timeout(cost)
-            if self._prof is not None:
-                self._prof.span(self.ctx.world_rank, "handler", t0, self.ctx.sim.now)
+        """Charge the handler cost accrued since the last charge.  Callers
+        test ``_pending_handle_cost > 0`` first: most calls on the idle
+        path would find nothing to charge."""
+        cost, self._pending_handle_cost = self._pending_handle_cost, 0.0
+        t0 = self.ctx.sim.now
+        yield self.ctx.sim.timeout(cost)
+        if self._prof is not None:
+            self._prof.span(self.ctx.world_rank, "handler", t0, self.ctx.sim.now)
 
     # ------------------------------------------------------------ termination
     def _send_term(self, dest: int, payload, tag) -> Generator:
@@ -821,7 +845,8 @@ class Mailbox:
         if self._term.done:
             self._term.reset()
         while True:
-            yield from self.flush()
+            if self._queued:
+                yield from self.flush()
             handled = yield from self.progress()
             if handled or self._queued:
                 continue
@@ -845,7 +870,8 @@ class Mailbox:
         """
         if self._term.done:
             self._term.reset()
-        yield from self.flush()
+        if self._queued:
+            yield from self.flush()
         yield from self.progress()
         yield from self._advance_term()
         if self._term.done:

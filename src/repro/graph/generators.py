@@ -82,6 +82,18 @@ def permute_vertices(
     return perm[u], perm[v]
 
 
+def _split_off(pending: list, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first ``n`` edges of the ``(u, v)`` pieces in ``pending``; the
+    rest stay there as one piece."""
+    if len(pending) == 1:
+        u, v = pending[0]
+    else:
+        u = np.concatenate([piece[0] for piece in pending])
+        v = np.concatenate([piece[1] for piece in pending])
+    pending[:] = [(u[n:], v[n:])] if n < len(u) else []
+    return u[:n], v[:n]
+
+
 @dataclass(frozen=True)
 class EdgeStream:
     """A deterministic, batched, per-rank edge stream.
@@ -115,30 +127,28 @@ class EdgeStream:
         raise ValueError(f"unknown edge stream kind {self.kind!r}")
 
     def batches(self, rank: int, batch_size: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The rank's edges as ``(u, v)`` pairs of up to ``batch_size``.
+
+        Between yields the frame holds only the edges not yet yielded:
+        a yielded batch is kept alive by its consumer alone.
+        """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         total = self.edges_per_rank
-        pending_u: list = []
-        pending_v: list = []
+        pending: list = []  # (u, v) pieces not yet yielded, in stream order
         pending_n = 0
         produced = 0
         chunk_index = 0
         while produced < total:
             take = min(self.CHUNK, total - produced)
-            u, v = self._chunk(rank, chunk_index, take)
+            pending.append(self._chunk(rank, chunk_index, take))
             chunk_index += 1
             produced += take
-            pending_u.append(u)
-            pending_v.append(v)
             pending_n += take
             while pending_n >= batch_size or (produced >= total and pending_n > 0):
-                u_all = np.concatenate(pending_u) if len(pending_u) > 1 else pending_u[0]
-                v_all = np.concatenate(pending_v) if len(pending_v) > 1 else pending_v[0]
                 n = min(batch_size, pending_n)
-                yield u_all[:n], v_all[:n]
-                pending_u = [u_all[n:]] if n < pending_n else []
-                pending_v = [v_all[n:]] if n < pending_n else []
                 pending_n -= n
+                yield _split_off(pending, n)
 
     def all_edges(self, rank: int) -> Tuple[np.ndarray, np.ndarray]:
         """The rank's whole edge share as one pair of arrays."""

@@ -197,10 +197,11 @@ def make_spmv(
         r_rows, r_prods, r_owner = rows[remote], prods[remote], row_owner[remote]
         for lo in range(0, len(r_rows), batch_size):
             hi = lo + batch_size
-            batch = SPMV_SPEC.build(
-                row=r_rows[lo:hi].astype("u8"), val=r_prods[lo:hi]
+            yield from mb.send_batch(
+                r_owner[lo:hi],
+                SPMV_SPEC.build(row=r_rows[lo:hi].astype("u8"), val=r_prods[lo:hi]),
+                spec=SPMV_SPEC,
             )
-            yield from mb.send_batch(r_owner[lo:hi], batch, spec=SPMV_SPEC)
         yield from mb.wait_empty()
 
         # Canonical-order reduction of the buffered remote products.
