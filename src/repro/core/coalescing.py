@@ -53,28 +53,35 @@ class BcastEntry:
 class BatchEntry:
     """A batch of fixed-width record messages sharing a next hop.
 
-    ``dests`` carries the final destination rank of each record, in the
-    route table's unsigned key dtype -- intermediaries re-bin on it, and
-    it stays that narrow to delivery; ``batch`` is the structured payload
-    array (same length).  ``lins`` is the parallel lineage-id array when
+    A set of parallel columns, moved together by :meth:`take`: ``dests``
+    carries the final destination rank of each record, in the route
+    table's unsigned key dtype -- intermediaries re-bin on it, and it
+    stays that narrow to delivery; ``batch`` is the structured payload
+    array (same length).  ``lins`` is the parallel lineage-id column when
     the causal profiler is enabled, ``None`` otherwise.
     """
 
-    __slots__ = ("dests", "batch", "lins")
+    __slots__ = ("dests", "batch", "lins", "count")
     kind = "batch"
 
     def __init__(self, dests: np.ndarray, batch: np.ndarray, lins=None):
-        if len(dests) != len(batch):
+        n = len(batch)
+        if len(dests) != n:
             raise ValueError(
-                f"dests ({len(dests)}) and batch ({len(batch)}) lengths differ"
+                f"dests ({len(dests)}) and batch ({n}) lengths differ"
             )
         self.dests = dests
         self.batch = batch
         self.lins = lins
+        self.count = n
 
-    @property
-    def count(self) -> int:
-        return len(self.batch)
+    def take(self, idx) -> "BatchEntry":
+        """The records at ``idx`` (index array, mask or slice), every
+        column alike."""
+        lins = self.lins
+        return BatchEntry(
+            self.dests[idx], self.batch[idx], None if lins is None else lins[idx]
+        )
 
     @property
     def wire_bytes(self) -> int:
@@ -86,8 +93,8 @@ class P2PColumns:
 
     The only representation of a scalar ``send``/``post`` between the
     send call and the receive callback: one NumPy array per field, never
-    one Python object per message.  ``dests[i]`` is the final
-    destination rank of message ``i``,
+    one Python object per message, moved together by :meth:`take`.
+    ``dests[i]`` is the final destination rank of message ``i``,
     ``payloads[i]`` its payload (an object column -- payloads stay
     arbitrary Python values until a handler boundary), ``nbytes[i]`` its
     wire size, and ``lins`` the parallel lineage-id column when the
@@ -122,6 +129,15 @@ class P2PColumns:
         # Precomputed: the flush path reads it once per run, and columns
         # are immutable after construction.
         self.wire_bytes = int(nbytes.sum()) + n * ENTRY_HEADER_BYTES
+
+    def take(self, idx) -> "P2PColumns":
+        """The messages at ``idx`` (index array, mask or slice), every
+        column alike."""
+        lins = self.lins
+        return P2PColumns(
+            self.dests[idx], self.payloads[idx], self.nbytes[idx],
+            None if lins is None else lins[idx],
+        )
 
 
 class _PoisonEntry:

@@ -111,10 +111,10 @@ class Mailbox:
 
         self._buffers: Dict[int, CoalescingBuffer] = {}
         #: The causal profiler (:mod:`repro.trace.profile`) when the
-        #: installed tracer has ``profile=True``, else ``None``.  Cached
-        #: here so every lineage hook on the hot path is a single
-        #: attribute load plus an identity check -- the same cost shape
-        #: as the event-trace hooks.
+        #: installed tracer has ``profile=True``, else ``None``.  Read at
+        #: injection (to allocate lineage ids), at flush (packet
+        #: membership and time spans) and at delivery only to wrap the
+        #: receive callback of a run whose entry carries lineage.
         tracer = ctx.sim.tracer
         self._prof = tracer.lineage if tracer is not None else None
         #: Recycles handled packets' entry lists into fresh buffers.
@@ -157,24 +157,18 @@ class Mailbox:
         self.stats.app_messages_sent += 1
         prof = self._prof
         if dest == self.rank:
+            recv = self.recv
+            if recv is None:
+                raise RuntimeError("mailbox has no scalar receive callback")
             self.stats.app_messages_delivered += 1
             self._pending_handle_cost += (
                 self.ctx.machine.config.compute.per_message_handle
             )
-            if self.recv is None:
-                raise RuntimeError("mailbox has no scalar receive callback")
-            if prof is None:
-                self.recv(payload)
-                return
-            # Messages posted from inside the callback are caused by this one.
-            now = self.ctx.sim.now
-            lid = prof.new_message(self.rank, dest, now)
-            prof.delivered(lid, self.rank, now)
-            prev, prof.cause = prof.cause, lid
-            try:
-                self.recv(payload)
-            finally:
-                prof.cause = prev
+            if prof is not None:
+                now = self.ctx.sim.now
+                lid = prof.new_message(self.rank, dest, now)
+                recv = prof.handler(recv, [lid], self.rank, now)
+            recv(payload)
             return
         size = payload_nbytes(payload, nbytes)
         lid = None
@@ -234,18 +228,14 @@ class Mailbox:
         lins = None
         if prof is not None:
             lins = prof.new_batch(self.rank, dests, self.ctx.sim.now)
+        run = P2PColumns(dests, cols, sizes, lins)
         here = dests == self.rank
         if here.any():
-            self._deliver_p2p_run(cols[here], None if lins is None else lins[here])
-            keep = ~here
-            dests = dests[keep]
-            cols = cols[keep]
-            sizes = sizes[keep]
-            if lins is not None:
-                lins = lins[keep]
-            if len(dests) == 0:
+            self._deliver_p2p_run(run.take(here))
+            run = run.take(~here)
+            if run.count == 0:
                 return
-        self._bin_by_hop(dests, cols, sizes, lins, at_injection=True)
+        self._bin_by_hop(run, at_injection=True)
 
     def send_many(self, dests, payloads, nbytes=None) -> Iterable:
         """Vectorized scalar send; returns what :meth:`send` returns."""
@@ -260,15 +250,12 @@ class Mailbox:
         size = payload_nbytes(payload, nbytes)
         prof = self._prof
         for target in self.scheme.bcast_targets(self.rank, self.rank):
+            lid = None
             if prof is not None:
                 t = self.ctx.sim.now
                 lid = prof.new_message(self.rank, target, t, kind="bcast")
                 prof.enqueue(lid, self.rank, target, t)
-                self._buffer_for(target).add(
-                    BcastEntry(self.rank, payload, size, lid)
-                )
-            else:
-                self._buffer_for(target).add(BcastEntry(self.rank, payload, size))
+            self._buffer_for(target).add(BcastEntry(self.rank, payload, size, lid))
             self._queued += 1
 
     def send_bcast(self, payload: Any, nbytes: Optional[int] = None) -> Iterable:
@@ -307,7 +294,7 @@ class Mailbox:
         lins = None
         if prof is not None:
             lins = prof.new_batch(self.rank, dests, self.ctx.sim.now)
-        self._bin_batch(dests, batch, at_injection=True, lins=lins)
+        self._bin_batch(BatchEntry(dests, batch, lins), at_injection=True)
 
     def send_batch(self, dests: np.ndarray, batch: np.ndarray, spec: Optional[RecordSpec] = None) -> Iterable:
         """Vectorized send; returns what :meth:`send` returns."""
@@ -322,20 +309,13 @@ class Mailbox:
             self._buffers[hop] = buf
         return buf
 
-    def _bin_batch(
-        self,
-        dests: np.ndarray,
-        batch: np.ndarray,
-        at_injection: bool,
-        lins: Optional[np.ndarray] = None,
-    ) -> None:
+    def _bin_batch(self, entry: BatchEntry, at_injection: bool) -> None:
         """Deliver self-addressed records, bin the rest by next hop.
 
         ``at_injection`` distinguishes freshly posted batches from batches
         re-binned at a routing intermediary: only the latter count toward
-        ``stats.entries_forwarded``.  ``lins`` is the parallel lineage-id
-        array when the causal profiler is enabled; it is masked, reordered
-        and sliced in lock-step with ``dests``.
+        ``stats.entries_forwarded``.  Every split is a ``take``, so the
+        lineage column moves with the records.
 
         When the mailbox has a :class:`~repro.core.routing.combiner.
         Combiner`, equal-``(dest, key)`` records collapse here -- at
@@ -344,73 +324,54 @@ class Mailbox:
         combining).  Merged-away records end their lineage at this rank;
         they are tallied in ``stats.entries_combined``.
         """
-        here = dests == self.rank
+        here = entry.dests == self.rank
         if not at_injection and here.all():
             # Terminal hop for a whole received batch: the packet owns its
             # columns, so deliver them as they are (no masked copies).
-            self._deliver_batch(batch, lins)
+            self._deliver_batch(entry)
             return
         if here.any():
-            self._deliver_batch(batch[here], None if lins is None else lins[here])
-            dests = dests[~here]
-            batch = batch[~here]
-            if lins is not None:
-                lins = lins[~here]
-            if len(dests) == 0:
+            self._deliver_batch(entry.take(here))
+            entry = entry.take(~here)
+            if entry.count == 0:
                 return
         comb = self._combiner
-        if comb is not None and len(dests) > 1:
-            dests, batch, lins, eliminated = comb.combine(dests, batch, lins)
-            self.stats.entries_combined += eliminated
-        self._bin_by_hop(dests, batch, None, lins, at_injection)
+        if comb is not None and entry.count > 1:
+            dests, batch, lins, eliminated = comb.combine(
+                entry.dests, entry.batch, entry.lins
+            )
+            if eliminated:
+                self.stats.entries_combined += eliminated
+                entry = BatchEntry(dests, batch, lins)
+        self._bin_by_hop(entry, at_injection)
 
-    def _bin_by_hop(
-        self,
-        dests: np.ndarray,
-        payloads: np.ndarray,
-        sizes: Optional[np.ndarray],
-        lins: Optional[np.ndarray],
-        at_injection: bool,
-    ) -> None:
+    def _bin_by_hop(self, run, at_injection: bool) -> None:
         """Queue a run of messages, one entry per next hop.
 
-        The whole run is regrouped with one vectorized routing call plus
-        one stable sort (skipped when all destinations share a hop); no
-        per-message Python objects are created.  ``sizes`` says how a
-        per-hop segment becomes an entry: scalar messages carry a wire
-        size column and become :class:`P2PColumns`; fixed-width records
-        (``sizes=None``, the dtype is the size) become
-        :class:`BatchEntry`.  ``at_injection`` and ``lins`` mean what
-        they mean in :meth:`_bin_batch`.
+        ``run`` is a :class:`P2PColumns` or a :class:`BatchEntry`; each
+        per-hop segment is a ``take`` of it, so every column (lineage
+        included) is regrouped alike.  The whole run is regrouped with
+        one vectorized routing call plus one stable sort (skipped when
+        all destinations share a hop); no per-message Python objects are
+        created.  ``at_injection`` means what it means in
+        :meth:`_bin_batch`.
         """
         if not at_injection:
-            self.stats.entries_forwarded += len(dests)
-        hops, order, starts, ends = self.scheme.bin_by_hop(self.rank, dests)
+            self.stats.entries_forwarded += run.count
+        hops, order, starts, ends = self.scheme.bin_by_hop(self.rank, run.dests)
+        if order is None and at_injection:
+            # One hop for the whole run: no gather would copy, so gather
+            # anyway -- the caller may reuse its arrays after the send.
+            order = np.arange(run.count)
         if order is not None:
-            dests = dests[order]
-            payloads = payloads[order]
-            if sizes is not None:
-                sizes = sizes[order]
-            if lins is not None:
-                lins = lins[order]
-        elif at_injection:
-            # One hop for the whole run: no gather made copies, so take
-            # them here -- the caller may reuse its arrays after the send.
-            dests = dests.copy()
-            payloads = payloads.copy()
-            if sizes is not None:
-                sizes = sizes.copy()
+            run = run.take(order)
         prof = self._prof
         for s, e in zip(starts.tolist(), ends.tolist()):
             hop = int(hops[s])
-            seg_lins = None if lins is None else lins[s:e]
-            if seg_lins is not None:
-                prof.enqueue_batch(seg_lins, self.rank, hop, self.ctx.sim.now)
-            if sizes is None:
-                entry = BatchEntry(dests[s:e], payloads[s:e], seg_lins)
-            else:
-                entry = P2PColumns(dests[s:e], payloads[s:e], sizes[s:e], seg_lins)
-            self._buffer_for(hop).add(entry)
+            seg = run.take(slice(s, e))
+            if seg.lins is not None:
+                prof.enqueue_batch(seg.lins, self.rank, hop, self.ctx.sim.now)
+            self._buffer_for(hop).add(seg)
             self._queued += e - s
 
     def _communicate(self) -> Generator:
@@ -491,7 +452,7 @@ class Mailbox:
         dests = np.concatenate([e.dests for e in entries])
         batch = np.concatenate([e.batch for e in entries])
         lins = None
-        if all(e.lins is not None for e in entries):
+        if first.lins is not None:  # a mailbox profiles all or none
             lins = np.concatenate([e.lins for e in entries])
         dests, batch, lins, eliminated = self._combiner.combine(dests, batch, lins)
         if eliminated == 0:
@@ -532,15 +493,11 @@ class Mailbox:
                 prof.packet_free_local(pid, self.ctx.sim.now)
             self.ctx.world.inboxes[dst_w].deliver(pkt)
             return
-        if pid is None:
-            yield from self.comm.send(
-                hop, entries, tag=0, nbytes=nbytes, kind=self._app_kind
-            )
-        else:
-            t0 = self.ctx.sim.now
-            yield from self.comm.send(
-                hop, entries, tag=0, nbytes=nbytes, kind=self._app_kind, lin=pid
-            )
+        t0 = None if pid is None else self.ctx.sim.now
+        yield from self.comm.send(
+            hop, entries, tag=0, nbytes=nbytes, kind=self._app_kind, lin=pid
+        )
+        if pid is not None:
             prof.span(self.ctx.world_rank, "nic", t0, self.ctx.sim.now)
 
     # -------------------------------------------------------------- receiving
@@ -589,13 +546,10 @@ class Mailbox:
                 if here.all():
                     # Terminal hop for the whole run (the common case on
                     # every scheme's last hop): deliver in column order.
-                    self._deliver_p2p_run(entry.payloads, entry.lins)
+                    self._deliver_p2p_run(entry)
                 elif not here.any():
                     # Pure intermediary: re-bin the whole run vectorized.
-                    self._bin_by_hop(
-                        dests, entry.payloads, entry.nbytes, entry.lins,
-                        at_injection=False,
-                    )
+                    self._bin_by_hop(entry, at_injection=False)
                 else:
                     self._handle_mixed_run(entry, here)
             elif kind == "batch":
@@ -604,13 +558,10 @@ class Mailbox:
                 # deltas would mis-count when a receive callback posts
                 # additional self-addressed messages.
                 self.stats.entries_received += entry.count
-                self._bin_batch(
-                    entry.dests, entry.batch, at_injection=False,
-                    lins=entry.lins,
-                )
+                self._bin_batch(entry, at_injection=False)
             elif kind == "bcast":
                 self.stats.entries_received += 1
-                self._deliver_bcast(entry.payload, entry.lin)
+                self._deliver_bcast(entry)
                 for target in self.scheme.bcast_targets(self.rank, entry.origin):
                     child = None
                     if prof is not None:
@@ -660,42 +611,25 @@ class Mailbox:
         recv = self.recv
         if recv is None:
             raise RuntimeError("mailbox has no scalar receive callback")
-        plist = entry.payloads.tolist()  # the objects themselves, unboxed once
-        lins = entry.lins
         n_here = int(here.sum())
         self.stats.app_messages_delivered += n_here
         self._pending_handle_cost += (
             n_here * self.ctx.machine.config.compute.per_message_handle
         )
+        if entry.lins is not None:
+            recv = self._prof.handler(
+                recv, entry.lins[here], self.rank, self.ctx.sim.now
+            )
+        plist = entry.payloads.tolist()  # the objects themselves, unboxed once
         self._deferred_cols = entry
         idx = self._deferred_idx
         append = idx.append
-        prof = self._prof
         try:
-            if prof is None or lins is None:
-                for i, h in enumerate(here.tolist()):
-                    if h:
-                        recv(plist[i])
-                    else:
-                        append(i)
-            else:
-                # Callbacks are plain functions (no yields): simulated time
-                # cannot advance inside the loop.
-                now = self.ctx.sim.now
-                rank = self.rank
-                llist = lins.tolist()
-                prev = prof.cause
-                try:
-                    for i, h in enumerate(here.tolist()):
-                        if h:
-                            lin = llist[i]
-                            prof.delivered(lin, rank, now)
-                            prof.cause = lin
-                            recv(plist[i])
-                        else:
-                            append(i)
-                finally:
-                    prof.cause = prev
+            for i, h in enumerate(here.tolist()):
+                if h:
+                    recv(plist[i])
+                else:
+                    append(i)
             self._flush_deferred()
         finally:
             idx.clear()
@@ -706,103 +640,67 @@ class Mailbox:
         idx = self._deferred_idx
         if not idx:
             return
-        entry = self._deferred_cols
         take = np.asarray(idx, dtype=np.int64)
         idx.clear()
-        lins = entry.lins
-        self._bin_by_hop(
-            entry.dests[take],
-            entry.payloads[take],
-            entry.nbytes[take],
-            None if lins is None else lins[take],
-            at_injection=False,
-        )
+        self._bin_by_hop(self._deferred_cols.take(take), at_injection=False)
 
-    def _deliver_p2p_run(
-        self, payloads: np.ndarray, lins: Optional[np.ndarray] = None
-    ) -> None:
+    def _deliver_p2p_run(self, run: P2PColumns) -> None:
         """Deliver a columnar run of scalar messages (handler boundary).
 
-        Stats and handler cost accrue in bulk; the receive callback (and
-        the per-message causal bookkeeping: follow-on posts are caused
-        by the message being delivered) still runs once per message --
-        this is where the columns materialise back into Python values.
+        Stats and handler cost accrue in bulk; the receive callback still
+        runs once per message -- this is where the columns materialise
+        back into Python values.  A profiled run wraps the callback once
+        (:meth:`~repro.trace.profile.LineageProfiler.handler`).
         """
-        n = len(payloads)
-        if n == 0:
-            return
-        self.stats.app_messages_delivered += n
-        self._pending_handle_cost += (
-            n * self.ctx.machine.config.compute.per_message_handle
-        )
         recv = self.recv
         if recv is None:
             raise RuntimeError("mailbox has no scalar receive callback")
-        prof = self._prof
-        # ``tolist`` hands back the column's objects unchanged; looping a
-        # plain list beats per-element ndarray indexing.
-        plist = payloads.tolist() if isinstance(payloads, np.ndarray) else payloads
-        if prof is None or lins is None:
-            for payload in plist:
-                recv(payload)
-            return
-        # Callbacks are plain functions (no yields), so simulated time
-        # cannot advance inside the loop.
-        now = self.ctx.sim.now
-        rank = self.rank
-        prev = prof.cause
-        try:
-            for payload, lin in zip(plist, lins.tolist()):
-                prof.delivered(lin, rank, now)
-                prof.cause = lin
-                recv(payload)
-        finally:
-            prof.cause = prev
-
-    def _deliver_batch(self, batch: np.ndarray, lins: Optional[np.ndarray] = None) -> None:
-        n = len(batch)
-        if n == 0:
-            return
+        n = run.count
         self.stats.app_messages_delivered += n
         self._pending_handle_cost += (
             n * self.ctx.machine.config.compute.per_message_handle
         )
-        prof = self._prof
-        if prof is not None and lins is not None:
-            prof.delivered_batch(lins, self.rank, self.ctx.sim.now)
-            # A whole batch is handled by one callback invocation; charge
-            # follow-on messages to its first member (the causal DAG keeps
-            # one representative edge rather than a fan-in of n).
-            prev, prof.cause = prof.cause, int(lins[0])
-        else:
-            prof = None
-        try:
-            if self.recv_batch is not None:
-                self.recv_batch(batch)
-            elif self.recv is not None:
-                for item in batch:
-                    self.recv(item)
-            else:
-                raise RuntimeError("mailbox has no batch receive callback")
-        finally:
-            if prof is not None:
-                prof.cause = prev
+        if run.lins is not None:
+            recv = self._prof.handler(recv, run.lins, self.rank, self.ctx.sim.now)
+        # ``tolist`` hands back the column's objects unchanged; looping a
+        # plain list beats per-element ndarray indexing.
+        for payload in run.payloads.tolist():
+            recv(payload)
 
-    def _deliver_bcast(self, payload: Any, lin=None) -> None:
+    def _deliver_batch(self, entry: BatchEntry) -> None:
+        """Deliver a batch of records to ``recv_batch`` in one call, or
+        record by record to ``recv`` when there is no batch callback."""
+        recv = self.recv_batch
+        if recv is None:
+            if self.recv is None:
+                raise RuntimeError("mailbox has no batch receive callback")
+            recv = self._recv_each
+        n = entry.count
+        self.stats.app_messages_delivered += n
+        self._pending_handle_cost += (
+            n * self.ctx.machine.config.compute.per_message_handle
+        )
+        if entry.lins is not None:
+            recv = self._prof.batch_handler(
+                recv, entry.lins, self.rank, self.ctx.sim.now
+            )
+        recv(entry.batch)
+
+    def _recv_each(self, batch: np.ndarray) -> None:
+        """The per-record fallback of a mailbox with no batch callback."""
+        recv = self.recv
+        for item in batch:
+            recv(item)
+
+    def _deliver_bcast(self, entry: BcastEntry) -> None:
+        recv = self.recv_bcast
+        if recv is None:
+            raise RuntimeError("mailbox has no broadcast receive callback")
         self.stats.bcast_deliveries += 1
         self._pending_handle_cost += self.ctx.machine.config.compute.per_message_handle
-        if self.recv_bcast is None:
-            raise RuntimeError("mailbox has no broadcast receive callback")
-        prof = self._prof
-        if prof is None or lin is None:
-            self.recv_bcast(payload)
-            return
-        prof.delivered(lin, self.rank, self.ctx.sim.now)
-        prev, prof.cause = prof.cause, lin
-        try:
-            self.recv_bcast(payload)
-        finally:
-            prof.cause = prev
+        if entry.lin is not None:
+            recv = self._prof.handler(recv, [entry.lin], self.rank, self.ctx.sim.now)
+        recv(entry.payload)
 
     def _charge_pending_handles(self) -> Generator:
         """Charge the handler cost accrued since the last charge.  Callers

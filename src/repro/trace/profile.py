@@ -16,7 +16,9 @@ injection to final delivery:
   in which transport packet;
 * the machine layer stamps each packet's transmission stages
   (``packet_wire`` / ``packet_rx`` / ``packet_delivered``);
-* ``delivered`` marks the final receive-callback invocation;
+* ``handler`` / ``batch_handler`` wrap the receive callback at the
+  handler boundary: each call marks a final delivery and makes the
+  delivered message the causal parent of whatever the callback posts;
 * ``span`` classifies a rank's simulated time into attribution buckets
   (serialize / nic / handler / term / idle; the remainder is
   application compute + injection).
@@ -24,9 +26,13 @@ injection to final delivery:
 Recording is **strictly read-only with respect to the simulation**: every
 hook only reads ``sim.now`` and appends to host-side lists -- no events,
 no simulated cost, no randomness -- so a profiled run is bit-identical
-to an unprofiled one (``tests/trace/test_noperturb.py``).  All hooks are
-guarded by a cached ``is None`` check at the call site, so with
-profiling disabled the cost is a single attribute load.
+to an unprofiled one (``tests/trace/test_noperturb.py``).  Lineage ids
+are one more column of each buffered entry, moved by the same ``take``
+as the others, and the mailbox meets the profiler at one boundary per
+delivery: when an entry carries lineage, the delivery site swaps its
+receive callback for the wrapped one from :meth:`LineageProfiler.handler`
+and runs its one loop.  With profiling disabled the cost is an
+``is None`` check per delivered run, never per message.
 
 :func:`analyze_profile` turns the raw logs into a :class:`SchemeProfile`:
 the critical dependency chain to quiescence with a per-edge stage
@@ -203,12 +209,47 @@ class LineageProfiler:
         rec[_P_LOCAL] = local
         rec[_P_DELIVER] = t
 
-    # -- delivery ----------------------------------------------------------
-    def delivered(self, lid: int, rank: int, t: float) -> None:
-        self.deliveries.append((lid, rank, t))
+    # -- delivery (the handler boundary) -----------------------------------
+    def handler(self, recv, lins, rank: int, t: float):
+        """``recv`` wrapped for one run of scalar deliveries.
 
-    def delivered_batch(self, lids: np.ndarray, rank: int, t: float) -> None:
-        self.batch_deliveries.append((lids, rank, t))
+        Call ``i`` logs ``lins[i]`` as delivered on ``rank`` at ``t`` and
+        runs ``recv`` with that id as :attr:`cause` (messages posted from
+        inside the callback are caused by it), then restores the
+        previous cause.  Callbacks are plain functions, so simulated
+        time cannot advance within a run.
+        """
+        ids = iter(np.asarray(lins).tolist())
+        deliveries = self.deliveries
+
+        def delivered(payload):
+            lid = next(ids)
+            deliveries.append((lid, rank, t))
+            prev, self.cause = self.cause, lid
+            try:
+                recv(payload)
+            finally:
+                self.cause = prev
+
+        return delivered
+
+    def batch_handler(self, recv, lins: np.ndarray, rank: int, t: float):
+        """``recv`` wrapped for one batch delivery.
+
+        The call logs one ``batch_deliveries`` row for all of ``lins``.
+        Follow-on messages are charged to the batch's first member: the
+        causal DAG keeps one representative edge rather than a fan-in.
+        """
+
+        def delivered(batch):
+            self.batch_deliveries.append((lins, rank, t))
+            prev, self.cause = self.cause, int(lins[0])
+            try:
+                recv(batch)
+            finally:
+                self.cause = prev
+
+        return delivered
 
     # -- time attribution --------------------------------------------------
     def span(self, rank: int, bucket: str, t0: float, t1: float) -> None:

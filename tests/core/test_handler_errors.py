@@ -9,7 +9,11 @@ behind for a later ``post*`` to re-bin from the dead packet.
 In the first three tests the sender only flushes and the receiver only
 polls: no rank waits in ``wait_empty`` on the one that dies, so
 ``world.run`` returns.  When a survivor does wait on it, the run ends in
-a deadlock chained to the failure (the last test).
+a deadlock chained to the failure (the fourth test).
+
+A delivery the mailbox has no callback for raises before it leaves any
+trace: no delivered count, no handler cost, no profiler row (the last
+test, one case per delivery site).
 """
 
 import numpy as np
@@ -18,6 +22,7 @@ import pytest
 from repro import YgmWorld
 from repro.machine import small
 from repro.sim import DeadlockError
+from repro.trace import Tracer
 
 #: The handler raises on its K-th message.
 K = 3
@@ -130,3 +135,75 @@ def test_error_while_peers_wait_empty_chains_the_deadlock():
     assert err.__cause__.args == (("m", K - 1),)
     assert "rank 1 failed at t=" in str(err)
     assert f"deadlocked at t={err.now!r}" in str(err)
+
+
+# ------------------------------------------- a delivery with no callback
+def _no_callback_main(case, boxes):
+    """Rank 2 receives something its mailbox has no callback for."""
+
+    def ignore(_msg):
+        pass
+
+    callbacks = {
+        "self_scalar": dict(recv_batch=ignore),
+        "self_many": dict(recv_batch=ignore),
+        "self_batch": dict(recv_bcast=ignore),
+        "p2p_run": dict(recv_batch=ignore),
+        "mixed_run": dict(recv_batch=ignore),
+        "batch": dict(recv_bcast=ignore),
+        "bcast": dict(recv_batch=ignore),
+    }[case]
+
+    def rank_main(ctx):
+        mb = boxes[ctx.rank] = ctx.mailbox(**callbacks)
+        if case.startswith("self_") and ctx.rank != 2:
+            return
+        if case == "self_scalar":
+            mb.post(2, "x")
+        elif case == "self_many":
+            mb.post_many([2, 2], ["x", "y"])
+        elif case == "self_batch":
+            mb.post_batch(np.full(2, 2), np.zeros(2, dtype="u8"))
+        elif ctx.rank == 0:
+            if case == "p2p_run":
+                mb.post(2, "x")
+            elif case == "mixed_run":
+                mb.post(3, "fwd")  # relayed through rank 2
+                mb.post(2, "here")
+            elif case == "batch":
+                mb.post_batch(np.full(2, 2), np.zeros(2, dtype="u8"))
+            else:
+                mb.post_bcast("b")
+            yield from mb.flush()
+        elif ctx.rank == 2:
+            yield from _receive_one_packet(ctx, mb)
+
+    return rank_main
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["self_scalar", "self_many", "self_batch", "p2p_run", "mixed_run",
+     "batch", "bcast"],
+)
+def test_delivery_without_a_callback_leaves_no_trace(case):
+    """The missing callback raises before the delivery is counted, its
+    handler cost accrues or the profiler logs it."""
+    boxes = {}
+    tracer = Tracer(categories=(), profile=True)
+    # node_remote on 2x2 relays 0 -> 3 through rank 2 (the mixed run).
+    world = YgmWorld(
+        small(nodes=2, cores_per_node=2), scheme="node_remote", tracer=tracer
+    )
+    res = world.run(_no_callback_main(case, boxes))
+    err = res.values[2]
+    assert isinstance(err, RuntimeError), err
+    assert "has no" in str(err)
+    mb = boxes[2]
+    if case == "mixed_run":
+        assert mb.stats.entries_received == 2  # one run: "fwd" and "here"
+    assert mb.stats.app_messages_delivered == 0
+    assert mb.stats.bcast_deliveries == 0
+    assert mb._pending_handle_cost == 0
+    assert tracer.lineage.deliveries == []
+    assert tracer.lineage.batch_deliveries == []

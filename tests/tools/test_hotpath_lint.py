@@ -17,7 +17,7 @@ def test_current_tree_is_clean():
         hotpath_lint.HOT_FILES + hotpath_lint.PICKLE_FREE_FILES
         + hotpath_lint.VECTORIZED_FILES + hotpath_lint.RING_FILES
         + hotpath_lint.PACKET_FILES + hotpath_lint.SIZING_FILES
-        + tuple(hotpath_lint.BINNING_SITES)
+        + tuple(hotpath_lint.BINNING_SITES) + hotpath_lint.DELIVERY_FILES
     )
     assert [rel for rel in targets if not (REPO / rel).is_file()] == []
     assert hotpath_lint.lint(REPO) == []
@@ -652,3 +652,104 @@ def test_cli_reports_binning_violation(tmp_path):
     )
     assert proc.returncode == 1
     assert "hops come only from a route table" in proc.stderr
+
+
+# ------------------------------------------------ rule 8: delivery loops
+def test_flags_profiled_twin_of_a_delivery_loop(tmp_path):
+    # The parent commit's shape: an unprofiled and a profiled loop.
+    root = _write_tree(
+        tmp_path,
+        "class Mailbox:\n"
+        "    def _deliver_p2p_run(self, payloads, lins):\n"
+        "        prof = self._prof\n"
+        "        if prof is None:\n"
+        "            for payload in payloads:\n"
+        "                self.recv(payload)\n"
+        "            return\n"
+        "        for payload, lin in zip(payloads, lins):\n"  # violation: lin, lins
+        "            prof.delivered(lin, self.rank, 0.0)\n"  # violation: prof, lin
+        "            self.recv(payload)\n"  # violation: second site
+        "    def _deliver_bcast(self, entry):\n"
+        "        if entry.lin is None:\n"
+        "            return self.recv_bcast(entry.payload)\n"
+        "        def traced():\n"  # nested helper: part of the method
+        "            self.recv_bcast(entry.payload)\n"  # violation: second site
+        "        return traced\n",
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("Mailbox._deliver_bcast", "delivery second callback site"),
+        ("Mailbox._deliver_p2p_run", "delivery lineage lin"),
+        ("Mailbox._deliver_p2p_run", "delivery lineage lin"),
+        ("Mailbox._deliver_p2p_run", "delivery lineage lins"),
+        ("Mailbox._deliver_p2p_run", "delivery lineage prof"),
+        ("Mailbox._deliver_p2p_run", "delivery second callback site"),
+    ]
+
+
+def test_flags_lineage_in_any_loop_that_calls_a_callback(tmp_path):
+    root = _write_tree(
+        tmp_path,
+        "class Mailbox:\n"
+        "    def _handle_mixed_run(self, entry, here):\n"
+        "        recv = self.recv\n"
+        "        return [recv(p) for p in entry.payloads if self._prof]\n"  # violation
+        "    def _deliver_batch(self, entry):\n"
+        "        while entry.lins is not None:\n"  # violation
+        "            self.recv_batch(entry.batch)\n",
+    )
+    sites = sorted(
+        (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("Mailbox._deliver_batch", "delivery lineage lins"),
+        ("Mailbox._handle_mixed_run", "delivery lineage _prof"),
+    ]
+
+
+def test_one_wrapped_delivery_loop_is_clean(tmp_path):
+    # The handler-boundary shape: wrap once, then one loop.
+    root = _write_tree(
+        tmp_path,
+        "class Mailbox:\n"
+        "    def _deliver_p2p_run(self, run):\n"
+        "        recv = self.recv\n"
+        "        if run.lins is not None:\n"  # outside the loop: fine
+        "            recv = self._prof.handler(recv, run.lins, self.rank, 0.0)\n"
+        "        for payload in run.payloads.tolist():\n"
+        "            recv(payload)\n"
+        "    def _recv_each(self, batch):\n"
+        "        for item in batch:\n"
+        "            self.recv(item)\n"
+        "    def _profiled_loop_without_callbacks(self, lins):\n"
+        "        for lin in lins:\n"  # calls no callback: fine
+        "            self._prof.enqueue(lin, 0, 0, 0.0)\n",
+    )
+    assert hotpath_lint.lint(root) == []
+
+
+def test_cli_reports_delivery_violation(tmp_path):
+    root = _write_tree(
+        tmp_path,
+        "class Mailbox:\n"
+        "    def post(self, dest, payload):\n"
+        "        if self._prof is None:\n"
+        "            self.recv(payload)\n"
+        "            return\n"
+        "        self.recv(payload)\n",
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(REPO / "tools" / "hotpath_lint.py"),
+            "--root",
+            str(root),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "second callback site in Mailbox.post" in proc.stderr
+    assert "one delivery loop per entry kind" in proc.stderr

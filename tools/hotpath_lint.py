@@ -78,6 +78,16 @@ helpers included) is a violation; inside ``Mailbox.post`` so is
 only this lint and the counter gate's ``core.routing.calls`` would
 notice.
 
+An eighth rule keeps lineage at the handler boundary: one delivery loop
+per entry kind.  In ``repro.core.mailbox`` a function calls a receive
+callback (``recv``, ``self.recv``, ``self.recv_batch`` or
+``self.recv_bcast``; nested helpers count as part of their method) from
+at most one site, and no loop that calls one of them names ``prof``,
+``_prof``, ``lin`` or ``lins``.  A profiled delivery wraps the callback
+once (``LineageProfiler.handler`` / ``batch_handler``) and then runs the
+same loop as an unprofiled one.  A profiled twin of a delivery loop
+records the same lineage, so only this lint would notice it coming back.
+
 Usage::
 
     python tools/hotpath_lint.py [--root PATH]
@@ -190,6 +200,13 @@ BINNING_SITES = {
         "Mailbox.post": BINNING_FORBIDDEN | {"_hop_keys"},
     },
 }
+
+
+#: Files whose receive-callback calls sit at one site per function, the
+#: callbacks, and the lineage names a loop that calls one must not use.
+DELIVERY_FILES = ("src/repro/core/mailbox.py",)
+RECV_CALLBACKS = {"recv", "recv_batch", "recv_bcast"}
+LINEAGE_NAMES = {"prof", "_prof", "lin", "lins"}
 
 
 def _call_name(node: ast.Call) -> str:
@@ -471,6 +488,73 @@ class _BinningVisitor(ast.NodeVisitor):
         self._check(node, node.id)
 
 
+def _is_recv_call(node) -> bool:
+    """``recv(...)`` or ``self.recv(...)`` / ``recv_batch`` / ``recv_bcast``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "recv"
+    return (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "self"
+        and func.attr in RECV_CALLBACKS
+    )
+
+
+class _DeliveryVisitor(ast.NodeVisitor):
+    """Flags a second receive-callback site in one method, and lineage
+    names inside a loop that calls a receive callback."""
+
+    def __init__(self, relpath: str) -> None:
+        self.relpath = relpath
+        self.stack: list[str] = []
+        self.sites: dict[str, int] = {}
+        self.flagged: set = set()
+        self.violations: list[tuple[str, int, str, str]] = []
+
+    def _scoped(self, node) -> None:
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_ClassDef = _scoped
+    visit_FunctionDef = _scoped
+    visit_AsyncFunctionDef = _scoped
+
+    def _flag(self, node, what: str) -> None:
+        if (node.lineno, what) not in self.flagged:  # nested loops see it twice
+            self.flagged.add((node.lineno, what))
+            method = ".".join(self.stack[:2]) or "<module>"
+            self.violations.append((self.relpath, node.lineno, method, what))
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if _is_recv_call(node):
+            method = ".".join(self.stack[:2])
+            self.sites[method] = self.sites.get(method, 0) + 1
+            if self.sites[method] > 1:
+                self._flag(node, "delivery second callback site")
+        self.generic_visit(node)
+
+    def _loop(self, node) -> None:
+        inside = list(ast.walk(node))
+        if any(_is_recv_call(n) for n in inside):
+            for n in inside:
+                name = getattr(n, "id", None) or getattr(n, "attr", None)
+                if isinstance(n, (ast.Name, ast.Attribute)) and name in LINEAGE_NAMES:
+                    self._flag(n, f"delivery lineage {name}")
+        self.generic_visit(node)
+
+    visit_For = _loop
+    visit_AsyncFor = _loop
+    visit_While = _loop
+    visit_ListComp = _loop
+    visit_SetComp = _loop
+    visit_DictComp = _loop
+    visit_GeneratorExp = _loop
+
+
 def _isascii_sense(test) -> "bool | None":
     """True for ``x.isascii()``, False for ``not x.isascii()``, else None."""
     if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
@@ -614,6 +698,15 @@ def lint_binning(
     return visitor.violations
 
 
+def lint_delivery(
+    path: Path, relpath: str
+) -> list[tuple[str, int, str, str]]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    visitor = _DeliveryVisitor(relpath)
+    visitor.visit(tree)
+    return sorted(visitor.violations)
+
+
 def lint(root: Path) -> list[tuple[str, int, str, str]]:
     violations = []
     for rel in HOT_FILES:
@@ -644,6 +737,10 @@ def lint(root: Path) -> list[tuple[str, int, str, str]]:
         path = root / rel
         if path.exists():
             violations.extend(lint_binning(path, rel))
+    for rel in DELIVERY_FILES:
+        path = root / rel
+        if path.exists():
+            violations.extend(lint_delivery(path, rel))
     return violations
 
 
@@ -697,6 +794,14 @@ def main(argv=None) -> int:
                 f"its list view, never from the route evaluated per call",
                 file=sys.stderr,
             )
+        elif name.startswith("delivery "):
+            print(
+                f"{relpath}:{lineno}: {name[len('delivery '):]} in {qualname} "
+                f"-- one delivery loop per entry kind: call the receive "
+                f"callback from one site, and wrap it once "
+                f"(LineageProfiler.handler) instead of a profiled twin loop",
+                file=sys.stderr,
+            )
         elif "pickle" in name:
             print(
                 f"{relpath}:{lineno}: {name} in {qualname} -- the PDES "
@@ -718,7 +823,7 @@ def main(argv=None) -> int:
         nfiles = (
             len(HOT_FILES) + len(PICKLE_FREE_FILES) + len(VECTORIZED_FILES)
             + len(RING_FILES) + len(PACKET_FILES) + len(SIZING_FILES)
-            + len(BINNING_SITES)
+            + len(BINNING_SITES) + len(DELIVERY_FILES)
         )
         print(f"hotpath lint: OK ({nfiles} files)")
     return 1 if violations else 0
