@@ -83,6 +83,19 @@ class BatchEntry:
             self.dests[idx], self.batch[idx], None if lins is None else lins[idx]
         )
 
+    @staticmethod
+    def concat(entries: List["BatchEntry"]) -> "BatchEntry":
+        """The records of ``entries`` end to end, every column alike
+        (a mailbox profiles all of its records or none)."""
+        lins = None
+        if entries[0].lins is not None:
+            lins = np.concatenate([e.lins for e in entries])
+        return BatchEntry(
+            np.concatenate([e.dests for e in entries]),
+            np.concatenate([e.batch for e in entries]),
+            lins,
+        )
+
     @property
     def wire_bytes(self) -> int:
         return self.count * (self.batch.dtype.itemsize + ENTRY_HEADER_BYTES)

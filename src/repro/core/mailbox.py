@@ -24,7 +24,11 @@ Conventions:
   generators -- drive them with ``yield from`` inside the rank program;
 * receive callbacks are plain functions; to emit messages from inside a
   callback use the nonblocking ``post`` / ``post_many`` / ``post_batch``
-  / ``post_bcast`` (the surrounding communication context flushes them).
+  / ``post_bcast`` (the surrounding communication context flushes them);
+* such a post lands behind the forwards of the packet's earlier entries
+  and ahead of its own entry's: a batch entry queues its forwards when
+  its callback returns (none are deferred), a scalar run defers its own
+  until a post or its end (``_handle_mixed_run``).
 
 A posted record is held once: the mailbox copies it into its coalescing
 buffers (the gather that groups a run by next hop), and the caller's
@@ -225,17 +229,8 @@ class Mailbox:
         # objects (no str/array conversion) in one C loop.
         cols = np.fromiter(payloads, dtype=object, count=n)
         prof = self._prof
-        lins = None
-        if prof is not None:
-            lins = prof.new_batch(self.rank, dests, self.ctx.sim.now)
-        run = P2PColumns(dests, cols, sizes, lins)
-        here = dests == self.rank
-        if here.any():
-            self._deliver_p2p_run(run.take(here))
-            run = run.take(~here)
-            if run.count == 0:
-                return
-        self._bin_by_hop(run, at_injection=True)
+        lins = None if prof is None else prof.new_batch(self.rank, dests, self.ctx.sim.now)
+        self._route([P2PColumns(dests, cols, sizes, lins)], at_injection=True)
 
     def send_many(self, dests, payloads, nbytes=None) -> Iterable:
         """Vectorized scalar send; returns what :meth:`send` returns."""
@@ -291,10 +286,8 @@ class Mailbox:
         dests = dests.astype(self.scheme._key_dtype)
         self.stats.app_messages_sent += len(dests)
         prof = self._prof
-        lins = None
-        if prof is not None:
-            lins = prof.new_batch(self.rank, dests, self.ctx.sim.now)
-        self._bin_batch(BatchEntry(dests, batch, lins), at_injection=True)
+        lins = None if prof is None else prof.new_batch(self.rank, dests, self.ctx.sim.now)
+        self._route([BatchEntry(dests, batch, lins)], at_injection=True)
 
     def send_batch(self, dests: np.ndarray, batch: np.ndarray, spec: Optional[RecordSpec] = None) -> Iterable:
         """Vectorized send; returns what :meth:`send` returns."""
@@ -309,70 +302,85 @@ class Mailbox:
             self._buffers[hop] = buf
         return buf
 
-    def _bin_batch(self, entry: BatchEntry, at_injection: bool) -> None:
-        """Deliver self-addressed records, bin the rest by next hop.
+    def _route(self, run: List[Any], at_injection: bool = False) -> None:
+        """One routing pass: deliver what ends here, queue the rest by hop.
 
-        ``at_injection`` distinguishes freshly posted batches from batches
-        re-binned at a routing intermediary: only the latter count toward
-        ``stats.entries_forwarded``.  Every split is a ``take``, so the
-        lineage column moves with the records.
-
-        When the mailbox has a :class:`~repro.core.routing.combiner.
-        Combiner`, equal-``(dest, key)`` records collapse here -- at
-        injection and again at every forwarding hop -- *before* they are
-        counted as forwarded or queued for re-transmission (in-network
-        combining).  Merged-away records end their lineage at this rank;
-        they are tallied in ``stats.entries_combined``.
+        ``run`` is a received packet's run of consecutive batch entries
+        (delivered as they are if every record ends here), or one run
+        posted or re-binned here.  One route-table read and one stable
+        sort (:meth:`~repro.core.routing.base.RoutingScheme.bin_by_hop`)
+        cut it at every ``(entry, hop)`` boundary; entry by entry, what
+        ends here is delivered, then the forwards are queued, hop
+        ascending, as a pass per entry would.  Each segment is gathered
+        straight from its entry, every column alike: no record is copied
+        twice, and no buffer entry keeps another's records alive (a
+        received one-segment entry moves as it is).  Posted records
+        (``at_injection``) are always copied and do not count toward
+        ``stats.entries_forwarded``.
         """
-        here = entry.dests == self.rank
-        if not at_injection and here.all():
-            # Terminal hop for a whole received batch: the packet owns its
-            # columns, so deliver them as they are (no masked copies).
-            self._deliver_batch(entry)
+        rank = self.rank
+        batches = run[0].kind == "batch"
+        if batches and self._combiner is not None:
+            run = self._split_combined(run)
+        dests = run[0].dests if len(run) == 1 else np.concatenate([e.dests for e in run])
+        if batches and not at_injection and (dests == rank).all():
+            for entry in run:
+                self._deliver_batch(entry)
             return
-        if here.any():
-            self._deliver_batch(entry.take(here))
-            entry = entry.take(~here)
-            if entry.count == 0:
-                return
-        comb = self._combiner
-        if comb is not None and entry.count > 1:
-            dests, batch, lins, eliminated = comb.combine(
-                entry.dests, entry.batch, entry.lins
-            )
-            if eliminated:
-                self.stats.entries_combined += eliminated
-                entry = BatchEntry(dests, batch, lins)
-        self._bin_by_hop(entry, at_injection)
-
-    def _bin_by_hop(self, run, at_injection: bool) -> None:
-        """Queue a run of messages, one entry per next hop.
-
-        ``run`` is a :class:`P2PColumns` or a :class:`BatchEntry`; each
-        per-hop segment is a ``take`` of it, so every column (lineage
-        included) is regrouped alike.  The whole run is regrouped with
-        one vectorized routing call plus one stable sort (skipped when
-        all destinations share a hop); no per-message Python objects are
-        created.  ``at_injection`` means what it means in
-        :meth:`_bin_batch`.
-        """
-        if not at_injection:
-            self.stats.entries_forwarded += run.count
-        hops, order, starts, ends = self.scheme.bin_by_hop(self.rank, run.dests)
+        counts = [e.count for e in run] if len(run) > 1 else None
+        hops, order, starts, ends = self.scheme.bin_by_hop(rank, dests, counts)
         if order is None and at_injection:
-            # One hop for the whole run: no gather would copy, so gather
-            # anyway -- the caller may reuse its arrays after the send.
-            order = np.arange(run.count)
-        if order is not None:
-            run = run.take(order)
-        prof = self._prof
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            hop = int(hops[s])
-            seg = run.take(slice(s, e))
-            if seg.lins is not None:
-                prof.enqueue_batch(seg.lins, self.rank, hop, self.ctx.sim.now)
-            self._buffer_for(hop).add(seg)
-            self._queued += e - s
+            order = np.arange(len(dests))
+        if order is not None and counts is not None:  # entry-local indices
+            order = order - np.repeat(np.cumsum(counts) - counts, counts)
+        segs = list(zip(starts.tolist(), ends.tolist(), hops[starts].tolist()))
+        deliver = self._deliver_batch if batches else self._deliver_p2p_run
+        q = end = 0
+        for entry in run:  # never empty: one segment or more each
+            first = q
+            end += entry.count
+            while segs[q][1] < end:
+                q += 1
+            q += 1
+            mine = segs[first:q]
+            whole = len(mine) == 1 and not at_injection
+            for s, e, hop in mine:
+                if hop == rank:
+                    deliver(entry if whole else entry.take(order[s:e]))
+            for s, e, hop in mine:
+                if hop != rank:
+                    seg = entry if whole else entry.take(order[s:e])
+                    if not at_injection:
+                        self.stats.entries_forwarded += seg.count
+                    if seg.lins is not None:
+                        self._prof.enqueue_batch(seg.lins, rank, hop, self.ctx.sim.now)
+                    self._buffer_for(hop).add(seg)
+                    self._queued += seg.count
+
+    def _split_combined(self, run: List[BatchEntry]) -> List[BatchEntry]:
+        """Cut each entry of a combining mailbox's run in two: what ends
+        here, untouched, then its forwards, :meth:`_combined`."""
+        out = []
+        for entry in run:
+            here = entry.dests == self.rank
+            if not here.all():
+                if here.any():
+                    out.append(entry.take(here))
+                    entry = entry.take(~here)
+                entry = self._combined(entry)
+            out.append(entry)
+        return out
+
+    def _combined(self, entry: BatchEntry) -> BatchEntry:
+        """``entry`` with equal-``(dest, key)`` records collapsed, at
+        injection and at every forwarding hop, before they are counted as
+        forwarded or queued (in-network combining).  Merged-away records
+        end their lineage at this rank, tallied in ``entries_combined``."""
+        *cols, eliminated = self._combiner.combine(entry.dests, entry.batch, entry.lins)
+        if not eliminated:
+            return entry
+        self.stats.entries_combined += eliminated
+        return BatchEntry(*cols)
 
     def _communicate(self) -> Generator:
         """The communication context a full mailbox enters: flush every
@@ -434,7 +442,7 @@ class Mailbox:
         Records binned by *separate* ``post_batch`` calls (or separate
         forwarded packets) land in separate :class:`BatchEntry` chunks of
         the same coalescing buffer; per-chunk combining in
-        :meth:`_bin_batch` cannot see across them.  One more combining
+        :meth:`_split_combined` cannot see across them.  One more combining
         pass over the whole buffer catches those duplicates just before
         the packet goes out.  Only applies when every entry is a batch
         chunk of one record dtype (the invariable case for a combined
@@ -443,22 +451,11 @@ class Mailbox:
         :meth:`_send_packet` sees only the merged view.
         """
         first = entries[0]
-        if first.kind != "batch":
+        if any(e.kind != "batch" or e.batch.dtype != first.batch.dtype for e in entries):
             return entries, nbytes, count
-        dtype = first.batch.dtype
-        for entry in entries[1:]:
-            if entry.kind != "batch" or entry.batch.dtype != dtype:
-                return entries, nbytes, count
-        dests = np.concatenate([e.dests for e in entries])
-        batch = np.concatenate([e.batch for e in entries])
-        lins = None
-        if first.lins is not None:  # a mailbox profiles all or none
-            lins = np.concatenate([e.lins for e in entries])
-        dests, batch, lins, eliminated = self._combiner.combine(dests, batch, lins)
-        if eliminated == 0:
+        merged = self._combined(BatchEntry.concat(entries))
+        if merged.count == count:
             return entries, nbytes, count
-        self.stats.entries_combined += eliminated
-        merged = BatchEntry(dests, batch, lins)
         return [merged], merged.wire_bytes, merged.count
 
     def _send_packet(
@@ -537,8 +534,16 @@ class Mailbox:
         stats = self.stats
         rank = self.rank
         prof = self._prof
+        run = []  # consecutive batch entries, routed in one pass
         for entry in pkt.payload:
             kind = entry.kind
+            if kind == "batch":
+                stats.entries_received += entry.count
+                run.append(entry)
+                continue
+            if run:
+                self._route(run)
+                run = []
             if kind == "p2p_cols":
                 stats.entries_received += entry.count
                 dests = entry.dests
@@ -549,16 +554,9 @@ class Mailbox:
                     self._deliver_p2p_run(entry)
                 elif not here.any():
                     # Pure intermediary: re-bin the whole run vectorized.
-                    self._bin_by_hop(entry, at_injection=False)
+                    self._route([entry])
                 else:
                     self._handle_mixed_run(entry, here)
-            elif kind == "batch":
-                # Forwarding is accounted inside _bin_batch (counting the
-                # re-binned records directly); inferring it from delivery
-                # deltas would mis-count when a receive callback posts
-                # additional self-addressed messages.
-                self.stats.entries_received += entry.count
-                self._bin_batch(entry, at_injection=False)
             elif kind == "bcast":
                 self.stats.entries_received += 1
                 self._deliver_bcast(entry)
@@ -577,6 +575,8 @@ class Mailbox:
                     self.stats.entries_forwarded += 1
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown entry kind {kind!r}")
+        if run:
+            self._route(run)
         # The packet's entry list is dead from here on; recycle it into
         # this mailbox's coalescing buffers.
         self._pool.put(pkt.payload)
@@ -642,7 +642,7 @@ class Mailbox:
             return
         take = np.asarray(idx, dtype=np.int64)
         idx.clear()
-        self._bin_by_hop(self._deferred_cols.take(take), at_injection=False)
+        self._route([self._deferred_cols.take(take)])
 
     def _deliver_p2p_run(self, run: P2PColumns) -> None:
         """Deliver a columnar run of scalar messages (handler boundary).

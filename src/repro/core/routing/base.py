@@ -92,7 +92,7 @@ class RoutingScheme(ABC):
         table = self._hop_tables.get(cur)  # on a hit: no method call
         return (self.hop_table(cur) if table is None else table).take(dests)
 
-    def bin_by_hop(self, cur: int, dests: np.ndarray):
+    def bin_by_hop(self, cur: int, dests: np.ndarray, counts=None):
         """Group a destination column by next hop (batch re-binning kernel).
 
         Returns ``(hops, order, starts, ends)``: ``order`` is the stable
@@ -105,6 +105,12 @@ class RoutingScheme(ABC):
         what a loop of ``send`` would.  ``hops`` has the unsigned
         ``_key_dtype``, so up to 65,536 ranks the sort is a radix sort:
         O(n) per re-bin.
+
+        ``counts`` (two or more) cuts ``dests`` into consecutive runs, a
+        packet's entries end to end.  Then the grouping is by run first
+        and hop second, and a segment never spans two runs: each run is
+        binned exactly as alone, in one sort.  The sort key stays a
+        radix-sorted ``uint16`` while ``len(counts) * nranks`` fits.
         """
         hops = self._hop_keys(cur, dests)
         n = len(hops)
@@ -112,13 +118,21 @@ class RoutingScheme(ABC):
         if n == 0:
             return hops, None, np.empty(0, np.int64), np.empty(0, np.int64)
         if hops[0] == hops[n - 1] and (hops == hops[0]).all():
-            return hops, None, 0 * one, n * one
-        order = np.argsort(hops, kind="stable")
-        hops = hops[order]
-        boundaries = np.flatnonzero(hops[1:] != hops[:-1]) + 1
+            if counts is None:
+                return hops, None, 0 * one, n * one
+            ends = np.cumsum(counts)
+            return hops, None, ends - counts, ends
+        key = hops
+        if counts is not None:
+            span = self.nranks * len(counts)
+            base = np.arange(0, span, self.nranks, np.min_scalar_type(span - 1))
+            key = np.repeat(base, counts) + hops
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        boundaries = np.flatnonzero(key[1:] != key[:-1]) + 1
         starts = np.concatenate((0 * one, boundaries))
         ends = np.concatenate((boundaries, n * one))
-        return hops, order, starts, ends
+        return (key if counts is None else hops[order]), order, starts, ends
 
     @abstractmethod
     def max_hops(self) -> int:

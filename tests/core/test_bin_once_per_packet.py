@@ -1,0 +1,206 @@
+"""One routing pass per received packet, held to the per-entry reference.
+
+``Mailbox._handle_packet`` routes each run of consecutive record batches
+of a packet in one pass (``Mailbox._route``): one destination concat,
+one route-table read, one sort.  ``reference_bin_batch`` is the pass
+per entry it replaced.  Random multi-entry packets -- all-terminal,
+mixed and pure-forward entries, with scalar forward runs between batch
+runs -- go through both on every static scheme, at 8 ranks (``uint8``
+keys) and 260 ranks (``uint16``), with and without a combiner, profiled
+and not.  Buffers (every segment's columns and dtypes, in order),
+delivered batches, counters and profiler rows must be equal.
+"""
+
+import numpy as np
+import pytest
+
+from repro import YgmWorld
+from repro.core.coalescing import BatchEntry, P2PColumns
+from repro.core.routing import SCHEMES
+from repro.core.routing.combiner import Combiner
+from repro.machine import small
+from repro.mpi.envelope import Packet
+from repro.trace import Tracer
+
+from . import reference_bin_batch as reference
+
+STATIC = [name for name in SCHEMES if name != "adaptive"]
+SHAPES = [(2, 4), (65, 4)]  # 8 and 260 ranks
+REC = np.dtype([("v", "<u8"), ("w", "<i8")])
+WIDE = np.dtype([("v", "<u8"), ("w", "<i8"), ("x", "<f8")])
+SUM_W = Combiner("sum_w", key_fields=("v",), reduce_fields={"w": "sum"})
+STATS = (
+    "entries_received", "entries_forwarded", "entries_combined",
+    "app_messages_delivered",
+)
+
+
+def _entry(rng, nranks, cur, mix, n, dtype, key_dtype, profiled):
+    others = np.setdiff1d(np.arange(nranks), [cur])
+    if mix == "terminal":
+        dests = np.full(n, cur)
+    elif mix == "forward":
+        dests = rng.choice(others, size=n)
+    else:
+        dests = rng.choice(others, size=n)
+        dests[rng.random(n) < 0.4] = cur
+        dests[0] = cur
+    batch = np.zeros(n, dtype=dtype)
+    batch["v"] = rng.integers(0, 6, size=n)  # repeats: combining merges
+    batch["w"] = rng.integers(0, 100, size=n)
+    lins = rng.integers(0, 2**40, size=n) if profiled else None
+    return BatchEntry(dests.astype(key_dtype), batch, lins)
+
+
+def _packets(rng, nranks, cur, key_dtype, profiled, combining):
+    """Packets that reach every branch of the pass, then random ones."""
+    def entry(mix, dtype=REC):
+        n = int(rng.integers(1, 40))
+        return _entry(rng, nranks, cur, mix, n, dtype, key_dtype, profiled)
+
+    yield [entry("terminal") for _ in range(3)]
+    yield [entry("mixed") for _ in range(3)]
+    yield [entry("forward") for _ in range(3)]
+    yield [entry("terminal"), entry("mixed"), entry("forward"), entry("mixed")]
+    if not combining:  # record dtypes may differ within one run
+        yield [entry("mixed"), entry("forward", WIDE), entry("mixed", WIDE)]
+    # a scalar forward run between two batch runs splits them
+    dests = np.array([d for d in range(nranks) if d != cur][:5], dtype=np.int64)
+    lins = np.arange(len(dests), dtype=np.int64) if profiled else None
+    scalar = P2PColumns(
+        dests, np.array(list("abcde")[: len(dests)], dtype=object),
+        np.full(len(dests), 3, dtype=np.int64), lins,
+    )
+    yield [entry("mixed"), entry("terminal"), scalar, entry("forward"), entry("mixed")]
+    for _ in range(6):
+        mixes = rng.choice(["terminal", "mixed", "forward"], size=rng.integers(1, 7))
+        yield [entry(str(m)) for m in mixes]
+
+
+def _reference_packet(mb, entries):
+    for entry in entries:
+        if entry.kind == "batch":
+            mb.stats.entries_received += entry.count
+            reference.bin_batch(mb, entry, at_injection=False)
+        else:  # the scalar pure-forward run of _packets
+            mb.stats.entries_received += entry.count
+            reference.bin_by_hop(mb, entry, at_injection=False)
+
+
+def _side(use_reference, scheme, nodes, cores, combiner, profiled, seed):
+    """Feed one rank the same packets and injections; return what it did."""
+    tracer = Tracer(categories=(), profile=True) if profiled else None
+    world = YgmWorld(
+        small(nodes=nodes, cores_per_node=cores), scheme=scheme, tracer=tracer
+    )
+    nranks = nodes * cores
+    cur = nranks // 2 + 1
+    out = {}
+
+    def rank_main(ctx):
+        if ctx.rank != cur:
+            return
+        delivered = []
+
+        def on_batch(batch):
+            # A post from the callback lands between the forwards of the
+            # entries before this one and this entry's own.
+            delivered.append(batch)
+            mb.post((cur + 1) % nranks, len(delivered))
+
+        mb = ctx.mailbox(
+            recv=delivered.append, recv_batch=on_batch,
+            capacity=2**30, combiner=combiner,
+        )
+        rng = np.random.default_rng(seed)
+        key_dtype = mb.scheme._key_dtype
+        for entries in _packets(
+            rng, nranks, cur, key_dtype, profiled, combiner is not None
+        ):
+            if use_reference:  # then charge handlers as _handle_packet does
+                _reference_packet(mb, entries)
+                if mb._pending_handle_cost > 0:
+                    yield from mb._charge_pending_handles()
+            else:
+                pkt = Packet(
+                    src=0, dst=cur, ctx=mb.comm.ctx, kind=mb._app_kind, tag=0,
+                    payload=list(entries), nbytes=0,
+                )
+                yield from mb._handle_packet(pkt)
+        # Injection: the one-entry pass, with self-addressed records.
+        for mix in ("mixed", "forward", "terminal"):
+            posted = _entry(rng, nranks, cur, mix, 30, REC, key_dtype, profiled)
+            if use_reference:
+                reference.bin_batch(mb, posted, at_injection=True)
+            else:
+                mb._route([posted], at_injection=True)
+            for buf in mb._buffers.values():  # the caller's arrays are free
+                for seg in buf.entries:
+                    if seg.kind == "batch":
+                        assert not np.shares_memory(seg.batch, posted.batch)
+            assert not any(np.shares_memory(b, posted.batch) for b in delivered)
+        out["buffers"] = {
+            hop: [
+                (e.kind, e.dests, e.payloads if e.kind == "p2p_cols" else e.batch,
+                 e.lins)
+                for e in mb._buffers[hop].entries
+            ]
+            for hop in sorted(mb._buffers)
+        }
+        out["counts"] = {hop: b.count for hop, b in mb._buffers.items()}
+        out["queued"] = mb.queued
+        out["delivered"] = delivered
+        out["stats"] = {k: getattr(mb.stats, k) for k in STATS}
+
+    err = world.run(rank_main).values[cur]
+    if isinstance(err, BaseException):
+        raise err
+    if profiled:
+        prof = tracer.lineage
+        out["enq_batch"] = prof.enq_batch
+        out["batch_deliveries"] = prof.batch_deliveries
+    return out
+
+
+def _same_array(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        assert _same_array(g[0], w[0])
+        assert g[1:] == w[1:]
+
+
+@pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+@pytest.mark.parametrize("combining", [False, True], ids=["raw", "combined"])
+@pytest.mark.parametrize("nodes,cores", SHAPES, ids=["8r", "260r"])
+@pytest.mark.parametrize("scheme", STATIC)
+def test_one_pass_per_packet_matches_per_entry_reference(
+    scheme, nodes, cores, combining, profiled
+):
+    combiner = SUM_W if combining else None
+    seed = nodes * 1000 + len(scheme)
+    got = _side(False, scheme, nodes, cores, combiner, profiled, seed)
+    want = _side(True, scheme, nodes, cores, combiner, profiled, seed)
+    assert got["stats"] == want["stats"]
+    assert got["stats"]["entries_forwarded"] > 0
+    assert got["queued"] == want["queued"]
+    assert got["counts"] == want["counts"]
+    assert list(got["buffers"]) == list(want["buffers"])
+    for hop in want["buffers"]:
+        assert len(got["buffers"][hop]) == len(want["buffers"][hop]), hop
+        for g, w in zip(got["buffers"][hop], want["buffers"][hop]):
+            assert g[0] == w[0]
+            assert all(_same_array(a, b) for a, b in zip(g[1:], w[1:])), hop
+    assert len(got["delivered"]) == len(want["delivered"]) > 0
+    for g, w in zip(got["delivered"], want["delivered"]):
+        assert _same_array(g, w)
+    if profiled:
+        _same_rows(got["enq_batch"], want["enq_batch"])
+        _same_rows(got["batch_deliveries"], want["batch_deliveries"])
+        assert want["enq_batch"] and want["batch_deliveries"]

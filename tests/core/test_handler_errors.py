@@ -115,6 +115,51 @@ def test_error_in_recv_batch_surfaces():
     assert res.values[1].args == (2 * K,)
 
 
+def test_error_in_recv_batch_of_a_multi_entry_packet_keeps_earlier_forwards():
+    """Rank 0's four ``post_batch`` calls each mix records for ranks 2 and
+    3, and node_remote on 2x2 relays both through rank 2: one packet of
+    four mixed batch entries.  ``recv_batch`` raises on the third entry.
+    The forwards of the first two entries are queued, the third's and
+    the fourth's are not, and no deferred state survives."""
+    entries = 4
+    dests = np.array([2, 3, 3, 2, 3])
+    boxes = {}
+    calls = []
+
+    def on_batch(batch):
+        calls.append(batch["i"].tolist())
+        if len(calls) == 3:
+            raise Boom(len(calls))
+
+    def rank_main(ctx):
+        mb = boxes[ctx.rank] = ctx.mailbox(recv=lambda v: None, recv_batch=on_batch)
+        if ctx.rank == 0:
+            assert [ctx.scheme.hop_list(0)[d] for d in (2, 3)] == [2, 2]
+            for e in range(entries):
+                batch = np.zeros(len(dests), dtype=[("i", np.int64)])
+                batch["i"] = 100 * e + np.arange(len(dests))
+                mb.post_batch(dests, batch)
+            yield from mb.flush()
+        elif ctx.rank == 2:
+            try:
+                yield from _receive_one_packet(ctx, mb)
+            except Boom:
+                boxes["error"] = True
+
+    _run("node_remote", rank_main, nodes=2, cores=2)
+    assert boxes["error"]
+    assert calls == [[100 * e + 0, 100 * e + 3] for e in range(3)]
+    relay = boxes[2]
+    assert relay.stats.entries_forwarded == 2 * 3
+    forwarded = [e.batch["i"].tolist() for e in relay._buffers[3].entries]
+    assert forwarded == [[1, 2, 4], [101, 102, 104]]
+    assert relay.queued == 6
+    assert relay._deferred_idx == []
+    assert relay._deferred_cols is None
+    relay.post(3, "after")  # one message, nothing re-binned with it
+    assert relay.queued == 7
+
+
 def test_error_while_peers_wait_empty_chains_the_deadlock():
     """Rank 1 dies inside ``wait_empty``; rank 0, still in the termination
     protocol, waits for it forever.  The deadlock must name rank 1 and

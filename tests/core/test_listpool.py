@@ -117,8 +117,9 @@ def test_debug_pool_env_toggle(monkeypatch):
 def test_default_pool_still_clears_on_return():
     # Production mode is unchanged: cleared lists, silent aliasing kept
     # impossible by the mailbox's discipline (audited in PR 6), checked
-    # cheaply here.
-    pool = ListPool()
+    # cheaply here.  Debug mode off explicitly: the test must hold in a
+    # run under REPRO_DEBUG_POOL=1 too.
+    pool = ListPool(debug=False)
     lst = [_entry()]
     pool.put(lst)
     assert lst == [] and pool.get() is lst

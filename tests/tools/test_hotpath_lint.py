@@ -1,5 +1,6 @@
 """The hot-path lint guards the columnar data plane against regressions."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,17 @@ def test_current_tree_is_clean():
         + tuple(hotpath_lint.BINNING_SITES) + hotpath_lint.DELIVERY_FILES
     )
     assert [rel for rel in targets if not (REPO / rel).is_file()] == []
+    # Likewise a renamed binning site (the mailbox's routing pass, the
+    # scheme's kernel, post) would drop out of rule 7 unnoticed.
+    for rel, methods in hotpath_lint.BINNING_SITES.items():
+        tree = ast.parse((REPO / rel).read_text())
+        defined = {
+            f"{cls.name}.{fn.name}"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        }
+        assert set(methods) <= defined, rel
+    assert "Mailbox._route" in hotpath_lint.BINNING_SITES["src/repro/core/mailbox.py"]
     assert hotpath_lint.lint(REPO) == []
 
 
@@ -570,7 +582,7 @@ def test_hop_keys_from_the_key_step_are_allowed(tmp_path):
         "        self._hops = scheme.hop_list(rank)\n"
         "    def post(self, dest, payload):\n"
         "        return self._hops[dest]\n"  # one index into the list view
-        "    def _bin_by_hop(self, dests):\n"
+        "    def _route(self, dests):\n"
         "        return self.scheme.bin_by_hop(self.rank, dests)\n"
         "    def flush(self, dests):\n"  # not a listed site: fine
         "        return self.scheme._hop_keys(self.rank, dests)\n",
@@ -589,7 +601,7 @@ def test_flags_route_evaluation_in_post(tmp_path):
         "            return self.scheme._hop_keys(self.rank, [dest])[0]\n"
         "        hop = self.scheme.next_hop_vec(self.rank, [dest])[0]\n"
         "        return hop or self.scheme.next_hop(self.rank, dest)\n"
-        "    def _bin_by_hop(self, dests):\n"
+        "    def _route(self, dests):\n"
         "        return self.scheme._hop_keys(self.rank, dests)\n",  # the key step: fine
     )
     sites = sorted(
@@ -613,7 +625,7 @@ def test_flags_route_evaluation_in_the_binning_kernels(tmp_path):
         "    def bin_by_hop(self, cur, dests):\n"  # not the kernel: fine
         "        return self.next_hop_vec(cur, dests)\n",
         "class Mailbox:\n"
-        "    def _bin_by_hop(self, dests):\n"
+        "    def _route(self, dests):\n"
         "        route = self.scheme.next_hop\n"  # violation: referenced, not called
         "        def hop(d):\n"
         "            return next_hop(self.rank, d)\n"  # nested: violation
@@ -623,8 +635,8 @@ def test_flags_route_evaluation_in_the_binning_kernels(tmp_path):
         (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
     )
     assert sites == [
-        ("Mailbox._bin_by_hop", "binning next_hop"),
-        ("Mailbox._bin_by_hop", "binning next_hop"),
+        ("Mailbox._route", "binning next_hop"),
+        ("Mailbox._route", "binning next_hop"),
         ("RoutingScheme.bin_by_hop", "binning next_hop_vec"),
     ]
 

@@ -71,8 +71,9 @@ A static route depends on the machine shape alone, so
 ``RoutingScheme.hop_table`` tabulates it once per rank.  Re-binning is a
 ``take`` from it plus a radix sort, and a scalar ``post`` is one index
 into its list view (``RoutingScheme.hop_list``, held by the mailbox).
-Inside ``RoutingScheme.bin_by_hop`` and ``Mailbox._bin_by_hop`` any
-reference to ``next_hop`` or ``next_hop_vec`` (called or not, nested
+Inside ``RoutingScheme.bin_by_hop`` and ``Mailbox._route`` (the one
+routing pass over a received packet's record batches, and over every
+injected or re-binned run) any reference to ``next_hop`` or ``next_hop_vec`` (called or not, nested
 helpers included) is a violation; inside ``Mailbox.post`` so is
 ``_hop_keys``.  Evaluating the route per call gives the same hops, so
 only this lint and the counter gate's ``core.routing.calls`` would
@@ -188,15 +189,15 @@ SIZING_FORBIDDEN_CALLS = {
 }
 
 #: Methods that read hops from a route table only (file -> method ->
-#: the route functions it must not reach for): the two re-binning kernels
-#: and the scalar post.
+#: the route functions it must not reach for): the re-binning kernel, the
+#: mailbox's routing pass over a packet's entries and the scalar post.
 BINNING_FORBIDDEN = frozenset({"next_hop", "next_hop_vec"})
 BINNING_SITES = {
     "src/repro/core/routing/base.py": {
         "RoutingScheme.bin_by_hop": BINNING_FORBIDDEN,
     },
     "src/repro/core/mailbox.py": {
-        "Mailbox._bin_by_hop": BINNING_FORBIDDEN,
+        "Mailbox._route": BINNING_FORBIDDEN,
         "Mailbox.post": BINNING_FORBIDDEN | {"_hop_keys"},
     },
 }
