@@ -8,8 +8,8 @@ Layers (bottom up):
 * :mod:`repro.machine` -- N x C machine model with a LogGP-style network
   (eager/rendezvous protocol switch) and per-node NIC contention.
 * :mod:`repro.mpi` -- simulated MPI: p2p matching, collectives, comms.
-* :mod:`repro.serde` -- variable-length message serialization (cereal
-  substitute) + fixed-record fast path.
+* :mod:`repro.serde` -- sizes + records (cereal substitute): encoded
+  message lengths, the user-type registry and the fixed-record fast path.
 * :mod:`repro.core` -- **YGM itself**: mailboxes, the NoRoute /
   NodeLocal / NodeRemote / NLNR routing schemes, coalescing, asynchronous
   broadcast, termination detection.

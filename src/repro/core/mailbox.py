@@ -782,17 +782,6 @@ class Mailbox:
         """Agreed global ``(sent, received)`` of the last quiescence epoch."""
         return self._term.last_totals
 
-    @property
-    def term_contribution(self):
-        """This rank's own ``(sent, received)`` sample from the agreed round.
-
-        Partition-composable: summed over every rank of the world (in any
-        grouping -- e.g. per PDES partition) it reproduces
-        :attr:`term_totals` exactly, which is how the parallel engine
-        audits global quiescence without a global detector instance.
-        """
-        return self._term.last_contribution
-
     def _trace_quiescent(self) -> None:
         """Record the completion of a quiescence epoch.
 

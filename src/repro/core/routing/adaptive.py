@@ -22,13 +22,13 @@ given the same simulation state.  Broadcasts always use NLNR's static tree: the
 forwarding tree must be consistent across ranks, so it cannot depend on
 per-rank load.
 
-PDES safety: the signal is the *current* node's ``nic_tx`` resource.
-``Machine.transmit_remote`` acquires the source-side NIC natively in
-the partition that owns the sending node (only the destination tail is
-replayed via ``inject_arrival``), and PDES partitions machines by whole
-nodes -- so the executing worker always owns ``cur``'s node and reads
-exactly the counters the serial engine would.  The conformance battery
-covers this scheme for that reason.
+Partitioned runs (:mod:`repro.pdes`) stay exact: the signal is the
+*current* node's ``nic_tx``.  ``Machine.transmit_remote`` acquires the
+source-side NIC natively in the partition owning the sending node (only
+the destination tail is replayed, by ``repro.pdes.worker.inject_arrival``),
+and partitions are whole nodes -- so the executing worker always owns
+``cur``'s node and reads exactly the counters the serial engine would.
+The conformance battery (``tests/pdes``) covers this scheme for that reason.
 
 Until :meth:`bind_machine` is called (e.g. in shape-only unit tests)
 the scheme never sees congestion and routes like NoRoute.

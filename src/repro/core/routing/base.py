@@ -54,9 +54,10 @@ class RoutingScheme(ABC):
         """Attach the simulated machine this scheme routes on.
 
         Called once per :class:`~repro.core.context.YgmWorld` (and once
-        per PDES worker, on the worker's own machine) before any traffic
-        flows.  Static schemes ignore it; :class:`~.adaptive.Adaptive`
-        stores the NIC resources so routing can consult live occupancy.
+        per partition by ``repro.pdes.worker.PartitionRuntime``, on the
+        partition's own machine) before any traffic flows.  Static
+        schemes ignore it; :class:`~.adaptive.Adaptive` stores the NIC
+        resources so routing can consult live occupancy.
         """
 
     # -- point-to-point routing ------------------------------------------------

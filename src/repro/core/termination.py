@@ -99,8 +99,7 @@ class TerminationDetector:
         #: overcounts), contributions are partition-composable by
         #: construction: the sum of ``last_contribution`` over all ranks
         #: equals ``last_totals`` exactly, because the agreed totals were
-        #: computed from precisely these samples.  The PDES engine
-        #: aggregates quiescence totals across partitions from this.
+        #: computed from precisely these samples.
         self.last_contribution: Optional[Counts] = None
         self._own: Counts = (0, 0)
         self._partial: Counts = (0, 0)

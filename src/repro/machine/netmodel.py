@@ -137,26 +137,6 @@ class NetworkModel:
         """Achieved point-to-point bandwidth for ``nbytes`` packets (B/s)."""
         return nbytes / self.remote_time_uncontended(nbytes)
 
-    @property
-    def min_wire_latency(self) -> float:
-        """Smallest :meth:`remote_delay` any remote packet can experience.
-
-        This is the *lookahead* of the conservative parallel-DES engine
-        (:mod:`repro.pdes`): a packet put on the wire at ``t`` cannot be
-        observed by another node before ``t + min_wire_latency``, for any
-        packet size and any inter-node pair (the model is distance-
-        uniform).  Computed fresh on every access -- deliberately not
-        memoised, so mutating a model in place (ablation helpers, tests)
-        can never leave a stale bound behind (the PR-6
-        :meth:`packet_costs` staleness bug class).
-        """
-        return min(
-            # eager branch of remote_delay
-            self.latency,
-            # rendezvous branch of remote_delay
-            self.latency + 2.0 * (self.handshake_latency + self.nic_gap),
-        )
-
     # ---------------------------------------------------------------- local
     def local_time(self, nbytes: int) -> float:
         """Cost of one shared-memory packet (charged to the sending core)."""

@@ -79,13 +79,6 @@ class Machine:
         self.remote_bytes = 0
         self.local_packets = 0
         self.local_bytes = 0
-        #: Optional PDES export hook, called when a remote packet's TX
-        #: hold ends (its on-wire point) as ``hook(t_wire, src, dst, nbytes,
-        #: packet)``.  Returning true claims the packet: the in-flight
-        #: remainder is *not* simulated here -- the owning partition of
-        #: ``dst`` replays it via :meth:`inject_arrival` at the identical
-        #: arrival instant.  ``None`` (the default) keeps the serial path.
-        self.on_remote_export: Any = None
 
     # -- shape helpers -----------------------------------------------------
     @property
@@ -181,27 +174,6 @@ class Machine:
             entry.tx._request(entry)
         yield entry
 
-    def inject_arrival(
-        self,
-        t_wire: float,
-        src: int,
-        dst: int,
-        nbytes: int,
-        packet: Any,
-        deliver: Callable[[Any], None],
-    ) -> None:
-        """Replay a cross-partition packet's arrival (PDES import side).
-
-        The exporting partition saw the packet on the wire at ``t_wire``
-        and skipped the rest; it resumes here as an entry at its arrival
-        stage, pushed at ``t_wire + delay`` -- the float expression of
-        the serial arrival push -- so the arrival instant and everything
-        downstream (NIC-RX contention, delivery order, stats) are
-        bit-identical.
-        """
-        entry = _InFlight(self, 2, src, dst, nbytes, packet, deliver)
-        self.sim._enqueue_at(entry, t_wire + entry.delay)
-
     def transmit(
         self,
         src: int,
@@ -273,21 +245,19 @@ class _InFlight(Event):
         if tracer is not None and tracer.lineage is not None and packet.lin is not None:
             lineage = tracer.lineage
         if phase == 1:  # TX hold over: the packet is on the wire
-            # Grant the next TX waiter, run the on-wire hooks, push the
+            # Grant the next TX waiter, trace the on-wire instant, push the
             # arrival, and only then resume the sender: the push order
-            # that the digests and the PDES push-time key record.
+            # the digests record.  This is the one push of a phase-2
+            # entry through ``_enqueue``; a partitioned run claims the
+            # packet there instead.
             self.tx._complete(self)
             if tracer is not None and tracer.wants("mpi"):
                 tracer.instant(sim._now, "mpi", "packet_on_wire", f"rank {self.src}",
                                dst=self.dst, nbytes=self.nbytes)
             if lineage is not None:
                 lineage.packet_wire(packet.lin, sim._now)
-            exporter = self.machine.on_remote_export
-            if exporter is None or not exporter(
-                sim._now, self.src, self.dst, self.nbytes, packet
-            ):
-                self.phase = 2
-                sim._enqueue(self, self.delay)
+            self.phase = 2
+            sim._enqueue(self, self.delay)
             self._processed = True
             callbacks, self.callbacks = self.callbacks, None
             for cb in callbacks:

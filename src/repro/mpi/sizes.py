@@ -14,7 +14,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..serde import packed_size
-from ..serde.packer import _SIZE_HANDLERS, int64_packed_sizes
+from ..serde.sizing import _SIZE_HANDLERS, int64_packed_sizes
 
 # Exact-type dispatch: serde's size column, except that raw buffers are
 # charged their own length (they travel without serde framing).

@@ -22,6 +22,19 @@ from .matching import Inbox
 WORLD_CTX = 0
 
 
+def failed_rank_deadlock(blocked, now, rank, failed_at, exc) -> DeadlockError:
+    """The deadlock that follows a rank failure, blamed on that rank.
+
+    Names ``rank`` (the lowest failed one) in the detail and is chained
+    ``from`` its exception ``exc``, so the root cause is not lost.
+    """
+    err = DeadlockError(
+        blocked, now, detail=f"rank {rank} failed at t={failed_at!r}: {exc!r}"
+    )
+    err.__cause__ = exc
+    return err
+
+
 @dataclass
 class RankContext:
     """Everything a rank program gets: identity, comm, rng, compute hook."""
@@ -171,11 +184,9 @@ class World:
             if not failed_at:
                 raise
             rank = min(failed_at)
-            exc = procs[rank].value
-            raise DeadlockError(
-                err.blocked, err.now,
-                detail=f"rank {rank} failed at t={failed_at[rank]!r}: {exc!r}",
-            ) from exc
+            raise failed_rank_deadlock(
+                err.blocked, err.now, rank, failed_at[rank], procs[rank].value
+            )
         values = [p.value if p.triggered else None for p in procs]
         return WorldResult(
             values=values,

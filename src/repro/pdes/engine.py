@@ -10,7 +10,7 @@ over its node block.  The driver advances everyone in *windows*:
    partition ``p`` the horizon ``H_p = min(A_p + L, e_p + K*L)``, where
    ``A_p = min over other active partitions q of e_q``, the lookahead
    ``L`` is the network model's
-   :attr:`~repro.machine.netmodel.NetworkModel.min_wire_latency`, and
+   :func:`~repro.pdes.partition.min_wire_latency`, and
    ``K`` is the window-batch factor (``K = 1`` collapses every ``H_p``
    to the classic common horizon ``t_min + L``);
 3. partitions process every event strictly below ``H_p``, *dynamically
@@ -49,9 +49,9 @@ and per-rank results are aggregated into a normal
 :class:`~repro.core.context.YgmResult`.
 
 Global quiescence totals are audited across partitions: every mailbox's
-:attr:`~repro.core.mailbox.Mailbox.term_contribution` samples (one per
-rank) must sum to the termination detector's agreed global
-``last_totals`` -- the partition-composable identity the serial
+:attr:`~repro.core.termination.TerminationDetector.last_contribution`
+samples (one per rank) must sum to the termination detector's agreed
+global ``last_totals`` -- the partition-composable identity the serial
 detector guarantees.
 """
 
@@ -67,8 +67,9 @@ from ..core.context import YgmResult
 from ..core.routing import RoutingScheme, get_scheme
 from ..core.stats import aggregate
 from ..machine import MachineConfig, bench_machine
+from ..mpi.world import failed_rank_deadlock
 from ..sim.errors import DeadlockError
-from .partition import NodePartition
+from .partition import NodePartition, min_wire_latency
 from .rings import DESC_NONE, RingError, ShmTransport, recv_batch, send_batch
 from .wire import decode_batch
 from .worker import (
@@ -153,11 +154,11 @@ class PdesWorld:
         self.partition = NodePartition(
             machine.nodes, machine.cores_per_node, workers
         )
-        self.lookahead = machine.net.min_wire_latency
+        self.lookahead = min_wire_latency(machine.net)
         if not self.lookahead > 0.0:
             raise PdesError(
                 f"conservative lookahead must be positive, got "
-                f"{self.lookahead!r} (NetworkModel.min_wire_latency); a "
+                f"{self.lookahead!r} (min_wire_latency of the network model); a "
                 "zero-latency interconnect admits no parallel window"
             )
         self.window_timeout = window_timeout
@@ -501,9 +502,7 @@ class PdesWorld:
                     if cands:
                         nxt[p] = min(cands)
                 if not nxt:
-                    blocked = sum(remaining.values())
-                    latest = max(rep[6] for rep in reports)
-                    raise DeadlockError(blocked, latest)
+                    raise self._deadlock(conns, procs, reports, remaining)
                 t_min = min(nxt.values())
                 base = math.inf if nparts == 1 else t_min + lookahead
                 if nparts == 1 or batch_k <= 1:
@@ -594,6 +593,23 @@ class PdesWorld:
             self._teardown_rings()
 
         return self._assemble([rep[2] for rep in results])
+
+    def _deadlock(self, conns, procs, reports, remaining) -> DeadlockError:
+        """The global deadlock, blamed as ``World.run`` blames it: on the
+        lowest rank that failed first, chained from its exception."""
+        blocked = sum(remaining.values())
+        latest = max(rep[6] for rep in reports)
+        for conn in conns:
+            conn.send((CMD_FINISH,))
+        failed = {}
+        for rep in self._recv(conns, procs, REP_RESULT, self.rounds):
+            part = rep[2]
+            for r, t in part["failed_at"].items():
+                failed[r] = (t, part["values"][r])
+        if not failed:
+            return DeadlockError(blocked, latest)
+        rank = min(failed)
+        return failed_rank_deadlock(blocked, latest, rank, *failed[rank])
 
     # -- result assembly ---------------------------------------------------
     def _assemble(self, parts: List[dict]) -> YgmResult:

@@ -1,27 +1,12 @@
-"""A compact binary serializer for variable-length messages.
+"""The serde byte encoder and decoder: what the wire codec ships.
 
-This is the reproduction's substitute for *cereal*, the C++ serialization
-library YGM uses (paper Section IV-C).  Like cereal it provides:
-
-* support for the common container types out of the box (here: ``None``,
-  ``bool``, ``int``, ``float``, ``bytes``, ``str``, ``list``, ``tuple``,
-  ``dict``, ``set`` and NumPy arrays), so users rarely write their own
-  packing code,
-* an extension point for user types (:mod:`repro.serde.registry`),
-* deterministic, byte-accurate encoded sizes -- which is what the network
-  model consumes to time packets.
-
-The format is a type-tag byte followed by a payload.  Integers use
-zigzag varint encoding; containers are length-prefixed.  ``pickle`` is
-deliberately not used: its output size is noisy (memoisation, protocol
-framing) and the whole point here is faithful message-size accounting.
-
-Packing dispatches on exact type through one type table rather than an
-``elif`` chain, and unpacking through a 256-entry tag table; both produce
-the same bytes as the original chain for every input (pinned by the
-reference-encoding property tests).  Each table row pairs the writer of an
-encoding with a function that computes its length without writing it.
-:func:`pack_many`/:func:`unpack_many` batch a stream through one buffer.
+The serial simulation consumes only :mod:`repro.serde`'s sizes; the
+parallel engine is the one place that writes and reads the bytes
+(:mod:`repro.pdes.wire`).  Each encoding is exactly as long as
+:func:`repro.serde.packed_size` says (pinned by ``tests/serde``).
+Packing dispatches on exact type through one table, unpacking through a
+256-entry tag table; :func:`pack_many`/:func:`unpack_many` batch a
+stream through one buffer.
 """
 
 from __future__ import annotations
@@ -31,7 +16,8 @@ from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .registry import lookup_by_id, lookup_by_type
+from ..serde.registry import lookup_by_id
+from ..serde.sizing import SerdeError, _custom_entry, _descr_to_plain
 
 # --------------------------------------------------------------------- tags
 T_NONE = 0x00
@@ -52,10 +38,6 @@ T_NPSCALAR = 0x0D
 _F64 = struct.Struct("<d")
 _F64_PACK = _F64.pack
 _F64_UNPACK_FROM = _F64.unpack_from
-
-
-class SerdeError(ValueError):
-    """Raised on unserialisable input or corrupt encoded data."""
 
 
 # ------------------------------------------------------------------ varints
@@ -82,11 +64,6 @@ def _read_uvarint(buf: memoryview, pos: int) -> Tuple[int, int]:
         if not (b & 0x80):
             return value, pos
         shift += 7
-
-
-def _uvarint_len(value: int) -> int:
-    """Bytes :func:`_write_uvarint` emits for ``value``."""
-    return (value.bit_length() + 6) // 7 or 1
 
 
 # ------------------------------------------------------------------ packing
@@ -175,16 +152,6 @@ def _pack_set(out: bytearray, obj: Any) -> None:
         out += enc
 
 
-def _custom_entry(obj: Any):
-    entry = lookup_by_type(type(obj))
-    if entry is None:
-        raise SerdeError(
-            f"cannot serialize {type(obj).__name__}; register it with "
-            "repro.serde.register()"
-        )
-    return entry
-
-
 def _pack_other(out: bytearray, obj: Any) -> None:
     """Fallback for types outside the dispatch table (original chain tail)."""
     if isinstance(obj, np.ndarray):
@@ -226,14 +193,6 @@ def _pack_dtype(out: bytearray, dtype: np.dtype) -> None:
         out += enc
 
 
-def _descr_to_plain(descr):
-    """Normalise np.dtype.descr into pure lists/tuples/str/int."""
-    plain = []
-    for entry in descr:
-        plain.append(tuple(_descr_to_plain(e) if isinstance(e, list) else e for e in entry))
-    return plain
-
-
 def _unpack_dtype(buf: memoryview, pos: int) -> Tuple[np.dtype, int]:
     flag = buf[pos]
     pos += 1
@@ -267,94 +226,22 @@ def _pack_ndarray(out: bytearray, arr: np.ndarray) -> None:
     out += np.ascontiguousarray(arr).tobytes()
 
 
-# ------------------------------------------------------------------- sizing
-#
-# The size column: ``size_fn(obj) == len(pack_fn(obj))`` by arithmetic on
-# what the pack column would write (tools/hotpath_lint.py, rule 6).
-
-def _size_tag(obj: Any) -> int:
-    return 1
-
-
-def _size_int(obj: Any) -> int:
-    zz = obj * 2 if obj >= 0 else -obj * 2 - 1
-    return 2 if zz < 0x80 else 1 + (zz.bit_length() + 6) // 7
-
-
-def _size_float(obj: Any) -> int:
-    return 9
-
-
-def _size_bytes(obj: Any) -> int:
-    n = len(obj)  # tag, uvarint length, that many bytes
-    return n + 2 if n < 0x80 else n + 1 + _uvarint_len(n)
-
-
-def _size_str(obj: Any) -> int:
-    n = len(obj) if obj.isascii() else len(obj.encode("utf-8"))
-    return n + 2 if n < 0x80 else n + 1 + _uvarint_len(n)
-
-
-def _size_items(obj: Any) -> int:
-    """list, tuple, set, frozenset: tag + count + items, in any order."""
-    total = 2 if len(obj) < 0x80 else 1 + _uvarint_len(len(obj))
-    sizes = _SIZE_HANDLERS
-    other = _size_other
-    for item in obj:
-        total += sizes.get(type(item), other)(item)
-    return total
-
-
-def _size_dict(obj: Any) -> int:
-    total = 2 if len(obj) < 0x80 else 1 + _uvarint_len(len(obj))
-    sizes = _SIZE_HANDLERS
-    other = _size_other
-    for key, val in obj.items():
-        total += sizes.get(type(key), other)(key) + sizes.get(type(val), other)(val)
-    return total
-
-
-def _size_ndarray(arr: np.ndarray) -> int:
-    dtype = arr.dtype
-    if dtype.hasobject:
-        raise SerdeError("object-dtype arrays are not serialisable")
-    if dtype.names:  # flag byte + the packed plain descr
-        descr = 1 + _size_items(_descr_to_plain(dtype.descr))
-    else:  # flag byte standing where the string's own tag would
-        descr = _size_bytes(dtype.str)
-    return 1 + descr + sum(map(_uvarint_len, (arr.ndim, *arr.shape))) + arr.nbytes
-
-
-def _size_other(obj: Any) -> int:
-    if isinstance(obj, np.ndarray):
-        return _size_ndarray(obj)
-    if isinstance(obj, np.generic):
-        # tobytes() widens a zero-width str_/bytes_ to one character.
-        body = obj.dtype.itemsize or np.asarray(obj).nbytes
-        return _size_bytes(obj.dtype.str) + body
-    entry = _custom_entry(obj)
-    return 1 + _uvarint_len(entry.type_id) + packed_size(entry.to_state(obj))
-
-
-# One row per exact type: (pack column, size column).  The two dispatch
-# dicts are derived from this literal, so a hot lookup stays one dict.get;
-# everything else goes through _pack_other / _size_other.
-_TYPE_TABLE: Dict[type, Tuple[Callable[[bytearray, Any], None], Callable[[Any], int]]] = {
-    type(None): (_pack_none, _size_tag),
-    bool: (_pack_bool, _size_tag),
-    int: (_pack_int, _size_int),
-    float: (_pack_float, _size_float),
-    bytes: (_pack_bytes, _size_bytes),
-    str: (_pack_str, _size_str),
-    list: (_pack_seq, _size_items),
-    tuple: (_pack_seq, _size_items),
-    dict: (_pack_dict, _size_dict),
-    set: (_pack_set, _size_items),
-    frozenset: (_pack_set, _size_items),
-    np.ndarray: (_pack_ndarray, _size_ndarray),
+# The same keys as repro.serde.sizing._SIZE_HANDLERS; anything else
+# goes through _pack_other.
+_PACK_HANDLERS: Dict[type, Callable[[bytearray, Any], None]] = {
+    type(None): _pack_none,
+    bool: _pack_bool,
+    int: _pack_int,
+    float: _pack_float,
+    bytes: _pack_bytes,
+    str: _pack_str,
+    list: _pack_seq,
+    tuple: _pack_seq,
+    dict: _pack_dict,
+    set: _pack_set,
+    frozenset: _pack_set,
+    np.ndarray: _pack_ndarray,
 }
-_PACK_HANDLERS = {tp: row[0] for tp, row in _TYPE_TABLE.items()}
-_SIZE_HANDLERS = {tp: row[1] for tp, row in _TYPE_TABLE.items()}
 
 
 def pack(obj: Any) -> bytes:
@@ -382,53 +269,6 @@ def pack_many(objs: Iterable[Any], out: "bytearray | None" = None) -> bytes:
     for obj in objs:
         handlers.get(type(obj), other)(buf, obj)
     return bytes(buf)
-
-
-def packed_size(obj: Any) -> int:
-    """The encoded size of ``obj`` in bytes (== ``len(pack(obj))``)."""
-    return _SIZE_HANDLERS.get(type(obj), _size_other)(obj)
-
-
-def int64_packed_sizes(objs) -> "np.ndarray | None":
-    """Encoded sizes of a column of plain ``int`` objects, or ``None``.
-
-    ``None`` sends the caller to its per-element loop: for an empty column,
-    a value beyond int64, or an element whose ``type`` is not exactly
-    ``int`` (bool packs as a tag byte, NumPy scalars through their own
-    handler -- hence the exact-type scan, run in C by ``set(map(...))``).
-    """
-    n = len(objs)
-    if not n or set(map(type, objs)) != {int}:
-        return None
-    try:
-        v = np.fromiter(objs, dtype=np.int64, count=n)
-    except OverflowError:
-        return None  # some value exceeds int64; the loop handles big ints
-    # Zigzag with int64 wrap semantics: ``(v << 1) ^ (v >> 63)`` viewed
-    # as uint64 matches Python's arbitrary-precision ``v*2`` / ``-v*2-1``
-    # for the whole int64 range (including -2**63 -> 2**64 - 1).
-    zz = ((v << 1) ^ (v >> 63)).view(np.uint64)
-    # Tag byte + 1 payload byte, plus one byte per additional 7-bit
-    # group of the zigzag value (uvarint length).
-    sizes = np.full(n, 2, dtype=np.int64)
-    for k in range(1, 10):
-        sizes += zz >= np.uint64(1 << (7 * k))
-    return sizes
-
-
-def packed_size_many(objs) -> np.ndarray:
-    """Vectorized :func:`packed_size` over a sequence (int64 array).
-
-    Element-for-element equal to ``[packed_size(o) for o in objs]``.  The
-    all-``int`` case -- the dominant payload shape of scalar mailbox
-    traffic -- is computed with NumPy zigzag/varint arithmetic instead of
-    one size walk per element; anything else (mixed types, ints
-    beyond int64) falls back to :func:`packed_size` per element.
-    """
-    sizes = int64_packed_sizes(objs)
-    if sizes is None:
-        sizes = np.fromiter(map(packed_size, objs), dtype=np.int64, count=len(objs))
-    return sizes
 
 
 # ---------------------------------------------------------------- unpacking

@@ -11,8 +11,7 @@ conservative synchronisation cheap and exact:
   NIC queueing/contention is simulated by a single kernel, in the same
   event order as the serial run;
 * the only cross-partition interaction is a packet on the wire, which is
-  bounded below by the network model's
-  :attr:`~repro.machine.netmodel.NetworkModel.min_wire_latency` -- the
+  bounded below by :func:`min_wire_latency` of the network model -- the
   engine's lookahead.
 
 Nodes are assigned in contiguous blocks (the same split as
@@ -24,6 +23,26 @@ derives it independently.
 from __future__ import annotations
 
 from typing import List, Tuple
+
+
+def min_wire_latency(net) -> float:
+    """Smallest ``remote_delay`` any remote packet can experience on ``net``.
+
+    This is the *lookahead* of the conservative engine: a packet put on
+    the wire at ``t`` cannot be observed by another node before
+    ``t + min_wire_latency(net)``, for any packet size and any inter-node
+    pair (the :class:`~repro.machine.netmodel.NetworkModel` is distance-
+    uniform).  Computed fresh on every call -- deliberately not memoised,
+    so mutating a model in place (ablation helpers, tests) can never
+    leave a stale bound behind (the ``packet_costs`` memo-staleness bug
+    class).
+    """
+    return min(
+        # eager branch of remote_delay
+        net.latency,
+        # rendezvous branch of remote_delay
+        net.latency + 2.0 * (net.handshake_latency + net.nic_gap),
+    )
 
 
 class NodePartition:

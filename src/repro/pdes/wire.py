@@ -62,13 +62,8 @@ import numpy as np
 
 from ..core.coalescing import BatchEntry, BcastEntry, P2PColumns
 from ..mpi.envelope import Packet
-from ..serde.packer import (
-    SerdeError,
-    _read_uvarint,
-    _write_uvarint,
-    pack_into,
-    unpack_from,
-)
+from ..serde import SerdeError
+from .packer import _read_uvarint, _write_uvarint, pack_into, unpack_from
 
 #: Payload markers (what a packet carries), raw single bytes.
 PAYLOAD_OBJ = 0

@@ -4,7 +4,8 @@ Each worker is a forked OS process owning one :class:`NodePartition`
 block of the simulated machine.  It builds the *full* serial stack -- a
 fresh :class:`~repro.mpi.world.World` with the complete machine shape
 and inboxes for every rank -- but launches rank programs only for its
-owned ranks and installs the machine's ``on_remote_export`` hook, so:
+owned ranks and claims remote packets on the wire (:func:`export_on_wire`),
+so:
 
 * all intra-partition simulation (local transfers, NIC contention,
   mailbox routing, same-node fast paths) runs through the unchanged
@@ -12,7 +13,7 @@ owned ranks and installs the machine's ``on_remote_export`` hook, so:
 * a packet bound for a foreign rank is captured at its packet-on-wire
   instant and shipped to the driver instead of being simulated in
   flight; the owning partition replays the arrival at the bit-identical
-  timestamp via :meth:`~repro.machine.topology.Machine.inject_arrival`.
+  timestamp via :func:`inject_arrival`.
 
 The worker is driven round by round over a pipe (see
 :mod:`repro.pdes.engine` for the window-barrier protocol); its window
@@ -32,8 +33,10 @@ from typing import Any, Dict, List, Optional
 from ..core.config import MailboxConfig
 from ..core.context import YgmContext
 from ..core.stats import aggregate
+from ..machine.topology import _InFlight
 from ..mpi import World
 from ..sim.errors import DeadlockError
+from .partition import min_wire_latency
 from .rings import recv_batch, send_batch
 
 #: Command / reply verbs of the driver<->worker pipe protocol.
@@ -61,6 +64,62 @@ class WorkerSpec:
     #: driver via fork; ``None`` for a one-partition run, which exports
     #: nothing.
     rings: Any = None
+
+
+def enqueue_at(sim, event, at: float) -> None:
+    """Push a triggered event on ``sim``'s heap at the *absolute* instant ``at``.
+
+    An imported arrival is replayed at its exact timestamp with it
+    (``delay = at - now`` would round-trip through float subtraction and
+    lose bit-identity with the serial ``t_wire + remote_delay``).
+    Sequenced like ``Simulator._enqueue``, tiebreaker included.  ``at``
+    may not be in the past (nor NaN).
+    """
+    if not at >= sim._now:
+        raise ValueError(
+            f"cannot enqueue at t={at!r}: simulator already at {sim._now!r}"
+        )
+    sim._seq = seq = sim._seq + 1
+    if sim._tiebreaker is None:
+        heapq.heappush(sim._heap, (at, seq, event))
+    else:
+        heapq.heappush(sim._heap, (at, sim._tiebreaker(at, seq), seq, event))
+
+
+def inject_arrival(machine, t_wire, src, dst, nbytes, packet, deliver) -> None:
+    """Replay a cross-partition packet's arrival (the import side).
+
+    The exporting partition saw the packet on the wire at ``t_wire`` and
+    skipped the rest; it resumes here as an in-flight entry at its
+    arrival stage, pushed at ``t_wire + delay`` -- the float expression
+    of the serial arrival push -- so the arrival instant and everything
+    downstream (NIC-RX contention, delivery order, stats) are
+    bit-identical.
+    """
+    entry = _InFlight(machine, 2, src, dst, nbytes, packet, deliver)
+    enqueue_at(machine.sim, entry, t_wire + entry.delay)
+
+
+def export_on_wire(sim, exporter) -> None:
+    """Claim every remote packet of ``sim``'s machine at its on-wire instant.
+
+    When a remote packet's TX hold ends, its in-flight entry pushes its
+    arrival stage (phase 2) through ``sim._enqueue`` -- the machine's only
+    push of a phase-2 entry there.  From now on that push calls
+    ``exporter(t_wire, src, dst, nbytes, packet)`` instead, and the
+    in-flight remainder is not simulated here: the partition owning
+    ``dst`` replays it with :func:`inject_arrival`.  Every other push is
+    the serial one, with the same sequence number.
+    """
+    enqueue = sim._enqueue
+
+    def enqueue_or_export(event, delay: float = 0.0) -> None:
+        if type(event) is _InFlight and event.phase == 2:
+            exporter(sim._now, event.src, event.dst, event.nbytes, event.packet)
+        else:
+            enqueue(event, delay)
+
+    sim._enqueue = enqueue_or_export
 
 
 class CausalityError(RuntimeError):
@@ -108,7 +167,7 @@ class PartitionRuntime:
         self._limit: float = math.inf
 
         exports_append = self.exports.append
-        lookahead = self.net.min_wire_latency
+        lookahead = min_wire_latency(self.net)
         reflect = 2.0 * lookahead
         owner_of_rank = spec.partition.owner_of_rank
         part = spec.part
@@ -130,10 +189,9 @@ class PartitionRuntime:
             )
             if limit < self._limit:
                 self._limit = limit
-            return True
 
         # Every inter-node packet -- cross-partition or not -- leaves via
-        # the export hook and re-enters through :meth:`inject`, so all
+        # the exporter and re-enters through :meth:`inject`, so all
         # remote arrivals at one timestamp are sequenced under the single
         # canonical key ``(t_arr, t_wire, src)``.  Exporting only the
         # cross-partition subset would interleave barrier-injected
@@ -144,13 +202,14 @@ class PartitionRuntime:
         # the native in-flight path runs untouched (exactly the serial
         # kernel).
         if spec.partition.nparts > 1:
-            self.machine.on_remote_export = exporter
+            export_on_wire(self.sim, exporter)
 
         # -- launch owned rank programs (same wrapping as YgmWorld.run +
         # World.run, restricted to the owned ranks in world-rank order so
         # partition-relative startup order matches the serial run) --
         self.contexts: List[YgmContext] = []
         self.finish_times: Dict[int, float] = {}
+        self.failed_at: Dict[int, float] = {}
         self.remaining = len(self.owned)
         world = self.world
         rank_main = spec.rank_main
@@ -166,7 +225,11 @@ class PartitionRuntime:
             def wrapper():
                 ctx = YgmContext(world.make_context(r), scheme, default_config)
                 self.contexts.append(ctx)
-                value = yield from rank_main(ctx)
+                try:
+                    value = yield from rank_main(ctx)
+                except Exception:
+                    self.failed_at[r] = world.sim.now
+                    raise
                 self.finish_times[r] = world.sim.now
                 return value
 
@@ -263,13 +326,13 @@ class PartitionRuntime:
                         f"clock t={now!r}"
                     )
                 self._push_override = t_wire
-                machine.inject_arrival(
-                    t_wire, src, dst, nbytes, packet, inboxes[dst].deliver
+                inject_arrival(
+                    machine, t_wire, src, dst, nbytes, packet, inboxes[dst].deliver
                 )
         finally:
             self._push_override = None
 
-    def pump(self, limit: float) -> Optional[float]:
+    def pump(self, limit: float, drain: bool = False) -> Optional[float]:
         """Process events strictly below ``limit``, stopping at completion.
 
         The serial :meth:`~repro.sim.kernel.Simulator.run_until_complete`
@@ -279,13 +342,19 @@ class PartitionRuntime:
         events while *other* partitions' ranks are still live), so any
         packet already committed to the wire at the finish instant still
         exports instead of being stranded in a frozen heap.
+
+        ``drain`` drops the stop rule: the final drain replays everything
+        below the global completion instant.  Either way the clock never
+        passes the last processed event, and an empty heap is not a
+        deadlock in windowed mode -- the partition may be waiting for
+        imports, which only the engine can rule out globally.
         """
         sim = self.sim
         heap = sim._heap
         pop = heapq.heappop
         self._limit = limit
         while heap and heap[0][0] < self._limit:
-            if self.remaining <= 0 and heap[0][0] != sim._now:
+            if self.remaining <= 0 and not drain and heap[0][0] != sim._now:
                 break
             item = pop(heap)
             sim._now = item[0]
@@ -294,21 +363,15 @@ class PartitionRuntime:
                 sim._trace_step(sim.tracer, item[-1])
             item[-1]._process()
         if not heap and self.remaining > 0 and limit == math.inf:
-            # Single-partition mode mirrors the serial deadlock check; in
-            # windowed mode an empty heap just means "waiting for
-            # imports" and the driver rules on global deadlock.
+            # Single-partition mode mirrors the serial deadlock check.
             raise DeadlockError(self.sim._live_processes, self.sim.now)
         return heap[0][0] if heap else None
 
     def _advance(self, horizon, drain: bool) -> Optional[float]:
         """Pump this window's events; returns the next pending timestamp."""
-        if horizon is None:
+        if horizon is None or not (drain or self.remaining > 0):
             return self.peek()
-        if drain:
-            return self.sim.run_window(horizon)
-        if self.remaining > 0:
-            return self.pump(horizon)
-        return self.peek()
+        return self.pump(horizon, drain)
 
     def step(self, horizon, batch, drain: bool):
         """One window: inject the imports named by the ``batch`` ring
@@ -337,7 +400,7 @@ class PartitionRuntime:
         }
         term = {
             ctx.world_rank: [
-                (mb._app_kind[1], mb.term_totals, mb.term_contribution)
+                (mb._app_kind[1], mb.term_totals, mb._term.last_contribution)
                 for mb in ctx.mailboxes
             ]
             for ctx in contexts
@@ -364,6 +427,7 @@ class PartitionRuntime:
                 "values": values,
                 "done_at": self.done_at,
                 "finish_times": dict(self.finish_times),
+                "failed_at": dict(self.failed_at),
                 "per_rank_stats": per_rank_stats,
                 "term": term,
                 "transport": transport,

@@ -1,37 +1,23 @@
-"""Serialization for variable-length messages (the *cereal* substitute).
+"""Message sizes and records (the *cereal* substitute).
 
-See paper Section IV-C: YGM supports variable-length messages via cereal;
-this package provides the same capability (binary packing with container
-support and a user-type registry) plus a NumPy structured-record fast path
-for bulk numeric traffic.
+See paper Section IV-C: YGM supports variable-length messages via cereal.
+The simulation times a packet by its encoded length, so this package
+sizes the encoding (with container support and a user-type registry)
+and defines the NumPy structured-record fast path for bulk numeric
+traffic.  The byte encoder and decoder live with the parallel engine's
+wire codec, the only code that ships the bytes.
 """
 
-from .packer import (
-    SerdeError,
-    pack,
-    pack_into,
-    pack_many,
-    packed_size,
-    packed_size_many,
-    unpack,
-    unpack_from,
-    unpack_many,
-)
 from .records import RecordSpec
 from .registry import clear_registry, register, registered
+from .sizing import SerdeError, packed_size, packed_size_many
 
 __all__ = [
     "RecordSpec",
     "SerdeError",
     "clear_registry",
-    "pack",
-    "pack_into",
-    "pack_many",
     "packed_size",
     "packed_size_many",
     "register",
     "registered",
-    "unpack",
-    "unpack_from",
-    "unpack_many",
 ]

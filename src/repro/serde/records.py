@@ -1,7 +1,7 @@
 """Fixed-width record messages: the vectorized fast path.
 
 Mirrors the mpi4py convention taught in the HPC guides: generic Python
-objects go through the (flexible, slower) :mod:`repro.serde.packer`, while
+objects are sized through the (flexible, slower) :mod:`repro.serde.sizing`, while
 bulk numeric traffic uses NumPy structured arrays with a fixed
 :class:`RecordSpec` -- zero per-message Python overhead, byte-exact sizes.
 

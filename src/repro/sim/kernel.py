@@ -182,49 +182,6 @@ class Simulator:
                 push(heap, (t, tb(t, seq), seq, ev))
         self._seq = seq
 
-    def _enqueue_at(self, event: Event, at: float) -> None:
-        """Push a triggered event at the *absolute* instant ``at``.
-
-        :mod:`repro.pdes` replays a cross-partition packet arrival with it
-        at its exact timestamp (``delay = at - now`` would round-trip
-        through float subtraction and lose bit-identity with the serial
-        ``t_wire + remote_delay``).  Sequenced like :meth:`_enqueue`,
-        tiebreaker included.  ``at`` may not be in the past (nor NaN).
-        """
-        if not at >= self._now:
-            raise ValueError(
-                f"cannot enqueue at t={at!r}: simulator already at {self._now!r}"
-            )
-        self._seq = seq = self._seq + 1
-        if self._tiebreaker is None:
-            heapq.heappush(self._heap, (at, seq, event))
-        else:
-            heapq.heappush(self._heap, (at, self._tiebreaker(at, seq), seq, event))
-
-    def run_window(self, limit: float) -> Optional[float]:
-        """Process every queued event with timestamp strictly below ``limit``.
-
-        The conservative-synchronisation window of :mod:`repro.pdes`:
-        events at or beyond ``limit`` may still be affected by
-        not-yet-received cross-partition traffic, so the loop leaves them
-        queued and returns the earliest pending timestamp (``None`` if
-        the queue drained).  Unlike :meth:`run`, the clock is never
-        advanced past the last *processed* event and an empty queue is
-        not a deadlock -- the partition may simply be waiting for
-        injections, which only the driver can rule out globally.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and heap[0][0] < limit:
-            item = pop(heap)
-            self._now = item[0]
-            self._steps += 1
-            tracer = self.tracer
-            if tracer is not None:
-                self._trace_step(tracer, item[-1])
-            item[-1]._process()
-        return heap[0][0] if heap else None
-
     # -- execution -------------------------------------------------------------
     def _trace_step(self, tracer, event: Event) -> None:
         """Per-event trace hook + periodic wall-clock progress sample."""

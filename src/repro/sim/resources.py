@@ -8,8 +8,8 @@ congestion at hot nodes) arises in the simulation.
 **Push-instant contract.**  One hold is one kernel push, its completion:
 of a :class:`_Hold`, or of a remote packet's in-flight entry
 (:mod:`repro.machine.topology`); both take the one grant path,
-:meth:`Resource._request`.  Sequence numbers (and the PDES push-time key)
-are taken when an event is *pushed*, so the completion is pushed when the
+:meth:`Resource._request`.  Sequence numbers (and any push-time tiebreak
+key) are taken when an event is *pushed*, so the completion is pushed when the
 hold is *granted*: at once on an idle server, else from inside the
 predecessor's completion, before the predecessor's own callbacks run.
 Pushing at request time (``grant = max(now, busy_until)``) keeps every

@@ -7,6 +7,7 @@ import pytest
 from repro.core.context import YgmWorld
 from repro.machine import bench_machine, small
 from repro.pdes import PdesError, PdesWorld, assert_equivalent, run_pdes
+from repro.pdes.partition import min_wire_latency
 from repro.sim import DeadlockError
 from repro.trace import Tracer
 
@@ -46,7 +47,7 @@ def test_window_protocol_diagnostics_count_rounds_and_exports():
 
 def test_zero_lookahead_is_rejected():
     machine = bench_machine(2, cores_per_node=2, latency=0.0)
-    assert machine.net.min_wire_latency == 0.0
+    assert min_wire_latency(machine.net) == 0.0
     with pytest.raises(PdesError, match="lookahead"):
         PdesWorld(machine, workers=2)
 
@@ -77,6 +78,43 @@ def test_global_deadlock_is_detected_across_partitions():
 
     with pytest.raises(DeadlockError):
         PdesWorld(4, cores_per_node=1, workers=2).run(rank_main)
+
+
+class Boom(Exception):
+    pass
+
+
+def test_error_while_peers_wait_empty_chains_the_deadlock():
+    """The partitioned twin of the serial test in
+    ``tests/core/test_handler_errors.py``: rank 1 dies inside
+    ``wait_empty`` while rank 0, on the other partition, waits for it in
+    the termination protocol.  The deadlock names rank 1, is chained
+    from its exception, and leaves no worker process behind."""
+    k = 3
+    got = []
+
+    def on_recv(v):
+        got.append(v)
+        if len(got) == k:
+            raise Boom(v)
+
+    def rank_main(ctx):
+        mb = ctx.mailbox(recv=on_recv)
+        if ctx.rank == 0:
+            for i in range(2 * k):
+                yield from mb.send(1, ("m", i))
+        yield from mb.wait_empty()
+
+    before = multiprocessing.active_children()
+    engine = PdesWorld(small(nodes=2, cores_per_node=1), scheme="noroute", workers=2)
+    with pytest.raises(DeadlockError) as ei:
+        engine.run(rank_main)
+    err = ei.value
+    assert isinstance(err.__cause__, Boom)
+    assert err.__cause__.args == (("m", k - 1),)
+    assert "rank 1 failed at t=" in str(err)
+    assert f"deadlocked at t={err.now!r}" in str(err)
+    assert multiprocessing.active_children() == before
 
 
 def test_rank_exception_becomes_its_value_exactly_like_serial():

@@ -2,7 +2,7 @@
 
 The parallel engine's safety rests on one inequality: no remote packet,
 of any size, can be observed by another node earlier than
-``t_wire + net.min_wire_latency``.  If the bound ever exceeded an
+``t_wire + min_wire_latency(net)``.  If the bound ever exceeded an
 actual ``remote_delay``, a window could process an event that an
 in-flight import should have preceded -- silent causality violation.
 These property tests hammer the inequality under randomized model
@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.machine.netmodel import NetworkModel
+from repro.pdes.partition import min_wire_latency
 
 
 def random_model(rng: random.Random) -> NetworkModel:
@@ -43,7 +44,7 @@ def probe_sizes(net: NetworkModel):
 def test_lower_bound_holds_under_randomized_parameters(seed):
     rng = random.Random(seed)
     net = random_model(rng)
-    bound = net.min_wire_latency
+    bound = min_wire_latency(net)
     assert bound >= 0.0
     for nbytes in probe_sizes(net):
         assert bound <= net.remote_delay(nbytes), (
@@ -58,7 +59,7 @@ def test_bound_is_tight():
     # Not just any lower bound: some packet size achieves it exactly.
     net = NetworkModel()
     sizes = probe_sizes(net)
-    assert min(net.remote_delay(n) for n in sizes) == net.min_wire_latency
+    assert min(net.remote_delay(n) for n in sizes) == min_wire_latency(net)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -75,7 +76,7 @@ def test_lower_bound_tracks_in_place_mutation(seed):
     object.__setattr__(net, "latency", rng.uniform(1e-9, 1e-4))
     object.__setattr__(net, "handshake_latency", rng.uniform(0.0, 1e-4))
     object.__setattr__(net, "nic_gap", rng.uniform(1e-9, 1e-4))
-    bound = net.min_wire_latency
+    bound = min_wire_latency(net)
     assert bound == min(
         net.latency,
         net.latency + 2.0 * (net.handshake_latency + net.nic_gap),

@@ -32,7 +32,7 @@ def _samples(contexts):
     out = {}
     for ctx in sorted(contexts, key=lambda c: c.world_rank):
         (mb,) = ctx.mailboxes
-        out[ctx.world_rank] = (mb.term_totals, mb.term_contribution)
+        out[ctx.world_rank] = (mb.term_totals, mb._term.last_contribution)
     return out
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.serde import SerdeError, pack, packed_size, unpack
+from repro.pdes.packer import pack, unpack
+from repro.serde import SerdeError, packed_size
 
 
 SIMPLE_CASES = [

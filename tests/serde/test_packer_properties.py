@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.serde import RecordSpec, SerdeError, pack, packed_size, register, unpack
-from repro.serde import packer
+from repro.pdes import packer
+from repro.pdes.packer import pack, unpack
+from repro.serde import RecordSpec, SerdeError, packed_size, register, sizing
 from repro.serde.registry import clear_registry
 
 SEEDED = settings(
@@ -162,7 +163,7 @@ def test_max_size_payloads_roundtrip():
 # exact bytes of the pre-optimisation elif-chain encoder, frozen in
 # ``reference_packer.py``.
 
-from repro.serde import pack_many, unpack_many  # noqa: E402
+from repro.pdes.packer import pack_many, unpack_many  # noqa: E402
 
 from . import reference_packer as reference  # noqa: E402
 
@@ -372,12 +373,11 @@ def test_row_examples_size_to_the_reference_encoding(obj):
 
 
 def test_type_table_shape_and_example_coverage():
-    table = packer._TYPE_TABLE
-    assert set(packer._PACK_HANDLERS) == set(packer._SIZE_HANDLERS) == set(table)
-    for tp, row in table.items():
-        pack_fn, size_fn = row  # exactly two columns
-        assert packer._PACK_HANDLERS[tp] is pack_fn and callable(pack_fn)
-        assert packer._SIZE_HANDLERS[tp] is size_fn and callable(size_fn)
+    table = sizing._SIZE_HANDLERS
+    assert set(packer._PACK_HANDLERS) == set(table)
+    for tp, size_fn in table.items():
+        pack_fn = packer._PACK_HANDLERS[tp]  # the two columns, one per module
+        assert callable(pack_fn) and callable(size_fn)
     # A row added to the table fails here until it gets an example above.
     assert set(table) <= {type(obj) for obj in ROW_EXAMPLES}
 

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.serde import RecordSpec, pack, register, registered, unpack
+from repro.pdes.packer import pack, unpack
+from repro.serde import RecordSpec, register, registered
 from repro.serde.registry import clear_registry
 
 

@@ -10,6 +10,7 @@ the seed kernel carry over.
 import pytest
 
 from repro.machine import Machine, small
+from repro.pdes.worker import enqueue_at, export_on_wire, inject_arrival
 from repro.sim import DeadlockError, Simulator
 
 
@@ -21,7 +22,7 @@ def _triggered(sim, fn):
     return ev
 
 
-# ---------------------------------------------------------- _enqueue_at()
+# ----------------------------------------------------------- enqueue_at()
 def test_enqueue_at_sequences_like_enqueue_at_the_same_instant():
     """An absolute-time push is sequenced like a relative one, tiebreaker too."""
 
@@ -33,7 +34,7 @@ def test_enqueue_at_sequences_like_enqueue_at_the_same_instant():
             for i in range(3):
                 ev = _triggered(sim, lambda i=i: order.append((sim.now, i)))
                 if absolute:
-                    sim._enqueue_at(ev, sim.now + 0.3)
+                    enqueue_at(sim, ev, sim.now + 0.3)
                 else:
                     sim._enqueue(ev, 0.3)
 
@@ -57,9 +58,9 @@ def test_enqueue_at_rejects_the_past():
     sim.run()
     for at in (0.5, float("nan")):
         with pytest.raises(ValueError):
-            sim._enqueue_at(_triggered(sim, lambda: None), at)
+            enqueue_at(sim, _triggered(sim, lambda: None), at)
     assert sim._heap == []
-    sim._enqueue_at(_triggered(sim, lambda: None), 1.0)  # "now" is not the past
+    enqueue_at(sim, _triggered(sim, lambda: None), 1.0)  # "now" is not the past
     sim.run()
     assert sim.now == 1.0
 
@@ -80,10 +81,9 @@ def _remote_deliveries(reinject: bool, tiebreaker=None):
 
     if reinject:
         def exporter(t_wire, src, dst, nbytes, packet):
-            m.inject_arrival(t_wire, src, dst, nbytes, packet, deliver)
-            return True
+            inject_arrival(m, t_wire, src, dst, nbytes, packet, deliver)
 
-        m.on_remote_export = exporter
+        export_on_wire(sim, exporter)
 
     def sender(src):
         for i in (1, 2):

@@ -116,9 +116,19 @@ GRAPH_EXPORTS = {
 #: Deleted with the distributed-CSC module nothing in the product built.
 GRAPH_DELETED = {"LocalCSC", "build_local_csc", "global_matrix_from_edges"}
 SERDE_EXPORTS = {
-    "RecordSpec", "SerdeError", "clear_registry", "pack", "pack_into",
-    "pack_many", "packed_size", "packed_size_many", "register", "registered",
-    "unpack", "unpack_from", "unpack_many",
+    "RecordSpec", "SerdeError", "clear_registry", "packed_size",
+    "packed_size_many", "register", "registered",
+}
+#: Moved beside the PDES wire codec (``repro.pdes.packer``), the only code
+#: that writes or reads the bytes; serde keeps the sizes.
+SERDE_DELETED = {"pack", "pack_into", "pack_many", "unpack", "unpack_from", "unpack_many"}
+#: The parallel engine's hooks, moved out of the serial layers into
+#: ``repro.pdes``: (module, class) -> the names that left it.
+PDES_HOOKS_MOVED = {
+    ("repro.sim", "Simulator"): {"_enqueue_at", "run_window"},
+    ("repro.machine", "Machine"): {"inject_arrival", "on_remote_export"},
+    ("repro.machine", "NetworkModel"): {"min_wire_latency"},
+    ("repro.core", "Mailbox"): {"term_contribution"},
 }
 YGM_WORLD_PARAMS = {
     "machine", "scheme", "seed", "mailbox_capacity", "cores_per_node",
@@ -222,7 +232,19 @@ def test_graph_surface_stays_within_budget():
 def test_serde_surface_stays_within_budget():
     from repro import serde
 
-    assert set(serde.__all__) <= SERDE_EXPORTS
+    assert set(serde.__all__) <= SERDE_EXPORTS  # 7 names
+    assert not {n for n in dir(serde) if not n.startswith("_")} & SERDE_DELETED
+
+
+def test_pdes_hooks_left_the_serial_layers():
+    from repro.machine import Machine, small
+    from repro.sim import Simulator
+
+    for (module, name), moved in PDES_HOOKS_MOVED.items():
+        cls = getattr(importlib.import_module(module), name)
+        assert not {attr for attr in moved if hasattr(cls, attr)}, name
+    machine = Machine(Simulator(), small(nodes=2, cores_per_node=2))
+    assert not hasattr(machine, "on_remote_export")  # was set per instance
 
 
 def test_pdes_surface_stays_within_budget():

@@ -322,11 +322,14 @@ def test_cli_reports_combining_violation(tmp_path):
     assert "must stay vectorized" in proc.stderr
 
 
-def _write_topology_tree(tmp_path, topology_src):
+def _write_topology_tree(tmp_path, topology_src, worker_src=None):
     root = tmp_path / "repo"
     pkg = root / "src" / "repro" / "machine"
     pkg.mkdir(parents=True)
     (pkg / "topology.py").write_text(topology_src)
+    if worker_src is not None:
+        (root / "src" / "repro" / "pdes").mkdir()
+        (root / "src" / "repro" / "pdes" / "worker.py").write_text(worker_src)
     return root
 
 
@@ -337,21 +340,21 @@ def test_flags_process_per_packet_on_the_remote_path(tmp_path):
         "    def transmit_remote(self, src, dst):\n"
         "        yield entry\n"  # sender's generator: fine
         "        self.sim.process(self._in_flight(dst))\n"  # violation
-        "    def inject_arrival(self, t_wire, dst):\n"
-        "        Process(self.sim, self._tail(dst))\n"  # violation
         "class _InFlight(Event):\n"
         "    def _process(self):\n"
         "        self.sim.process_batch([self.tail()])\n"  # violation
         "        yield self.rx\n",  # violation: generator stage
+        "def inject_arrival(machine, t_wire, dst):\n"
+        "    Process(machine.sim, _tail(dst))\n",  # violation
     )
     sites = sorted(
         (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
     )
     assert sites == [
-        ("Machine.inject_arrival", "packet-path Process"),
         ("Machine.transmit_remote", "packet-path process"),
         ("_InFlight._process", "packet-path process_batch"),
         ("_InFlight._process", "packet-path yield"),
+        ("inject_arrival", "packet-path Process"),
     ]
 
 
@@ -363,8 +366,6 @@ def test_flags_closures_and_extra_events_on_the_remote_path(tmp_path):
         "        yield self.sim.timeout(self.net.send_overhead)\n"  # violation
         "        yield self.nic_tx[0].hold(1.0)\n"  # violation
         "        self.sim.schedule(1.0, partial(self.land, dst))\n"  # two
-        "    def inject_arrival(self, t_wire, dst):\n"
-        "        self.sim.schedule_at(t_wire, lambda: None)\n"  # lambda
         "class _InFlight(Event):\n"
         "    def _process(self):\n"
         "        def delivered():\n"  # violation: nested def
@@ -372,12 +373,13 @@ def test_flags_closures_and_extra_events_on_the_remote_path(tmp_path):
         "        self.rx.hold(1.0).callbacks.append(delivered)\n"  # violation
         "    def _land(self):\n"
         "        functools.partial(self.deliver, self.packet)\n",  # violation
+        "def inject_arrival(machine, t_wire, dst):\n"
+        "    machine.sim.schedule_at(t_wire, lambda: None)\n",  # lambda
     )
     sites = sorted(
         (qual, what) for _f, _line, qual, what in hotpath_lint.lint(root)
     )
     assert sites == [
-        ("Machine.inject_arrival", "packet-path lambda"),
         ("Machine.transmit_remote", "packet-path hold"),
         ("Machine.transmit_remote", "packet-path partial"),
         ("Machine.transmit_remote", "packet-path schedule"),
@@ -385,6 +387,7 @@ def test_flags_closures_and_extra_events_on_the_remote_path(tmp_path):
         ("_InFlight._land", "packet-path partial"),
         ("_InFlight._process", "packet-path hold"),
         ("_InFlight._process", "packet-path nested def"),
+        ("inject_arrival", "packet-path lambda"),
     ]
 
 
@@ -434,18 +437,16 @@ def _write_packer_tree(tmp_path, packer_src):
     root = tmp_path / "repo"
     pkg = root / "src" / "repro" / "serde"
     pkg.mkdir(parents=True)
-    (pkg / "packer.py").write_text(packer_src)
+    (pkg / "sizing.py").write_text(packer_src)
     return root
 
 
 _PACKER_TABLE = (
-    "_TYPE_TABLE = {\n"
-    "    int: (_pack_int, _size_int),\n"
-    "    str: (_pack_str, _size_str),\n"
-    "    list: (_pack_list, _size_items),\n"
+    "_SIZE_HANDLERS = {\n"
+    "    int: _size_int,\n"
+    "    str: _size_str,\n"
+    "    list: _size_items,\n"
     "}\n"
-    "_PACK_HANDLERS = {tp: row[0] for tp, row in _TYPE_TABLE.items()}\n"
-    "_SIZE_HANDLERS = {tp: row[1] for tp, row in _TYPE_TABLE.items()}\n"
     "def pack(obj):\n"
     "    out = bytearray()\n"  # the pack column may allocate: not sizing code
     "    _PACK_HANDLERS[type(obj)](out, obj)\n"
@@ -765,3 +766,63 @@ def test_cli_reports_delivery_violation(tmp_path):
     assert proc.returncode == 1
     assert "second callback site in Mailbox.post" in proc.stderr
     assert "one delivery loop per entry kind" in proc.stderr
+
+
+def test_flags_pdes_imports_outside_the_pdes_package(tmp_path):
+    root = tmp_path / "repo"
+    pkg = root / "src" / "repro"
+    for sub in ("core", "sim", "pdes"):
+        (pkg / sub).mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from . import pdes\n"  # violation
+        "from .pdes import PdesWorld\n"  # violation
+        "from . import sim\n"
+    )
+    (pkg / "core" / "mailbox.py").write_text(
+        "from ..pdes import worker\n"  # violation: relative
+        "from ..pdesx import y\n"  # a different package
+        "from .. import pdes\n"  # violation
+    )
+    (pkg / "sim" / "kernel.py").write_text(
+        "import repro.pdes.engine as engine\n"  # violation: absolute
+        "from repro import pdes\n"  # violation
+        "import repro.pdesy\n"
+    )
+    (pkg / "pdes" / "engine.py").write_text(
+        "from ..pdes import wire\n"  # the package itself may
+        "from repro.pdes import rings\n"
+    )
+    sites = sorted(
+        (rel, line, what) for rel, line, _qual, what in hotpath_lint.lint(root)
+    )
+    assert sites == [
+        ("src/repro/__init__.py", 1, "pdes-import repro.pdes"),
+        ("src/repro/__init__.py", 2, "pdes-import repro.pdes"),
+        ("src/repro/core/mailbox.py", 1, "pdes-import repro.pdes"),
+        ("src/repro/core/mailbox.py", 3, "pdes-import repro.pdes"),
+        ("src/repro/sim/kernel.py", 1, "pdes-import repro.pdes.engine"),
+        ("src/repro/sim/kernel.py", 2, "pdes-import repro.pdes"),
+    ]
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "hotpath_lint.py"), "--root", str(root)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "the parallel engine is quarantined" in proc.stderr
+
+
+def test_pdes_quarantine_holds_on_the_current_tree():
+    assert hotpath_lint.lint_quarantine(REPO) == []
+    # The import-side arrival replay left the machine for the engine;
+    # rule 5 follows it there, so a rename would drop out unnoticed.
+    for rel, names in hotpath_lint.PACKET_SITES.items():
+        tree = ast.parse((REPO / rel).read_text())
+        defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        defined |= {
+            f"{cls.name}.{fn.name}"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        }
+        assert names <= defined, rel
+    assert "inject_arrival" in hotpath_lint.PACKET_SITES["src/repro/pdes/worker.py"]

@@ -37,11 +37,12 @@ reads and no recorder calls -- no ``perf_counter`` / ``monotonic`` /
 only telemetry allowed there; a timing call on that path would tax
 every batch, and there is no recorder to feed.
 
-A fifth rule guards the remote-packet path (``repro.machine.topology``):
-one object per packet.  A remote packet is one in-flight entry
-(``_InFlight``) that the kernel pops once per stage.  Inside
-``Machine.transmit_remote``, ``Machine.inject_arrival`` and every method
-of ``_InFlight``, each of these is a violation:
+A fifth rule guards the remote-packet path (``repro.machine.topology``,
+and its import-side replay in ``repro.pdes.worker``): one object per
+packet.  A remote packet is one in-flight entry (``_InFlight``) that the
+kernel pops once per stage.  Inside ``Machine.transmit_remote``, every
+method of ``_InFlight`` and the parallel engine's ``inject_arrival``,
+each of these is a violation:
 
 - a call to ``.process(``, ``.process_batch(`` or ``Process(``;
 - a ``lambda``, a nested ``def`` or a call to ``partial(`` (a closure
@@ -56,15 +57,16 @@ this lint, the event budget and the resume budget in
 ``tests/machine/test_topology.py`` would notice.
 
 PR 22 added a sixth rule for scalar payload sizing
-(``repro.serde.packer``): sizing allocates nothing.  The mailbox needs
+(``repro.serde.sizing``): sizing allocates nothing.  The mailbox needs
 only the encoded *length* of a scalar payload, so ``packed_size`` and
-every function in the size column of ``_TYPE_TABLE`` (and whatever
+every function in the size table ``_SIZE_HANDLERS`` (and whatever
 module-level helpers they reach) compute it by arithmetic: no
 ``bytearray(`` / ``bytes(`` / ``sorted(``, no call to ``pack`` /
-``pack_into`` / ``pack_many`` / ``_pack_*`` and no reference to the pack
-column, and ``.encode(`` only in the non-ASCII branch of the ``str``
-row.  Packing into a scratch buffer and taking ``len()`` gives the same
-number, so only this lint (and the clock) would notice it coming back.
+``pack_into`` / ``pack_many`` / ``_pack_*`` and no reference to the
+encoder's table, and ``.encode(`` only in the non-ASCII branch of the
+``str`` row.  Packing into a scratch buffer and taking ``len()`` gives
+the same number, so only this lint (and the clock) would notice it
+coming back.
 
 A seventh rule guards the route tables: hops come only from a table.
 A static route depends on the machine shape alone, so
@@ -88,6 +90,11 @@ at most one site, and no loop that calls one of them names ``prof``,
 once (``LineageProfiler.handler`` / ``batch_handler``) and then runs the
 same loop as an unprofiled one.  A profiled twin of a delivery loop
 records the same lineage, so only this lint would notice it coming back.
+
+A ninth rule quarantines the parallel engine: no module under
+``src/repro`` outside ``src/repro/pdes`` imports ``repro.pdes``, by
+absolute or relative import.  The serial layers carry no parallel-DES
+hook; the engine reaches into them, never the other way round.
 
 Usage::
 
@@ -167,10 +174,13 @@ RING_FORBIDDEN_CALLS = {
     "progress",
 }
 
-#: Remote-packet path file, the methods on it (those two, plus every
-#: method of the in-flight class), and the one that may be a generator.
-PACKET_FILES = ("src/repro/machine/topology.py",)
-PACKET_METHODS = {"Machine.transmit_remote", "Machine.inject_arrival"}
+#: Remote-packet path files and the functions on them (plus every method
+#: of the in-flight class), and the one that may be a generator.
+PACKET_SITES = {
+    "src/repro/machine/topology.py": {"Machine.transmit_remote"},
+    "src/repro/pdes/worker.py": {"inject_arrival"},
+}
+PACKET_FILES = tuple(PACKET_SITES)
 PACKET_CLASS = "_InFlight"
 PACKET_GENERATOR = "Machine.transmit_remote"
 PACKET_FORBIDDEN_CALLS = {
@@ -181,8 +191,8 @@ PACKET_FORBIDDEN_CALLS = {
 
 #: Serde file whose size column must stay arithmetic, the table literal
 #: that names the column, and the public entry point into it.
-SIZING_FILES = ("src/repro/serde/packer.py",)
-SIZING_TABLE = "_TYPE_TABLE"
+SIZING_FILES = ("src/repro/serde/sizing.py",)
+SIZING_TABLE = "_SIZE_HANDLERS"
 SIZING_ENTRY = "packed_size"
 SIZING_FORBIDDEN_CALLS = {
     "bytearray", "bytes", "sorted", "pack", "pack_into", "pack_many",
@@ -208,6 +218,11 @@ BINNING_SITES = {
 DELIVERY_FILES = ("src/repro/core/mailbox.py",)
 RECV_CALLBACKS = {"recv", "recv_batch", "recv_bcast"}
 LINEAGE_NAMES = {"prof", "_prof", "lin", "lins"}
+
+#: The package tree scanned for imports of the quarantined package, and
+#: that package (its own modules may import it).
+QUARANTINE_ROOT = "src/repro"
+QUARANTINE_PACKAGE = "repro.pdes"
 
 
 def _call_name(node: ast.Call) -> str:
@@ -401,6 +416,7 @@ class _PacketPathVisitor(ast.NodeVisitor):
 
     def __init__(self, relpath: str) -> None:
         self.relpath = relpath
+        self.methods = PACKET_SITES.get(relpath, set())
         self.stack: list[str] = []
         self.violations: list[tuple[str, int, str, str]] = []
 
@@ -412,12 +428,13 @@ class _PacketPathVisitor(ast.NodeVisitor):
     visit_ClassDef = _scoped
 
     def _method(self) -> "str | None":
-        """The packet-path method being visited, else None."""
-        method = ".".join(self.stack[:2])
-        if method in PACKET_METHODS or (
-            len(self.stack) >= 2 and self.stack[0] == PACKET_CLASS
-        ):
-            return method
+        """The packet-path function being visited, else None."""
+        for depth in (1, 2):
+            method = ".".join(self.stack[:depth])
+            if len(self.stack) >= depth and method in self.methods:
+                return method
+        if len(self.stack) >= 2 and self.stack[0] == PACKET_CLASS:
+            return ".".join(self.stack[:2])
         return None
 
     def _flag(self, node, what: str) -> None:
@@ -426,7 +443,8 @@ class _PacketPathVisitor(ast.NodeVisitor):
         )
 
     def visit_FunctionDef(self, node) -> None:
-        if len(self.stack) >= 2 and self._method():
+        method = self._method()
+        if method and len(self.stack) > method.count("."):
             self._flag(node, "nested def")
         self._scoped(node)
 
@@ -632,12 +650,10 @@ def lint_sizing(path: Path, relpath: str) -> list[tuple[str, int, str, str]]:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         if SIZING_TABLE not in {getattr(t, "id", None) for t in targets}:
             continue
-        for key, row in zip(node.value.keys, node.value.values):
-            pack_fn, size_fn = (elt.id for elt in row.elts)
-            pack_names.add(pack_fn)
-            size_names.add(size_fn)
+        for key, size_fn in zip(node.value.keys, node.value.values):
+            size_names.add(size_fn.id)
             if isinstance(key, ast.Name) and key.id == "str":
-                str_row = size_fn
+                str_row = size_fn.id
     # Everything the size column reaches by name is sizing code too.
     todo, reached = size_names & funcs.keys(), set()
     violations = []
@@ -708,6 +724,35 @@ def lint_delivery(
     return sorted(visitor.violations)
 
 
+def lint_quarantine(root: Path) -> list[tuple[str, int, str, str]]:
+    """Imports of the quarantined package from outside it (rule 9)."""
+    base = root / QUARANTINE_ROOT
+    quarantined = tuple(QUARANTINE_PACKAGE.split("."))
+    violations = []
+    for path in sorted(base.rglob("*.py")):
+        package = path.relative_to(base.parent).parts[:-1]
+        if package[: len(quarantined)] == quarantined:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:  # relative to this module's package
+                    parent = package[: len(package) - node.level + 1]
+                    module = ".".join(parent + ((module,) if module else ()))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[: len(quarantined)] == list(quarantined):
+                    rel = path.relative_to(root).as_posix()
+                    violations.append((rel, node.lineno, "<module>", f"pdes-import {name}"))
+                    break
+    return violations
+
+
 def lint(root: Path) -> list[tuple[str, int, str, str]]:
     violations = []
     for rel in HOT_FILES:
@@ -742,6 +787,8 @@ def lint(root: Path) -> list[tuple[str, int, str, str]]:
         path = root / rel
         if path.exists():
             violations.extend(lint_delivery(path, rel))
+    if (root / QUARANTINE_ROOT).is_dir():
+        violations.extend(lint_quarantine(root))
     return violations
 
 
@@ -803,6 +850,14 @@ def main(argv=None) -> int:
                 f"(LineageProfiler.handler) instead of a profiled twin loop",
                 file=sys.stderr,
             )
+        elif name.startswith("pdes-import "):
+            print(
+                f"{relpath}:{lineno}: imports {name[len('pdes-import '):]} "
+                f"-- the parallel engine is quarantined: no module outside "
+                f"repro.pdes imports it (the engine reaches into the serial "
+                f"layers, never the other way round)",
+                file=sys.stderr,
+            )
         elif "pickle" in name:
             print(
                 f"{relpath}:{lineno}: {name} in {qualname} -- the PDES "
@@ -824,7 +879,7 @@ def main(argv=None) -> int:
         nfiles = (
             len(HOT_FILES) + len(PICKLE_FREE_FILES) + len(VECTORIZED_FILES)
             + len(RING_FILES) + len(PACKET_FILES) + len(SIZING_FILES)
-            + len(BINNING_SITES) + len(DELIVERY_FILES)
+            + len(BINNING_SITES) + len(DELIVERY_FILES) + 1
         )
         print(f"hotpath lint: OK ({nfiles} files)")
     return 1 if violations else 0
