@@ -15,26 +15,28 @@ way they do:
   key-space concentrations and routing schemes (the NAPSpMV-style
   aggregation PR 9 adds).
 
-All sweeps share one parametrized degree-counting cell
-(:func:`degree_cell`, also the cell of Figs 6a/6b); the straggler
-comparison has its own cells.
-Cells go through :mod:`repro.exec`, so ablations parallelize and cache
-like the figures do.
+The first four are one axis-driven sweep (:func:`_degree_sweep`) over
+the parametrized degree-counting cell (:func:`degree_cell`, also the
+cell of Figs 6a/6b); the straggler and combining comparisons have their
+own cells.  Every ablation runs its grid through
+:func:`~repro.bench.harness.run_grid`, so ablations parallelize and
+cache like the figures do.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import itertools
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..apps import make_connected_components, make_degree_counting
 from ..baselines import make_bsp_degree_counting
 from ..core import YgmResult
-from ..exec import Job, Pool, run_jobs
+from ..exec import Pool
 from ..graph import er_stream, rmat_stream
 from ..machine import bench_machine
-from .harness import run_mpi, run_ygm
+from .harness import run_grid, run_mpi, run_ygm
 from .report import Table
 
 
@@ -83,8 +85,35 @@ def degree_cell(**kwargs) -> dict:
     }
 
 
-def _degree_job(label: str, **kwargs) -> Job:
-    return Job(fn="repro.bench.ablations:degree_cell", kwargs=kwargs, label=label)
+def _degree_sweep(
+    name: str,
+    title: str,
+    columns: Sequence[str],
+    axes: Dict[str, Sequence],
+    pool: Optional[Pool],
+    note: Optional[str] = None,
+    **fixed,
+) -> Table:
+    """The ablation ``name``: a :func:`degree_cell` per point of the
+    product of ``axes`` (``{kwarg: values}``, the first axis outermost),
+    on ``1024 * nodes * cores`` vertices.  ``fixed`` is the kwargs no
+    axis sets; ``columns`` names the axes' table columns, then the cell
+    stats each row reads."""
+    grid = list(itertools.product(*axes.values()))
+
+    def cell_of(*point):
+        kwargs = dict(fixed, **dict(zip(axes, point)))
+        kwargs["num_vertices"] = 1024 * kwargs["nodes"] * kwargs["cores"]
+        return degree_cell, kwargs
+
+    table = Table(title=title, columns=list(columns))
+    cells = run_grid(grid, cell_of, f"ablation {name}", pool)
+    for point, cell in zip(grid, cells):
+        stats = [cell[c] for c in columns[len(point):]]
+        table.add(**dict(zip(columns, (*point, *stats))))
+    if note:
+        table.note(note)
+    return table
 
 
 def run_capacity_sweep(
@@ -102,36 +131,16 @@ def run_capacity_sweep(
     that the mailbox *capacity* -- not the application batch size --
     governs the flush granularity, as with the paper's per-message sends.
     """
-    table = Table(
-        title=f"Ablation: mailbox capacity sweep ({scheme}, N={nodes}, C={cores})",
-        columns=["capacity", "seconds", "avg_remote_pkt_B", "flushes"],
-    )
-    cells = run_jobs(
-        [
-            _degree_job(
-                f"ablation capacity={cap}",
-                nodes=nodes,
-                cores=cores,
-                scheme=scheme,
-                capacity=cap,
-                batch_size=32,
-                edges_per_rank=edges_per_rank,
-                num_vertices=1024 * nodes * cores,
-                seed=seed,
-            )
-            for cap in capacities
-        ],
+    return _degree_sweep(
+        "capacity",
+        f"Ablation: mailbox capacity sweep ({scheme}, N={nodes}, C={cores})",
+        ["capacity", "seconds", "avg_remote_pkt_B", "flushes"],
+        {"capacity": capacities},
         pool,
+        "larger mailboxes -> bigger packets -> less per-packet overhead",
+        nodes=nodes, cores=cores, scheme=scheme, batch_size=32,
+        edges_per_rank=edges_per_rank, seed=seed,
     )
-    for cap, cell in zip(capacities, cells):
-        table.add(
-            capacity=cap,
-            seconds=cell["seconds"],
-            avg_remote_pkt_B=cell["avg_remote_pkt_B"],
-            flushes=cell["flushes"],
-        )
-    table.note("larger mailboxes -> bigger packets -> less per-packet overhead")
-    return table
 
 
 def run_cores_sweep(
@@ -143,41 +152,16 @@ def run_cores_sweep(
     pool: Optional[Pool] = None,
 ) -> Table:
     """Section III-E: the NLNR advantage over NodeRemote grows with C."""
-    table = Table(
-        title=f"Ablation: cores-per-node sweep (N={nodes})",
-        columns=["cores", "scheme", "seconds", "avg_remote_pkt_B"],
-    )
-    grid = [
-        (cores, scheme)
-        for cores in cores_options
-        for scheme in ("node_remote", "nlnr")
-    ]
-    cells = run_jobs(
-        [
-            _degree_job(
-                f"ablation cores={cores} {scheme}",
-                nodes=nodes,
-                cores=cores,
-                scheme=scheme,
-                capacity=capacity,
-                batch_size=2**12,
-                edges_per_rank=edges_per_rank,
-                num_vertices=1024 * nodes * cores,
-                seed=seed,
-            )
-            for cores, scheme in grid
-        ],
+    return _degree_sweep(
+        "cores",
+        f"Ablation: cores-per-node sweep (N={nodes})",
+        ["cores", "scheme", "seconds", "avg_remote_pkt_B"],
+        {"cores": cores_options, "scheme": ("node_remote", "nlnr")},
         pool,
+        "NLNR's avg packet is C x NodeRemote's: the gap widens with C",
+        nodes=nodes, capacity=capacity, batch_size=2**12,
+        edges_per_rank=edges_per_rank, seed=seed,
     )
-    for (cores, scheme), cell in zip(grid, cells):
-        table.add(
-            cores=cores,
-            scheme=scheme,
-            seconds=cell["seconds"],
-            avg_remote_pkt_B=cell["avg_remote_pkt_B"],
-        )
-    table.note("NLNR's avg packet is C x NodeRemote's: the gap widens with C")
-    return table
 
 
 def run_eager_threshold_sweep(
@@ -191,36 +175,15 @@ def run_eager_threshold_sweep(
 ) -> Table:
     """Where the protocol switch sits changes which scheme's packets ride
     the fast path."""
-    table = Table(
-        title=f"Ablation: eager/rendezvous threshold sweep (N={nodes}, C={cores})",
-        columns=["threshold", "scheme", "seconds"],
-    )
-    grid = [
-        (threshold, scheme)
-        for threshold in thresholds
-        for scheme in ("node_remote", "nlnr")
-    ]
-    cells = run_jobs(
-        [
-            _degree_job(
-                f"ablation eager={threshold} {scheme}",
-                nodes=nodes,
-                cores=cores,
-                scheme=scheme,
-                capacity=capacity,
-                batch_size=2**12,
-                edges_per_rank=edges_per_rank,
-                num_vertices=1024 * nodes * cores,
-                seed=seed,
-                eager_threshold=threshold,
-            )
-            for threshold, scheme in grid
-        ],
+    return _degree_sweep(
+        "eager",
+        f"Ablation: eager/rendezvous threshold sweep (N={nodes}, C={cores})",
+        ["threshold", "scheme", "seconds"],
+        {"eager_threshold": thresholds, "scheme": ("node_remote", "nlnr")},
         pool,
+        nodes=nodes, cores=cores, capacity=capacity, batch_size=2**12,
+        edges_per_rank=edges_per_rank, seed=seed,
     )
-    for (threshold, scheme), cell in zip(grid, cells):
-        table.add(threshold=threshold, scheme=scheme, seconds=cell["seconds"])
-    return table
 
 
 def run_hybrid_comparison(
@@ -232,36 +195,15 @@ def run_hybrid_comparison(
     pool: Optional[Pool] = None,
 ) -> Table:
     """Section VII: hybrid MPI+threads NLNR removes on-node copy costs."""
-    table = Table(
-        title=f"Ablation: NLNR vs hybrid (free local hops), N={nodes}, C={cores}",
-        columns=["scheme", "seconds", "local_bytes", "remote_bytes"],
-    )
-    schemes = ("node_local", "node_remote", "nlnr", "nlnr_hybrid")
-    cells = run_jobs(
-        [
-            _degree_job(
-                f"ablation hybrid {scheme}",
-                nodes=nodes,
-                cores=cores,
-                scheme=scheme,
-                capacity=capacity,
-                batch_size=2**12,
-                edges_per_rank=edges_per_rank,
-                num_vertices=1024 * nodes * cores,
-                seed=seed,
-            )
-            for scheme in schemes
-        ],
+    return _degree_sweep(
+        "hybrid",
+        f"Ablation: NLNR vs hybrid (free local hops), N={nodes}, C={cores}",
+        ["scheme", "seconds", "local_bytes", "remote_bytes"],
+        {"scheme": ("node_local", "node_remote", "nlnr", "nlnr_hybrid")},
         pool,
+        nodes=nodes, cores=cores, capacity=capacity, batch_size=2**12,
+        edges_per_rank=edges_per_rank, seed=seed,
     )
-    for scheme, cell in zip(schemes, cells):
-        table.add(
-            scheme=scheme,
-            seconds=cell["seconds"],
-            local_bytes=cell["local_bytes"],
-            remote_bytes=cell["remote_bytes"],
-        )
-    return table
 
 
 def bsp_straggler_cell(
@@ -376,38 +318,22 @@ def run_straggler_comparison(
         f"(N={nodes}, C={cores}, straggler +{straggler_delay}s/batch)",
         columns=["impl", "makespan", "avg_work_done_others"],
     )
-    batch = 2**10
     common = dict(
-        nodes=nodes,
-        cores=cores,
-        edges_per_rank=edges_per_rank,
-        batch_size=batch,
-        straggler_delay=straggler_delay,
-        seed=seed,
+        nodes=nodes, cores=cores, edges_per_rank=edges_per_rank, batch_size=2**10,
+        straggler_delay=straggler_delay, seed=seed,
     )
-    schemes = ("node_remote", "nlnr")
-    jobs = [
-        Job(
-            fn="repro.bench.ablations:bsp_straggler_cell",
-            kwargs=common,
-            label="ablation straggler bsp",
+    impls = ["bsp_alltoallv", "ygm/node_remote", "ygm/nlnr"]
+
+    def cell_of(impl: str):
+        if impl == "bsp_alltoallv":
+            return bsp_straggler_cell, common
+        return ygm_straggler_cell, dict(
+            common, scheme=impl[len("ygm/"):], capacity=capacity
         )
-    ] + [
-        Job(
-            fn="repro.bench.ablations:ygm_straggler_cell",
-            kwargs=dict(common, scheme=scheme, capacity=capacity),
-            label=f"ablation straggler {scheme}",
-        )
-        for scheme in schemes
-    ]
-    cells = run_jobs(jobs, pool)
-    impls = ["bsp_alltoallv"] + [f"ygm/{s}" for s in schemes]
+
+    cells = run_grid([(i,) for i in impls], cell_of, "ablation straggler", pool)
     for impl, cell in zip(impls, cells):
-        table.add(
-            impl=impl,
-            makespan=cell["makespan"],
-            avg_work_done_others=cell["avg_work_done_others"],
-        )
+        table.add(impl=impl, **cell)
     table.note(
         "avg_work_done_others: mean time non-straggler ranks finished their "
         "own sends; BSP couples it to the straggler, YGM does not"
@@ -472,6 +398,11 @@ def combining_cell(
     }
 
 
+def _reduction(off: dict, on: dict, stat: str) -> float:
+    """The share of ``stat`` that combining removed (0 if ``off`` had none)."""
+    return 1.0 - (on[stat] / off[stat] if off[stat] else 1.0)
+
+
 def run_combining_sweep(
     nodes: int = 4,
     cores: int = 4,
@@ -509,64 +440,33 @@ def run_combining_sweep(
         ("degree_count", 256 * nranks),
         ("connected_components", 1024),
     ]
+    # Each (app, verts, scheme) row runs combining off, then on.
     grid = [
         (app, verts, scheme, combining)
         for app, verts in panels
         for scheme in schemes
         for combining in (False, True)
     ]
-    cells = run_jobs(
-        [
-            Job(
-                fn="repro.bench.ablations:combining_cell",
-                kwargs=dict(
-                    app=app,
-                    nodes=nodes,
-                    cores=cores,
-                    scheme=scheme,
-                    capacity=capacity,
-                    batch_size=2**10,
-                    edges_per_rank=edges_per_rank,
-                    num_vertices=verts,
-                    seed=seed,
-                    combining=combining,
-                ),
-                label=f"ablation combining {app}/{scheme}/v{verts}"
-                + ("/on" if combining else "/off"),
-            )
-            for app, verts, scheme, combining in grid
-        ],
-        pool,
-    )
-    by_key = {key: cell for key, cell in zip(grid, cells)}
-    for app, verts in panels:
-        for scheme in schemes:
-            off = by_key[(app, verts, scheme, False)]
-            on = by_key[(app, verts, scheme, True)]
-            posted = on["app_messages_sent"]
-            table.add(
-                app=app,
-                scheme=scheme,
-                verts=verts,
-                combine_ratio=(
-                    on["entries_combined"] / posted if posted else 0.0
-                ),
-                fwd_reduction=1.0
-                - (
-                    on["entries_forwarded"] / off["entries_forwarded"]
-                    if off["entries_forwarded"]
-                    else 1.0
-                ),
-                wire_reduction=1.0
-                - (
-                    on["remote_bytes"] / off["remote_bytes"]
-                    if off["remote_bytes"]
-                    else 1.0
-                ),
-                speedup=(
-                    off["seconds"] / on["seconds"] if on["seconds"] else 0.0
-                ),
-            )
+
+    def cell_of(app: str, verts: int, scheme: str, combining: bool):
+        return combining_cell, dict(
+            app=app, nodes=nodes, cores=cores, scheme=scheme, capacity=capacity,
+            batch_size=2**10, edges_per_rank=edges_per_rank, num_vertices=verts,
+            seed=seed, combining=combining,
+        )
+
+    cells = run_grid(grid, cell_of, "ablation combining", pool)
+    for (app, verts, scheme, _), off, on in zip(grid[::2], cells[::2], cells[1::2]):
+        posted = on["app_messages_sent"]
+        table.add(
+            app=app,
+            scheme=scheme,
+            verts=verts,
+            combine_ratio=on["entries_combined"] / posted if posted else 0.0,
+            fwd_reduction=_reduction(off, on, "entries_forwarded"),
+            wire_reduction=_reduction(off, on, "remote_bytes"),
+            speedup=off["seconds"] / on["seconds"] if on["seconds"] else 0.0,
+        )
     table.note(
         "combine_ratio: fraction of posted records merged away in-network; "
         "speedup is simulated seconds, combining off/on"

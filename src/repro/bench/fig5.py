@@ -8,17 +8,19 @@ MPI layer (not just evaluated from the model formula), and the markers
 use the Section III-E average-size analysis O(V/NC), O(V/N), O(VC/N).
 
 Every point of the curve is an independent two-rank simulation, so the
-sweep (and the marker measurements) fan out through :mod:`repro.exec`
-as :func:`bandwidth_cell` jobs.
+sweep (and the marker measurements) is one
+:func:`~repro.bench.harness.run_grid` over message sizes, a
+:func:`bandwidth_cell` per size.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..exec import Job, Pool, run_jobs
+from ..exec import Pool
 from ..machine import KiB, MiB, bench_machine
 from ..mpi import HEADER_BYTES, World
+from .harness import run_grid
 from .report import Table
 
 #: Sweep sizes: powers of two from 1 B to 16 MiB, plus the points just
@@ -90,22 +92,12 @@ def run(
         "node_remote": V / (N - 1),
         "nlnr": V * C / N,
     }
-    jobs = [
-        Job(
-            fn="repro.bench.fig5:bandwidth_cell",
-            kwargs={"nbytes": size},
-            label=f"fig5 {size}B",
-        )
-        for size in sizes
-    ] + [
-        Job(
-            fn="repro.bench.fig5:bandwidth_cell",
-            kwargs={"nbytes": int(avg)},
-            label=f"fig5 marker {scheme}",
-        )
-        for scheme, avg in markers.items()
-    ]
-    cells = run_jobs(jobs, pool)
+    cells = run_grid(
+        [(size,) for size in sizes] + [(int(avg),) for avg in markers.values()],
+        lambda nbytes: (bandwidth_cell, {"nbytes": nbytes}),
+        "fig5",
+        pool,
+    )
     for size, cell in zip(sizes, cells):
         table.add(
             bytes=size,

@@ -15,7 +15,8 @@ NodeRemote track each other (uniform traffic) and beat NLNR at small N
 
 Both panels run the ablations' degree-counting cell
 (:func:`repro.bench.ablations.degree_cell`) over the sweep's
-``(nodes, scheme)`` grid; each panel is one
+``(nodes, scheme)`` grid, through the one grid runner
+(:func:`~repro.bench.harness.run_grid`); each panel is one
 :class:`~repro.bench.harness.Panel`, which the figure table and the
 instrumented runs (``--trace`` / ``--profile``) share.
 """

@@ -11,9 +11,10 @@ Expected shape: NoRoute worst; NodeLocal/NodeRemote best at small N;
 NLNR wins at scale; broadcast count grows with weak-scaled graph size.
 
 Both panels run :func:`cc_cell` over the sweep's ``(nodes, scheme)``
-grid; each panel is one :class:`~repro.bench.harness.Panel`, which the
-figure table and the instrumented runs (``--trace`` / ``--profile``)
-share.
+grid, through the one grid runner
+(:func:`~repro.bench.harness.run_grid`); each panel is one
+:class:`~repro.bench.harness.Panel`, which the figure table and the
+instrumented runs (``--trace`` / ``--profile``) share.
 """
 
 from __future__ import annotations

@@ -12,22 +12,26 @@ Paper setup (scaled down):
   observation -- the mailbox size must scale with N or coalescing starves
   -- is reproduced by sweeping both fixed and N-scaled mailboxes.
 
-Each cell (:func:`ygm_cell` / :func:`combblas_cell`) regenerates the
-sparse problem from its seeded RNG parameters inside the worker --
-problems are pure functions of ``(scale, edge_factor, params, seed)``
--- and returns scalar stats, so cells parallelize and cache through
-:mod:`repro.exec` with byte-identical aggregation.
+All three tables run one grid, nodes x impl (:func:`_spmv_table`, a
+:func:`~repro.bench.harness.run_grid` call): a :func:`ygm_cell` row per
+valid routing scheme and a :func:`combblas_cell` row per node count.
+Each cell regenerates the sparse problem from its seeded RNG parameters
+inside the worker -- problems are pure functions of ``(scale,
+edge_factor, params, seed)`` -- and returns scalar stats, so cells
+parallelize and cache through :mod:`repro.exec` with byte-identical
+aggregation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..baselines import make_combblas_spmv, partition_combblas_problem
-from ..exec import Job, Pool, run_jobs
+from ..core.routing import PAPER_SCHEMES
+from ..exec import Pool
 from ..graph import (
     GRAPH500_PARAMS,
     UNIFORM_PARAMS,
@@ -38,7 +42,7 @@ from ..graph import (
 from ..graph.delegates import DelegateSet
 from ..linalg import make_spmv, partition_spmv_problem
 from ..machine import bench_machine
-from .harness import SweepConfig, run_mpi, run_ygm, schemes_for
+from .harness import SweepConfig, run_grid, run_mpi, run_ygm, schemes_for
 from .report import Table
 
 
@@ -133,6 +137,44 @@ def combblas_cell(
     return {"seconds": res.elapsed}
 
 
+def _spmv_table(
+    title: str, columns: List[str], sweep: SweepConfig, fig: str,
+    schemes: Sequence[str], scale_of: Callable[[int], int],
+    capacity_of: Callable[[int], int], pool: Optional[Pool],
+    *, edge_factor: int, params: Sequence[float], **ygm,
+) -> Table:
+    """Fig 8's one grid, nodes x impl: per node count a :func:`ygm_cell`
+    row per valid scheme (``ygm`` is their delegate kwargs), then a
+    :func:`combblas_cell` row on the same problem.  ``columns`` after
+    ``nodes, impl`` are cell stats or ``mailbox`` (the YGM capacity)."""
+    rows = [
+        (nodes, impl)
+        for nodes in sweep.node_counts
+        for impl in [
+            *(f"ygm/{s}" for s in schemes_for(nodes, sweep.cores_per_node, schemes)),
+            "combblas2d",
+        ]
+    ]
+
+    def cell_of(nodes: int, impl: str):
+        problem = dict(
+            nodes=nodes, cores_per_node=sweep.cores_per_node, scale=scale_of(nodes),
+            edge_factor=edge_factor, params=list(params), seed=sweep.seed,
+        )
+        if impl == "combblas2d":
+            return combblas_cell, problem
+        return ygm_cell, dict(
+            problem, scheme=impl[len("ygm/"):], capacity=capacity_of(nodes), **ygm
+        )
+
+    table = Table(title=title, columns=columns)
+    for (nodes, impl), cell in zip(rows, run_grid(rows, cell_of, f"fig{fig}", pool)):
+        if impl != "combblas2d":
+            cell = dict(cell, mailbox=capacity_of(nodes))
+        table.add(nodes=nodes, impl=impl, **{c: cell.get(c) for c in columns[2:]})
+    return table
+
+
 def run_weak(
     sweep: Optional[SweepConfig] = None,
     verts_per_node_log2: int = 9,
@@ -146,62 +188,23 @@ def run_weak(
     The delegate column doubles as the Fig 8b series when skewed.
     """
     sweep = sweep or SweepConfig.quick()
-    params = GRAPH500_PARAMS if skewed else UNIFORM_PARAMS
     label = "8a/8b (RMAT skewed, delegates)" if skewed else "8c (uniform, no delegates)"
-    table = Table(
-        title=f"Fig {label}: SpMV weak scaling "
+    table = _spmv_table(
+        f"Fig {label}: SpMV weak scaling "
         f"(2^{verts_per_node_log2} verts/node, edge factor {edge_factor}, "
         f"C={sweep.cores_per_node})",
-        columns=["nodes", "impl", "seconds", "delegates", "ygm_messages"],
+        ["nodes", "impl", "seconds", "delegates", "ygm_messages"],
+        sweep,
+        label.split()[0],
+        PAPER_SCHEMES,
+        lambda nodes: verts_per_node_log2 + max(0, int(math.log2(nodes))),
+        lambda nodes: sweep.mailbox_capacity,
+        pool,
+        edge_factor=edge_factor,
+        params=GRAPH500_PARAMS if skewed else UNIFORM_PARAMS,
+        delegate_mode="scaled" if skewed else "none",
+        delegate_fraction=delegate_fraction,
     )
-    grid: List[Tuple[int, str]] = []
-    jobs: List[Job] = []
-    for nodes in sweep.node_counts:
-        scale = verts_per_node_log2 + max(0, int(math.log2(nodes)))
-        for scheme in schemes_for(nodes, sweep.cores_per_node):
-            grid.append((nodes, f"ygm/{scheme}"))
-            jobs.append(
-                Job(
-                    fn="repro.bench.fig8:ygm_cell",
-                    kwargs=dict(
-                        nodes=nodes,
-                        scheme=scheme,
-                        cores_per_node=sweep.cores_per_node,
-                        capacity=sweep.mailbox_capacity,
-                        scale=scale,
-                        edge_factor=edge_factor,
-                        params=list(params),
-                        delegate_mode="scaled" if skewed else "none",
-                        delegate_fraction=delegate_fraction,
-                        seed=sweep.seed,
-                    ),
-                    label=f"fig{label.split()[0]} N={nodes} {scheme}",
-                )
-            )
-        grid.append((nodes, "combblas2d"))
-        jobs.append(
-            Job(
-                fn="repro.bench.fig8:combblas_cell",
-                kwargs=dict(
-                    nodes=nodes,
-                    cores_per_node=sweep.cores_per_node,
-                    scale=scale,
-                    edge_factor=edge_factor,
-                    params=list(params),
-                    seed=sweep.seed,
-                ),
-                label=f"fig{label.split()[0]} N={nodes} combblas2d",
-            )
-        )
-    cells = run_jobs(jobs, pool)
-    for (nodes, impl), cell in zip(grid, cells):
-        table.add(
-            nodes=nodes,
-            impl=impl,
-            seconds=cell["seconds"],
-            delegates=cell.get("delegates"),
-            ygm_messages=cell.get("ygm_messages"),
-        )
     if skewed:
         table.note("the 'delegates' column is the Fig 8b series")
     return table
@@ -221,57 +224,21 @@ def run_strong_webgraph(
     ``mailbox_base * N`` (and can disable it to show why it is needed).
     """
     sweep = sweep or SweepConfig.quick()
-    table = Table(
-        title=f"Fig 8d: SpMV strong scaling, webgraph-like RMAT "
+    return _spmv_table(
+        f"Fig 8d: SpMV strong scaling, webgraph-like RMAT "
         f"(2^{scale} vertices, edge factor {edge_factor}, "
         f"mailbox {'%d*N' % mailbox_base if scale_mailbox_with_nodes else mailbox_base}, "
         f"C={sweep.cores_per_node})",
-        columns=["nodes", "impl", "seconds", "mailbox"],
+        ["nodes", "impl", "seconds", "mailbox"],
+        sweep,
+        "8d",
+        ["node_remote", "nlnr"],
+        lambda nodes: scale,
+        lambda nodes: mailbox_base * nodes if scale_mailbox_with_nodes else mailbox_base,
+        pool,
+        edge_factor=edge_factor,
+        # Heavy-tailed webgraph substitute: slightly more skewed than Graph500.
+        params=(0.60, 0.18, 0.18, 0.04),
+        delegate_mode="scaled",
+        delegate_fraction=0.05,
     )
-    # Heavy-tailed webgraph substitute: slightly more skewed than Graph500.
-    params = (0.60, 0.18, 0.18, 0.04)
-    grid: List[Tuple[int, str, Optional[int]]] = []
-    jobs: List[Job] = []
-    for nodes in sweep.node_counts:
-        capacity = mailbox_base * nodes if scale_mailbox_with_nodes else mailbox_base
-        for scheme in schemes_for(nodes, sweep.cores_per_node, ["node_remote", "nlnr"]):
-            grid.append((nodes, f"ygm/{scheme}", capacity))
-            jobs.append(
-                Job(
-                    fn="repro.bench.fig8:ygm_cell",
-                    kwargs=dict(
-                        nodes=nodes,
-                        scheme=scheme,
-                        cores_per_node=sweep.cores_per_node,
-                        capacity=capacity,
-                        scale=scale,
-                        edge_factor=edge_factor,
-                        params=list(params),
-                        delegate_mode="scaled",
-                        delegate_fraction=0.05,
-                        seed=sweep.seed,
-                    ),
-                    label=f"fig8d N={nodes} {scheme}",
-                )
-            )
-        grid.append((nodes, "combblas2d", None))
-        jobs.append(
-            Job(
-                fn="repro.bench.fig8:combblas_cell",
-                kwargs=dict(
-                    nodes=nodes,
-                    cores_per_node=sweep.cores_per_node,
-                    scale=scale,
-                    edge_factor=edge_factor,
-                    params=list(params),
-                    seed=sweep.seed,
-                ),
-                label=f"fig8d N={nodes} combblas2d",
-            )
-        )
-    cells = run_jobs(jobs, pool)
-    for (nodes, impl, capacity), cell in zip(grid, cells):
-        table.add(
-            nodes=nodes, impl=impl, seconds=cell["seconds"], mailbox=capacity
-        )
-    return table

@@ -1,8 +1,12 @@
 """Shared experiment-running machinery for the figure benchmarks.
 
-Each figure module builds workloads, sweeps ``(scheme, nodes)`` grids and
-returns :class:`~repro.bench.report.Table` objects whose rows mirror the
-series plotted in the paper.  Simulated seconds are the measured
+Every figure and ablation table has one shape: a grid of rows (axis
+values such as ``(nodes, scheme)``), each row one simulation -- a *cell*
+function run as a :mod:`repro.exec` job -- reduced to the stats its
+table row reads.  :func:`run_grid` is that shape's one runner: it turns
+the rows into one batch of jobs and returns the cells in row order, so
+each table's function only lists its rows, names each row's cell and
+kwargs, and renders the table.  Simulated seconds are the measured
 quantity; wall-clock time of the simulation itself is what
 ``benchmarks/ygmbench`` measures.  The four scaling panels (Figs 6a-7b)
 are each one :class:`Panel`: the figure table and the instrumented runs
@@ -12,7 +16,7 @@ are each one :class:`Panel`: the figure table and the instrumented runs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import YgmResult, YgmWorld
 from ..core.routing import PAPER_SCHEMES
@@ -63,6 +67,33 @@ def schemes_for(nodes: int, cores: int, schemes: Iterable[str] = PAPER_SCHEMES) 
             continue
         out.append(s)
     return out
+
+
+def run_grid(
+    rows: Sequence[Tuple[Any, ...]],
+    cell_of: Callable[..., Tuple[Callable[..., dict], dict]],
+    label: str,
+    pool: Optional[Pool] = None,
+) -> List[dict]:
+    """Run one cell per row and return the cells in row order.
+
+    ``cell_of(*row)`` names a row's cell function (a module-level
+    function, so a worker can import it) and its kwargs; a grid may mix
+    cell functions (Fig 8 puts YGM and CombBLAS rows on one grid).  Every
+    row goes into one :func:`~repro.exec.run_jobs` batch, labelled
+    ``label`` plus the row's axis values for progress and trace display.
+    """
+    jobs = []
+    for row in rows:
+        cell, kwargs = cell_of(*row)
+        jobs.append(
+            Job(
+                fn=f"{cell.__module__}:{cell.__name__}",
+                kwargs=kwargs,
+                label=" ".join(map(str, (label, *row))),
+            )
+        )
+    return run_jobs(jobs, pool)
 
 
 def run_ygm(
@@ -134,17 +165,8 @@ class Panel:
             for nodes in self.sweep.node_counts
             for scheme in schemes_for(nodes, self.sweep.cores_per_node)
         ]
-        fn = f"{self.cell.__module__}:{self.cell.__name__}"
-        cells = run_jobs(
-            [
-                Job(
-                    fn=fn,
-                    kwargs=self.cell_kwargs(nodes, scheme),
-                    label=f"fig{self.fig} N={nodes} {scheme}",
-                )
-                for nodes, scheme in grid
-            ],
-            pool,
+        cells = run_grid(
+            grid, lambda *row: (self.cell, self.cell_kwargs(*row)), f"fig{self.fig}", pool
         )
         table = Table(
             title=self.title,
@@ -152,14 +174,13 @@ class Panel:
         )
         base: dict = {}
         for (nodes, scheme), cell in zip(grid, cells):
-            b_el, b_n = base.setdefault(scheme, (cell["seconds"], nodes))
+            seconds = cell["seconds"]
+            b_el, b_n = base.setdefault(scheme, (seconds, nodes))
             table.add(
                 nodes=nodes,
                 scheme=scheme,
-                seconds=cell["seconds"],
-                efficiency=efficiency(
-                    b_el, b_n, cell["seconds"], nodes, weak=self.weak
-                ),
+                seconds=seconds,
+                efficiency=efficiency(b_el, b_n, seconds, nodes, weak=self.weak),
                 **{col: cell[col] for col in self.extra},
             )
         if self.note:

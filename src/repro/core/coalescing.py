@@ -14,7 +14,6 @@ routing schemes are compared on equal terms.
 
 from __future__ import annotations
 
-import os
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
@@ -153,86 +152,6 @@ class P2PColumns:
         )
 
 
-class _PoisonEntry:
-    """Sentinel filling recycled lists in ListPool debug mode.
-
-    Any attribute access (``.kind``, ``.payload``, iteration through a
-    handler loop) raises immediately, converting a silent use-after-
-    recycle corruption into a loud failure at the exact access site.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        raise RuntimeError(
-            "use-after-recycle: this entry list was already returned to "
-            "the ListPool (a reference escaped a handler or profiler hook)"
-        )
-
-    def __repr__(self) -> str:
-        return "<poisoned entry>"
-
-
-_POISON = _PoisonEntry()
-
-
-class ListPool:
-    """A bounded free list of entry lists (buffer pooling).
-
-    Every flush hands its entry list to a packet and replaces it with a
-    fresh one; every handled packet discards its list.  Recycling the
-    handled lists back into the buffers avoids reallocating (and
-    regrowing) a list per packet on the mailbox hot path.  Lists are
-    cleared on return, so pooling is invisible to correctness; the bound
-    caps memory retained after a traffic burst.
-
-    Debug mode (``debug=True``, or the ``REPRO_DEBUG_POOL`` environment
-    variable) hardens the pool against aliasing bugs: returned lists are
-    filled with poison sentinels instead of being cleared, so a stale
-    reference that reads an entry after recycling raises instead of
-    silently observing an empty (or refilled) list, and returning the
-    same list twice is detected and raises.
-    """
-
-    __slots__ = ("_free", "capacity", "debug")
-
-    def __init__(self, capacity: int = 64, debug: Optional[bool] = None):
-        self._free: List[list] = []
-        self.capacity = capacity
-        if debug is None:
-            debug = bool(os.environ.get("REPRO_DEBUG_POOL"))
-        self.debug = debug
-
-    def get(self) -> list:
-        """A fresh (empty) list, recycled when one is available."""
-        if not self._free:
-            return []
-        lst = self._free.pop()
-        if self.debug:
-            lst.clear()  # drop the poison only once the list is reissued
-        return lst
-
-    def put(self, lst: Any) -> None:
-        """Return ``lst`` to the pool (ignored unless it is a plain list)."""
-        if type(lst) is not list:
-            return
-        if self.debug:
-            if lst and lst[0] is _POISON:
-                raise RuntimeError(
-                    "double recycle: this list was already returned to the pool"
-                )
-            lst[:] = [_POISON] * len(lst)
-            if len(self._free) < self.capacity:
-                self._free.append(lst)
-            return
-        if len(self._free) < self.capacity:
-            lst.clear()
-            self._free.append(lst)
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-
 class CoalescingBuffer:
     """Aggregation buffer for one next hop.
 
@@ -248,14 +167,13 @@ class CoalescingBuffer:
     """
 
     __slots__ = (
-        "hop", "entries", "nbytes", "count", "_pool",
+        "hop", "entries", "nbytes", "count",
         "_run_dests", "_run_payloads", "_run_nbytes", "_run_lins",
     )
 
-    def __init__(self, hop: int, pool: "ListPool | None" = None):
+    def __init__(self, hop: int):
         self.hop = hop
-        self._pool = pool
-        self.entries: List[Any] = [] if pool is None else pool.get()
+        self.entries: List[Any] = []
         self.nbytes = 0  # wire bytes including per-entry headers
         self.count = 0  # messages
         self._run_dests: Optional[List[int]] = None
@@ -303,12 +221,12 @@ class CoalescingBuffer:
         """Drain the buffer; returns ``(entries, wire_bytes, messages)``.
 
         Ownership of the entries list transfers to the caller; the
-        replacement comes from the pool when one is attached.
+        buffer starts a fresh list.
         """
         if self._run_dests:
             self._close_run()
         out = (self.entries, self.nbytes, self.count)
-        self.entries = [] if self._pool is None else self._pool.get()
+        self.entries = []
         self.nbytes = 0
         self.count = 0
         return out

@@ -57,7 +57,6 @@ from .coalescing import (
     BatchEntry,
     BcastEntry,
     CoalescingBuffer,
-    ListPool,
     P2PColumns,
 )
 from .config import MailboxConfig
@@ -121,8 +120,6 @@ class Mailbox:
         #: receive callback of a run whose entry carries lineage.
         tracer = ctx.sim.tracer
         self._prof = tracer.lineage if tracer is not None else None
-        #: Recycles handled packets' entry lists into fresh buffers.
-        self._pool = ListPool()
         #: In-network combining algebra (``None`` = pure re-binning).
         self._combiner = self.config.combiner
         self._queued = 0  # messages across all buffers
@@ -298,7 +295,7 @@ class Mailbox:
     def _buffer_for(self, hop: int) -> CoalescingBuffer:
         buf = self._buffers.get(hop)
         if buf is None:
-            buf = CoalescingBuffer(hop, pool=self._pool)
+            buf = CoalescingBuffer(hop)
             self._buffers[hop] = buf
         return buf
 
@@ -577,9 +574,6 @@ class Mailbox:
                 raise TypeError(f"unknown entry kind {kind!r}")
         if run:
             self._route(run)
-        # The packet's entry list is dead from here on; recycle it into
-        # this mailbox's coalescing buffers.
-        self._pool.put(pkt.payload)
         forwarded = self.stats.entries_forwarded - forwarded_before
         if forwarded:
             tracer = self.ctx.sim.tracer

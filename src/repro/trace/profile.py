@@ -167,8 +167,8 @@ class LineageProfiler:
     ) -> int:
         """Record a flushed packet; snapshots its lineage membership.
 
-        Called before the entries list is handed to the transport (it is
-        recycled after delivery, so membership must be copied now).
+        Called before the entries list is handed to the transport; only
+        the lineage membership is kept, never the entries themselves.
         """
         pid = len(self.packets)
         members: List[Any] = []
