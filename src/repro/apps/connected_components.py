@@ -116,10 +116,11 @@ def make_connected_components(
         def on_label(batch: np.ndarray) -> None:
             ids = part.local_id_vec(batch["vertex"].astype(np.int64))
             new = batch["label"].astype(np.int64)
-            before = labels[ids]
-            np.minimum.at(labels, ids, new)
-            if (labels[ids] != before).any():
+            # A label drops iff some update is below it; once one has,
+            # the pass's flag is set and only the minimum is left to do.
+            if not changed[0] and (new < labels[ids]).any():
                 changed[0] = True
+            np.minimum.at(labels, ids, new)
 
         def on_sync(msg) -> None:
             # Point-to-point delegate update arriving at the home rank.
@@ -163,10 +164,7 @@ def make_connected_components(
                 dst = nd_dst[lo:hi]
                 yield from label_mb.send_batch(
                     part.owner_vec(dst),
-                    CC_SPEC.build(
-                        vertex=dst.astype("u8"),
-                        label=labels[nd_src_local[lo:hi]].astype("u8"),
-                    ),
+                    CC_SPEC.build(vertex=dst, label=labels[nd_src_local[lo:hi]]),
                     spec=CC_SPEC,
                 )
 
@@ -174,10 +172,10 @@ def make_connected_components(
             if len(mx_src_local):
                 yield ctx.compute(len(mx_src_local) * handle_cost)
                 np.minimum.at(del_labels, mx_dst_slot, labels[mx_src_local])
-                before = labels[mx_src_local]
-                np.minimum.at(labels, mx_src_local, del_labels[mx_dst_slot])
-                if (labels[mx_src_local] != before).any():
+                new = del_labels[mx_dst_slot]
+                if not changed[0] and (new < labels[mx_src_local]).any():
                     changed[0] = True
+                np.minimum.at(labels, mx_src_local, new)
 
             # 3. Delegate-delegate edges: purely replicated state.
             if len(dd_u_slot):
@@ -288,7 +286,7 @@ def _send_degrees(mb, part: CyclicPartition, u: np.ndarray, v: np.ndarray) -> It
     """Send both endpoints of every edge to their owners for counting."""
     verts = np.concatenate((u, v))
     return mb.send_batch(
-        part.owner_vec(verts), DEG_SPEC.build(vertex=verts.astype("u8")),
+        part.owner_vec(verts), DEG_SPEC.build(vertex=verts),
         spec=DEG_SPEC,
     )
 
@@ -304,23 +302,15 @@ def _distribute_edges(
 ) -> Generator:
     """Phase B: ship every edge to the rank that updates across it.
 
+    The receive callback only keeps the delivered edge batches; they are
+    split into plain and mixed edges once, after ``wait_empty``, in
+    delivery order.
+
     Returns ``(nd_src, nd_dst, mx_src, mx_dst, dd_u, dd_v)`` by global
     vertex id (see :func:`_load_graph`).
     """
-    nd_src_parts: List[np.ndarray] = []
-    nd_dst_parts: List[np.ndarray] = []
-    mx_src_parts: List[np.ndarray] = []
-    mx_dst_parts: List[np.ndarray] = []
-
-    def on_edge(batch: np.ndarray) -> None:
-        plain = batch["kind"] == 0
-        nd_src_parts.append(batch["src"][plain].astype(np.int64))
-        nd_dst_parts.append(batch["dst"][plain].astype(np.int64))
-        mixed = ~plain
-        mx_src_parts.append(batch["src"][mixed].astype(np.int64))
-        mx_dst_parts.append(batch["dst"][mixed].astype(np.int64))
-
-    edge_mb = ctx.mailbox(recv_batch=on_edge, capacity=capacity)
+    batches: List[np.ndarray] = []
+    edge_mb = ctx.mailbox(recv_batch=batches.append, capacity=capacity)
     du, dv, _either = delegates.split_edges(gen_u, gen_v)
     dd_mask = du & dv
     for lo in range(0, len(gen_u), batch_size):
@@ -331,14 +321,18 @@ def _distribute_edges(
         )
     yield from edge_mb.wait_empty()
 
-    def cat(parts: List[np.ndarray]) -> np.ndarray:
-        out = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        parts.clear()  # on_edge lives as long as its mailbox: empty its lists
-        return out
+    # Field by field, each straight to the dtype the passes read:
+    # concatenating the structured batches would promote dtypes per input.
+    def column(name: str, dtype) -> np.ndarray:
+        fields = [b[name] for b in batches] or [np.empty(0, dtype)]
+        return np.concatenate(fields, dtype=dtype)
 
+    src, dst = column("src", np.int64), column("dst", np.int64)
+    plain = column("kind", np.uint8) == 0
+    batches.clear()  # the mailbox outlives this call: drop the records
+    mixed = ~plain
     return (
-        cat(nd_src_parts), cat(nd_dst_parts),
-        cat(mx_src_parts), cat(mx_dst_parts),
+        src[plain], dst[plain], src[mixed], dst[mixed],
         gen_u[dd_mask], gen_v[dd_mask],
     )
 
@@ -367,7 +361,7 @@ def _send_edges(
     )
     return mb.send_batch(
         part.owner_vec(all_src),
-        EDGE_SPEC.build(src=all_src.astype("u8"), dst=all_dst.astype("u8"), kind=kinds),
+        EDGE_SPEC.build(src=all_src, dst=all_dst, kind=kinds),
         spec=EDGE_SPEC,
     )
 

@@ -70,7 +70,11 @@ def _figure(driver: Callable[..., Table], panel=None, **kwargs) -> Figure:
 
 
 def _ablation(driver: Callable[..., Table]) -> Figure:
-    return Figure("ablations", lambda sweep, quick, pool: driver(pool=pool))
+    """An ablation runs its driver's one preset at the sweep's seed; it
+    has no ``--full`` preset (:func:`main` rejects the combination)."""
+    return Figure(
+        "ablations", lambda sweep, quick, pool: driver(seed=sweep.seed, pool=pool)
+    )
 
 
 #: Every figure and ablation id, in the order ``all`` / ``ablations``
@@ -304,6 +308,9 @@ def main(argv: List[str] = None) -> int:
         expanded = expand_figs(figs)
     except ValueError as exc:
         parser.error(str(exc))
+    no_full = [f for f in expanded if REGISTRY[f].group == "ablations"]
+    if args.full and no_full:
+        parser.error(f"--full: no full preset for ablation(s) {', '.join(no_full)}")
 
     sweep = SweepConfig.full() if args.full else SweepConfig.quick()
     sweep = dataclasses.replace(sweep, seed=args.seed)

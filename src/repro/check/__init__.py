@@ -11,46 +11,36 @@ Three pillars:
   references.
 """
 
-from .fuzz import (
-    FuzzFailure,
-    FuzzReport,
-    ShuffledTiebreaker,
-    fuzz_schedules,
-    fuzz_schedules_sharded,
-    mailbox_quiescence_scenario,
-    minimize_window,
-    results_equal,
-)
-from .invariants import (
-    CHECK_CATEGORIES,
-    InvariantChecker,
-    InvariantViolation,
-    run_checked,
-)
+import importlib
 
-__all__ = [
-    "CHECK_CATEGORIES",
-    "FuzzFailure",
-    "FuzzReport",
-    "InvariantChecker",
-    "InvariantViolation",
-    "OracleReport",
-    "ShuffledTiebreaker",
-    "fuzz_schedules",
-    "fuzz_schedules_sharded",
-    "mailbox_quiescence_scenario",
-    "minimize_window",
-    "results_equal",
-    "run_checked",
-    "run_oracle",
-]
+#: Every public name -> the pillar module defining it.  A pillar loads on
+#: first use: the oracle imports every app module, and the fuzzer and the
+#: invariant checkers import all of :mod:`repro.trace` -- none of which
+#: :mod:`~repro.check.sequential`'s references need.
+_PILLARS = {
+    **dict.fromkeys(
+        (
+            "FuzzFailure", "FuzzReport", "ShuffledTiebreaker", "fuzz_schedules",
+            "fuzz_schedules_sharded", "mailbox_quiescence_scenario",
+            "minimize_window", "results_equal",
+        ),
+        "fuzz",
+    ),
+    **dict.fromkeys(
+        ("CHECK_CATEGORIES", "InvariantChecker", "InvariantViolation", "run_checked"),
+        "invariants",
+    ),
+    **dict.fromkeys(
+        ("OracleReport", "run_oracle", "ORACLE_APPS", "ORACLE_SCALES"), "oracle"
+    ),
+}
+
+#: The oracle's app and scale tables stay out of ``import *``.
+__all__ = sorted(set(_PILLARS) - {"ORACLE_APPS", "ORACLE_SCALES"})
 
 
 def __getattr__(name):
-    # Oracle imports every app module; load it lazily so the light
-    # pillars stay cheap to import.
-    if name in ("OracleReport", "run_oracle", "ORACLE_APPS", "ORACLE_SCALES"):
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    pillar = _PILLARS.get(name)
+    if pillar is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{pillar}", __name__), name)

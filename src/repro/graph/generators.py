@@ -39,34 +39,37 @@ def rmat_edges(
     """RMAT edge sample: ``num_edges`` edges over ``2**scale`` vertices.
 
     Vectorized over edges: each of the ``scale`` recursion levels draws
-    one uniform array and picks the quadrant per edge.  ``noise`` (aka
-    "smoothing") perturbs the quadrant probabilities per level, as
-    suggested by Seshadhri et al. to avoid degenerate Kronecker artifacts;
-    0 reproduces classic RMAT.
+    one uniform array of ``2 * num_edges`` doubles -- the row draws, then
+    the column draws -- and picks the quadrant per edge.  The level's
+    bit is shifted in at the bottom of ``u`` and ``v``, so the first
+    level ends up the most significant.  ``noise`` (aka "smoothing")
+    perturbs the quadrant probabilities per level, drawn before the
+    level's uniforms, as suggested by Seshadhri et al. to avoid
+    degenerate Kronecker artifacts; 0 reproduces classic RMAT.
     """
     a, b, c, d = params
     if not np.isclose(a + b + c + d, 1.0):
         raise ValueError(f"RMAT parameters must sum to 1, got {a + b + c + d}")
     if scale < 1:
         raise ValueError("scale must be >= 1")
+    # Column choice conditioned on the row half:
+    #   P(right | up) = b/(a+b),  P(right | down) = d/(c+d);
+    # an edge goes right when its column draw reaches its half's threshold.
+    up_threshold, down_threshold = a / (a + b), c / (c + d)
     u = np.zeros(num_edges, dtype=np.int64)
     v = np.zeros(num_edges, dtype=np.int64)
-    for level in range(scale):
-        bit = np.int64(1) << (scale - 1 - level)
+    for _ in range(scale):
         ab = a + b  # P(upper row half)
         if noise > 0.0:
             ab *= 1.0 + rng.uniform(-noise, noise)
             ab = min(max(ab, 1e-9), 1.0 - 1e-9)
-        r_row = rng.random(num_edges)
-        r_col = rng.random(num_edges)
-        go_down = r_row >= ab
-        # Column choice conditioned on the row half:
-        #   P(right | up) = b/(a+b),  P(right | down) = d/(c+d).
-        right_if_up = r_col >= a / (a + b)
-        right_if_down = r_col >= c / (c + d)
-        go_right = np.where(go_down, right_if_down, right_if_up)
-        u[go_down] |= bit
-        v[go_right] |= bit
+        r = rng.random(2 * num_edges)
+        go_down = r[:num_edges] >= ab
+        go_right = r[num_edges:] >= np.where(go_down, down_threshold, up_threshold)
+        u <<= 1
+        u |= go_down
+        v <<= 1
+        v |= go_right
     return u, v
 
 

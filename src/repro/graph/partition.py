@@ -26,10 +26,10 @@ class CyclicPartition:
         return v // self.nranks
 
     def owner_vec(self, v: np.ndarray) -> np.ndarray:
-        return (np.asarray(v) % self.nranks).astype(np.int64)
+        return (np.asarray(v) % self.nranks).astype(np.int64, copy=False)
 
     def local_id_vec(self, v: np.ndarray) -> np.ndarray:
-        return (np.asarray(v) // self.nranks).astype(np.int64)
+        return (np.asarray(v) // self.nranks).astype(np.int64, copy=False)
 
     def global_id(self, rank: int, local: int) -> int:
         return local * self.nranks + rank

@@ -8,6 +8,7 @@ from repro import YgmWorld
 from repro.apps import gather_global_labels, make_connected_components
 from repro.core.routing import PAPER_SCHEMES
 from repro.graph import er_stream, rmat_stream
+from repro.graph.generators import EdgeStream
 from repro.machine import small
 
 
@@ -64,34 +65,33 @@ def test_cc_delegate_and_plain_agree():
     assert np.array_equal(l1, l2)
 
 
+class FixedStream(EdgeStream):
+    """A stream over fixed edge lists: ``shares[rank]`` is the rank's
+    ``(u, v)`` pairs, in order (ranks not in ``shares`` have none)."""
+
+    def __init__(self, shares, n):
+        object.__setattr__(self, "kind", "fixed")
+        object.__setattr__(self, "num_vertices", n)
+        object.__setattr__(self, "edges_per_rank", max(map(len, shares.values())))
+        object.__setattr__(self, "seed", 0)
+        object.__setattr__(self, "scale", 0)
+        object.__setattr__(self, "params", (0.25,) * 4)
+        object.__setattr__(self, "shares", shares)
+
+    def all_edges(self, rank):
+        edges = self.shares.get(rank, [])
+        u = np.array([e[0] for e in edges], dtype=np.int64)
+        v = np.array([e[1] for e in edges], dtype=np.int64)
+        return u, v
+
+    def batches(self, rank, batch_size):
+        yield self.all_edges(rank)
+
+
 def test_cc_path_graph_takes_many_passes():
     """A long path exercises multi-pass convergence (O(diam) passes)."""
-    # Build a custom stream-like object over a fixed edge list.
-    from repro.graph.generators import EdgeStream
-
-    class FixedStream(EdgeStream):
-        def __init__(self, edges, n):
-            object.__setattr__(self, "kind", "fixed")
-            object.__setattr__(self, "num_vertices", n)
-            object.__setattr__(self, "edges_per_rank", len(edges))
-            object.__setattr__(self, "seed", 0)
-            object.__setattr__(self, "scale", 0)
-            object.__setattr__(self, "params", (0.25,) * 4)
-            self._edges = edges
-
-        def all_edges(self, rank):
-            if rank == 0:
-                u = np.array([e[0] for e in self._edges], dtype=np.int64)
-                v = np.array([e[1] for e in self._edges], dtype=np.int64)
-                return u, v
-            z = np.empty(0, dtype=np.int64)
-            return z, z
-
-        def batches(self, rank, batch_size):
-            yield self.all_edges(rank)
-
     n = 16
-    stream = FixedStream([(i, i + 1) for i in range(n - 1)], n)
+    stream = FixedStream({0: [(i, i + 1) for i in range(n - 1)]}, n)
     world = YgmWorld(small(nodes=2, cores_per_node=2), scheme="node_local")
     res = world.run(make_connected_components(stream, batch_size=8))
     labels = gather_global_labels(res.values, n, 4)
@@ -100,29 +100,44 @@ def test_cc_path_graph_takes_many_passes():
 
 
 def test_cc_disconnected_components():
-    from repro.graph.generators import EdgeStream
-
-    class TwoTriangles(EdgeStream):
-        def __init__(self):
-            object.__setattr__(self, "kind", "fixed")
-            object.__setattr__(self, "num_vertices", 8)
-            object.__setattr__(self, "edges_per_rank", 6)
-            object.__setattr__(self, "seed", 0)
-            object.__setattr__(self, "scale", 0)
-            object.__setattr__(self, "params", (0.25,) * 4)
-
-        def all_edges(self, rank):
-            if rank == 0:
-                u = np.array([1, 2, 3, 5, 6, 7], dtype=np.int64)
-                v = np.array([2, 3, 1, 6, 7, 5], dtype=np.int64)
-                return u, v
-            z = np.empty(0, dtype=np.int64)
-            return z, z
-
-        def batches(self, rank, batch_size):
-            yield self.all_edges(rank)
-
+    two_triangles = [(1, 2), (2, 3), (3, 1), (5, 6), (6, 7), (7, 5)]
     world = YgmWorld(small(nodes=2, cores_per_node=2), scheme="nlnr")
-    res = world.run(make_connected_components(TwoTriangles()))
+    res = world.run(make_connected_components(FixedStream({0: two_triangles}, 8)))
     labels = gather_global_labels(res.values, 8, 4)
     assert list(labels) == [0, 1, 1, 1, 4, 5, 5, 5]
+
+
+#: ``(scheme, combining) -> elapsed`` of the duplicate-update graph below,
+#: recorded before the label handler tested for a change ahead of its
+#: ``np.minimum.at`` and the edge handler kept whole batches.
+DUPLICATE_UPDATE_ELAPSED = {
+    ("nlnr", False): 0.0002937587509381777,
+    ("nlnr", True): 0.00029363091230650803,
+    ("noroute", False): 0.0002879604621672637,
+    ("noroute", True): 0.0002877804621672638,
+}
+
+
+@pytest.mark.parametrize("scheme, combining", list(DUPLICATE_UPDATE_ELAPSED))
+def test_cc_duplicate_vertex_updates_in_one_batch(scheme, combining):
+    """Rank 0 owns 4, 8 and 12, so vertex 3's three label updates share
+    one batch (merged to one under combining); hub 15 is a delegate whose
+    edges are colocated and whose label travels by broadcast."""
+    shares = {
+        0: [(4, 3), (8, 3), (12, 3), (15, 1), (15, 2)],
+        1: [(15, 5), (15, 6), (9, 15), (13, 14)],
+        2: [(15, 7), (10, 15), (11, 13), (2, 6)],
+    }
+    world = YgmWorld(small(nodes=2, cores_per_node=2), scheme=scheme)
+    res = world.run(
+        make_connected_components(
+            FixedStream(shares, 16), delegate_threshold=4.0, batch_size=4,
+            combining=combining,
+        )
+    )
+    labels = gather_global_labels(res.values, 16, 4)
+    assert labels.tolist() == [0, 1, 1, 3, 3, 1, 1, 1, 3, 1, 1, 11, 3, 11, 11, 1]
+    assert [v.passes for v in res.values] == [3, 3, 3, 3]
+    assert [v.delegate_count for v in res.values] == [1, 1, 1, 1]
+    assert [v.bcasts for v in res.values] == [0, 0, 0, 3]  # 15's home is rank 3
+    assert res.elapsed == DUPLICATE_UPDATE_ELAPSED[scheme, combining]

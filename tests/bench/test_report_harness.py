@@ -84,6 +84,37 @@ def test_cli_single_quick_figure(capsys):
     assert "harness wall-clock" in out
 
 
+def test_cli_ablation_runs_at_the_seed_it_is_given(capsys):
+    """``--seed`` reaches the ablation drivers: the straggler table at
+    seed 3 is not the seed-0 table."""
+    from repro.bench.cli import main
+
+    tables = []
+    for seed in ("0", "3"):
+        assert main(["straggler", "--seed", seed, "--jobs", "1", "--no-cache"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        tables.append([line for line in out if not line.startswith("# harness")])
+    assert tables[0] != tables[1]
+
+
+def test_cli_full_rejects_ablations_before_any_cell_runs(monkeypatch, capsys):
+    # No ablation has a full preset: --full must not print a quick table
+    # under a full-scale run.
+    from repro.bench import cli
+
+    ran = []
+    for key in ("6a", "straggler", "combining"):
+        monkeypatch.setitem(
+            cli.REGISTRY, key, cli.REGISTRY[key]._replace(run=lambda *a: ran.append(a))
+        )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["6a", "straggler", "combining", "--full", "--no-cache"])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.split("error:")[-1]
+    assert "straggler, combining" in error and "6a" not in error
+    assert ran == []
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_cli_rejects_a_job_timeout_that_is_not_finite_and_positive(
     value, monkeypatch, capsys

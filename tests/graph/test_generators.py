@@ -1,4 +1,5 @@
-"""Tests for graph generators: determinism, ranges, degree skew."""
+"""Tests for graph generators: determinism, ranges, degree skew, and RMAT
+bit-identity against the frozen pre-bulk generator."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from repro.graph import (
     rmat_edges,
     rmat_stream,
 )
+
+from . import reference_rmat
 
 
 def test_er_ranges_and_count():
@@ -120,3 +123,42 @@ def test_rmat_property_bounds(scale, m):
     assert len(u) == m
     assert ((u >= 0) & (u < 2**scale)).all()
     assert ((v >= 0) & (v < 2**scale)).all()
+
+
+#: The parameter sets the bit-identity checks sweep: Graph500, uniform and
+#: one more skewed set whose c/(c+d) differs from a/(a+b).
+RMAT_PARAMS = [GRAPH500_PARAMS, UNIFORM_PARAMS, (0.45, 0.15, 0.3, 0.1)]
+
+
+def assert_same_rmat(scale, num_edges, params, noise, seed):
+    got = rmat_edges(scale, num_edges, np.random.default_rng(seed), params, noise)
+    want = reference_rmat.rmat_edges(
+        scale, num_edges, np.random.default_rng(seed), params, noise
+    )
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w), (scale, num_edges, params, noise, seed)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("params", RMAT_PARAMS, ids=["graph500", "uniform", "skewed"])
+def test_rmat_is_bit_identical_to_the_frozen_reference(params, noise):
+    """Every edge of every scale is the one the pre-bulk generator drew."""
+    for scale in range(1, 17):
+        for num_edges in (0, 1, 4096, 20_000):
+            for seed in (0, 1, 7):
+                assert_same_rmat(scale, num_edges, params, noise, seed)
+
+
+@given(
+    st.integers(1, 16),
+    st.integers(0, 3000),
+    st.sampled_from(RMAT_PARAMS),
+    st.sampled_from([0.0, 0.1]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_rmat_property_bit_identical_to_the_frozen_reference(
+    scale, num_edges, params, noise, seed
+):
+    assert_same_rmat(scale, num_edges, params, noise, seed)

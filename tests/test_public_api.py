@@ -275,16 +275,25 @@ def test_bench_cli_flags_stay_within_budget():
     assert flags == BENCH_CLI_FLAGS  # 15 flags and the positional
 
 
-#: Run in a fresh interpreter: importing every module of the package must
-#: load neither scipy nor networkx; scipy arrives only with the first
-#: CombBLAS block, and the blocks it builds are the dense matrix's.
+#: Run in a fresh interpreter: the sequential references load no
+#: correctness pillar and nothing of ``repro.trace``; importing every
+#: module of the package must load neither scipy nor networkx; scipy
+#: arrives only with the first CombBLAS block, and the blocks it builds
+#: are the dense matrix's.
 IMPORT_BUDGET_SCRIPT = textwrap.dedent(
     """
     import importlib, pkgutil, sys
 
     import numpy as np
 
-    import repro
+    import repro.check.sequential
+
+    pillars = ("repro.check.fuzz", "repro.check.invariants", "repro.check.oracle")
+    loaded = sorted(
+        name for name in sys.modules
+        if name.startswith(pillars) or name.split(".")[:2] == ["repro", "trace"]
+    )
+    assert not loaded, f"loaded by repro.check.sequential: {loaded[:5]}"
 
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if not info.name.endswith(".__main__"):
@@ -322,7 +331,9 @@ IMPORT_BUDGET_SCRIPT = textwrap.dedent(
 def test_scipy_and_networkx_stay_off_the_import_path():
     """Only ``partition_combblas_problem`` needs scipy, and nothing in
     the package needs networkx: a rank program that never builds a
-    CombBLAS block pays neither's import time nor resident pages."""
+    CombBLAS block pays neither's import time nor resident pages.  The
+    benchmark's workloads import ``repro.check.sequential``, which pays
+    for neither the fuzzer, the invariants, the oracle nor the tracer."""
     src = Path(__file__).parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
