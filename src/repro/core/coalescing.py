@@ -115,6 +115,10 @@ class P2PColumns:
     All columns are plain contiguous ndarrays, so a whole run pickles as
     four buffers, and the PDES wire codec (:mod:`repro.pdes.wire`) ships
     it between worker processes without touching individual messages.
+
+    This and :class:`BatchEntry` are two payload formats under one
+    routing rule (``Mailbox._route``): an entry delivers what ends here,
+    then queues its forwards, hop ascending.
     """
 
     __slots__ = ("dests", "payloads", "nbytes", "lins", "count", "wire_bytes")

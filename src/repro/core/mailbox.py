@@ -26,9 +26,9 @@ Conventions:
   callback use the nonblocking ``post`` / ``post_many`` / ``post_batch``
   / ``post_bcast`` (the surrounding communication context flushes them);
 * such a post lands behind the forwards of the packet's earlier entries
-  and ahead of its own entry's: a batch entry queues its forwards when
-  its callback returns (none are deferred), a scalar run defers its own
-  until a post or its end (``_handle_mixed_run``).
+  and ahead of its own entry's: every point-to-point entry, record batch
+  or scalar run, delivers what ends here and then queues its forwards
+  (``_route``).
 
 A posted record is held once: the mailbox copies it into its coalescing
 buffers (the gather that groups a run by next hop), and the caller's
@@ -41,7 +41,10 @@ Scalar point-to-point messages have one representation between the send
 call and the receive callback: struct-of-arrays runs
 (:class:`~repro.core.coalescing.P2PColumns`) that ride coalescing
 buffers, packets and routing intermediaries as NumPy columns and
-materialise as Python values only at the handler boundary.
+materialise as Python values only at the handler boundary.  Scalar runs
+and record batches are two payload formats under one routing rule: a
+received packet's consecutive entries of one kind are routed in one
+pass, and a posted run in a pass of its own.
 """
 
 from __future__ import annotations
@@ -124,12 +127,6 @@ class Mailbox:
         self._combiner = self.config.combiner
         self._queued = 0  # messages across all buffers
         self._pending_handle_cost = 0.0
-        #: Forwards deferred while a mixed columnar run delivers (see
-        #: :meth:`_handle_mixed_run`): the run's columns plus the indices
-        #: of not-yet-binned forwards.  Any post from inside a receive
-        #: callback flushes them first, preserving buffer order.
-        self._deferred_cols = None
-        self._deferred_idx: List[int] = []
         self._lane = f"rank {ctx.world_rank}"  # trace lane label
         #: Completed quiescence epochs (wait_empty/test_empty returning done).
         self._epoch = 0
@@ -147,8 +144,6 @@ class Mailbox:
         Safe to call from receive callbacks.  Messages to self are
         delivered immediately (they never touch the transport).
         """
-        if self._deferred_idx:
-            self._flush_deferred()
         if not 0 <= dest < self.comm.size:
             raise ValueError(f"destination {dest} out of range [0, {self.comm.size})")
         try:
@@ -205,21 +200,10 @@ class Mailbox:
         messages are delivered immediately, in index order, before the
         remainder is binned by next hop.
         """
-        if self._deferred_idx:
-            self._flush_deferred()
-        col = np.asarray(dests)
-        if col.dtype.kind not in "iub" and col.size:
-            _check_ranks(dests)
-        dests = col.astype(np.int64, copy=False)
-        n = len(dests)
-        if n != len(payloads):
-            raise ValueError(
-                f"dests ({n}) and payloads ({len(payloads)}) lengths differ"
-            )
-        if n == 0:
+        n = len(payloads)
+        dests = self._dest_column(dests, n, "payloads")
+        if dests is None:
             return
-        if dests.min() < 0 or dests.max() >= self.comm.size:
-            raise ValueError(f"destination rank out of range [0, {self.comm.size})")
         self.stats.app_messages_sent += n
         sizes = payload_nbytes_many(payloads, nbytes)
         # ``fromiter`` with object dtype stores the caller's exact
@@ -236,8 +220,6 @@ class Mailbox:
 
     def post_bcast(self, payload: Any, nbytes: Optional[int] = None) -> None:
         """Queue a broadcast to every other rank (callback-safe)."""
-        if self._deferred_idx:
-            self._flush_deferred()
         self.stats.bcasts_initiated += 1
         size = payload_nbytes(payload, nbytes)
         prof = self._prof
@@ -266,20 +248,11 @@ class Mailbox:
         or too-large rank raises, never wraps); from there on the column
         has the route table's key dtype.
         """
-        if self._deferred_idx:
-            self._flush_deferred()
         if spec is not None:
             spec.validate(batch)
-        col = np.asarray(dests)
-        if col.dtype.kind not in "iub" and col.size:
-            _check_ranks(dests)
-        dests = col.astype(np.int64, copy=False)
-        if dests.shape != (len(batch),):
-            raise ValueError("dests and batch must be equal-length 1-D arrays")
-        if len(dests) == 0:
+        dests = self._dest_column(dests, len(batch), "batch")
+        if dests is None:
             return
-        if dests.min() < 0 or dests.max() >= self.comm.size:
-            raise ValueError("destination rank out of range in batch")
         dests = dests.astype(self.scheme._key_dtype)
         self.stats.app_messages_sent += len(dests)
         prof = self._prof
@@ -292,6 +265,22 @@ class Mailbox:
         return self._communicate() if self._queued >= self.config.capacity else ()
 
     # -------------------------------------------------------------- internals
+    def _dest_column(self, dests, n: int, what: str) -> Optional[np.ndarray]:
+        """``dests`` as an ``int64`` column of ``n`` ranks in range, or
+        ``None`` when ``n`` is 0 (nothing to post).  The range check runs
+        in ``int64``, so a negative or too-large rank raises, never wraps."""
+        col = np.asarray(dests)
+        if col.dtype.kind not in "iub" and col.size:
+            _check_ranks(dests)
+        col = col.astype(np.int64, copy=False)
+        if col.shape != (n,):
+            raise ValueError(f"dests {col.shape} and {what} ({n},) lengths differ")
+        if n == 0:
+            return None
+        if col.min() < 0 or col.max() >= self.comm.size:
+            raise ValueError(f"destination rank out of range [0, {self.comm.size})")
+        return col
+
     def _buffer_for(self, hop: int) -> CoalescingBuffer:
         buf = self._buffers.get(hop)
         if buf is None:
@@ -302,9 +291,10 @@ class Mailbox:
     def _route(self, run: List[Any], at_injection: bool = False) -> None:
         """One routing pass: deliver what ends here, queue the rest by hop.
 
-        ``run`` is a received packet's run of consecutive batch entries
-        (delivered as they are if every record ends here), or one run
-        posted or re-binned here.  One route-table read and one stable
+        ``run`` is a received packet's run of consecutive entries of one
+        kind, record batches or scalar runs (delivered as they are if
+        every message ends here), or one run posted here; only a batch
+        run meets the combiner.  One route-table read and one stable
         sort (:meth:`~repro.core.routing.base.RoutingScheme.bin_by_hop`)
         cut it at every ``(entry, hop)`` boundary; entry by entry, what
         ends here is delivered, then the forwards are queued, hop
@@ -319,10 +309,11 @@ class Mailbox:
         batches = run[0].kind == "batch"
         if batches and self._combiner is not None:
             run = self._split_combined(run)
+        deliver = self._deliver_batch if batches else self._deliver_p2p_run
         dests = run[0].dests if len(run) == 1 else np.concatenate([e.dests for e in run])
-        if batches and not at_injection and (dests == rank).all():
+        if not at_injection and (dests == rank).all():
             for entry in run:
-                self._deliver_batch(entry)
+                deliver(entry)
             return
         counts = [e.count for e in run] if len(run) > 1 else None
         hops, order, starts, ends = self.scheme.bin_by_hop(rank, dests, counts)
@@ -331,7 +322,6 @@ class Mailbox:
         if order is not None and counts is not None:  # entry-local indices
             order = order - np.repeat(np.cumsum(counts) - counts, counts)
         segs = list(zip(starts.tolist(), ends.tolist(), hops[starts].tolist()))
-        deliver = self._deliver_batch if batches else self._deliver_p2p_run
         q = end = 0
         for entry in run:  # never empty: one segment or more each
             first = q
@@ -531,47 +521,34 @@ class Mailbox:
         stats = self.stats
         rank = self.rank
         prof = self._prof
-        run = []  # consecutive batch entries, routed in one pass
+        run = []  # consecutive point-to-point entries of one kind
         for entry in pkt.payload:
             kind = entry.kind
-            if kind == "batch":
+            if kind != "bcast":
+                if run and run[0].kind != kind:
+                    self._route(run)
+                    run = []
                 stats.entries_received += entry.count
                 run.append(entry)
                 continue
             if run:
                 self._route(run)
                 run = []
-            if kind == "p2p_cols":
-                stats.entries_received += entry.count
-                dests = entry.dests
-                here = dests == rank
-                if here.all():
-                    # Terminal hop for the whole run (the common case on
-                    # every scheme's last hop): deliver in column order.
-                    self._deliver_p2p_run(entry)
-                elif not here.any():
-                    # Pure intermediary: re-bin the whole run vectorized.
-                    self._route([entry])
-                else:
-                    self._handle_mixed_run(entry, here)
-            elif kind == "bcast":
-                self.stats.entries_received += 1
-                self._deliver_bcast(entry)
-                for target in self.scheme.bcast_targets(self.rank, entry.origin):
-                    child = None
-                    if prof is not None:
-                        t = self.ctx.sim.now
-                        child = prof.new_message(
-                            rank, target, t, kind="bcast", parent=entry.lin
-                        )
-                        prof.enqueue(child, rank, target, t)
-                    self._buffer_for(target).add(
-                        BcastEntry(entry.origin, entry.payload, entry.nbytes, child)
+            stats.entries_received += 1
+            self._deliver_bcast(entry)
+            for target in self.scheme.bcast_targets(rank, entry.origin):
+                child = None
+                if prof is not None:
+                    t = self.ctx.sim.now
+                    child = prof.new_message(
+                        rank, target, t, kind="bcast", parent=entry.lin
                     )
-                    self._queued += 1
-                    self.stats.entries_forwarded += 1
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown entry kind {kind!r}")
+                    prof.enqueue(child, rank, target, t)
+                self._buffer_for(target).add(
+                    BcastEntry(entry.origin, entry.payload, entry.nbytes, child)
+                )
+                self._queued += 1
+                stats.entries_forwarded += 1
         if run:
             self._route(run)
         forwarded = self.stats.entries_forwarded - forwarded_before
@@ -584,59 +561,6 @@ class Mailbox:
                 )
         if self._pending_handle_cost > 0:
             yield from self._charge_pending_handles()
-
-    def _handle_mixed_run(self, entry: P2PColumns, here: np.ndarray) -> None:
-        """Handle a columnar run mixing terminal deliveries and forwards.
-
-        The specified order: a mixed run is processed in index order.
-        Deliveries run per message (the handler boundary); forwards are
-        *deferred* -- only their column indices accumulate -- and re-bin
-        in one vectorized call afterwards.  A receive callback may post
-        follow-on messages whose buffer position depends on the
-        deliver-vs-forward order, so every ``post*`` entry point first
-        flushes the forwards deferred *so far* (:meth:`_flush_deferred`):
-        forwards seen before a callback's post land in the buffers
-        before that post.  When callbacks post nothing -- the common
-        case -- the whole forward set is binned once at the end.
-
-        If a callback raises, the deferred state is dropped with the
-        packet: no later ``post*`` re-bins forwards from a dead run.
-        """
-        recv = self.recv
-        if recv is None:
-            raise RuntimeError("mailbox has no scalar receive callback")
-        n_here = int(here.sum())
-        self.stats.app_messages_delivered += n_here
-        self._pending_handle_cost += (
-            n_here * self.ctx.machine.config.compute.per_message_handle
-        )
-        if entry.lins is not None:
-            recv = self._prof.handler(
-                recv, entry.lins[here], self.rank, self.ctx.sim.now
-            )
-        plist = entry.payloads.tolist()  # the objects themselves, unboxed once
-        self._deferred_cols = entry
-        idx = self._deferred_idx
-        append = idx.append
-        try:
-            for i, h in enumerate(here.tolist()):
-                if h:
-                    recv(plist[i])
-                else:
-                    append(i)
-            self._flush_deferred()
-        finally:
-            idx.clear()
-            self._deferred_cols = None
-
-    def _flush_deferred(self) -> None:
-        """Re-bin the forwards deferred by :meth:`_handle_mixed_run`."""
-        idx = self._deferred_idx
-        if not idx:
-            return
-        take = np.asarray(idx, dtype=np.int64)
-        idx.clear()
-        self._route([self._deferred_cols.take(take)])
 
     def _deliver_p2p_run(self, run: P2PColumns) -> None:
         """Deliver a columnar run of scalar messages (handler boundary).

@@ -1,14 +1,18 @@
 """One routing pass per received packet, held to the per-entry reference.
 
-``Mailbox._handle_packet`` routes each run of consecutive record batches
-of a packet in one pass (``Mailbox._route``): one destination concat,
-one route-table read, one sort.  ``reference_bin_batch`` is the pass
-per entry it replaced.  Random multi-entry packets -- all-terminal,
-mixed and pure-forward entries, with scalar forward runs between batch
-runs -- go through both on every static scheme, at 8 ranks (``uint8``
-keys) and 260 ranks (``uint16``), with and without a combiner, profiled
-and not.  Buffers (every segment's columns and dtypes, in order),
-delivered batches, counters and profiler rows must be equal.
+``Mailbox._handle_packet`` routes each run of consecutive entries of one
+kind -- record batches or scalar runs -- in one pass (``Mailbox._route``):
+one destination concat, one route-table read, one sort.
+``reference_bin_batch`` is the pass per entry it replaced; a scalar
+entry's reference delivers its terminal messages in index order, then
+queues the rest with the frozen ``bin_by_hop``.  Random multi-entry
+packets -- all-terminal, mixed and pure-forward entries of both kinds,
+interleaved -- go through both on every static scheme, at 8 ranks
+(``uint8`` keys) and 260 ranks (``uint16``), with and without a
+combiner, profiled and not.  Both receive callbacks post, so a post's
+place among the forwards is held too.  Buffers (every segment's columns
+and dtypes, in order), deliveries, counters and profiler rows must be
+equal.
 """
 
 import numpy as np
@@ -31,25 +35,38 @@ WIDE = np.dtype([("v", "<u8"), ("w", "<i8"), ("x", "<f8")])
 SUM_W = Combiner("sum_w", key_fields=("v",), reduce_fields={"w": "sum"})
 STATS = (
     "entries_received", "entries_forwarded", "entries_combined",
-    "app_messages_delivered",
+    "app_messages_delivered", "app_messages_sent",
 )
+#: Profiler logs held equal on both sides.
+LOGS = ("msgs", "enq", "enq_batch", "deliveries", "batch_deliveries")
+
+
+def _dests(rng, nranks, cur, mix, n):
+    others = np.setdiff1d(np.arange(nranks), [cur])
+    if mix == "terminal":
+        return np.full(n, cur)
+    dests = rng.choice(others, size=n)
+    if mix == "mixed":
+        dests[rng.random(n) < 0.4] = cur
+        dests[0] = cur
+    return dests
 
 
 def _entry(rng, nranks, cur, mix, n, dtype, key_dtype, profiled):
-    others = np.setdiff1d(np.arange(nranks), [cur])
-    if mix == "terminal":
-        dests = np.full(n, cur)
-    elif mix == "forward":
-        dests = rng.choice(others, size=n)
-    else:
-        dests = rng.choice(others, size=n)
-        dests[rng.random(n) < 0.4] = cur
-        dests[0] = cur
+    dests = _dests(rng, nranks, cur, mix, n)
     batch = np.zeros(n, dtype=dtype)
     batch["v"] = rng.integers(0, 6, size=n)  # repeats: combining merges
     batch["w"] = rng.integers(0, 100, size=n)
     lins = rng.integers(0, 2**40, size=n) if profiled else None
     return BatchEntry(dests.astype(key_dtype), batch, lins)
+
+
+def _scalar(rng, nranks, cur, mix, n, profiled):
+    dests = _dests(rng, nranks, cur, mix, n).astype(np.int64)
+    payloads = np.fromiter(rng.integers(0, 1000, size=n).tolist(), object, n)
+    sizes = rng.integers(1, 9, size=n)
+    lins = rng.integers(0, 2**40, size=n) if profiled else None
+    return P2PColumns(dests, payloads, sizes, lins)
 
 
 def _packets(rng, nranks, cur, key_dtype, profiled, combining):
@@ -58,33 +75,39 @@ def _packets(rng, nranks, cur, key_dtype, profiled, combining):
         n = int(rng.integers(1, 40))
         return _entry(rng, nranks, cur, mix, n, dtype, key_dtype, profiled)
 
+    def scalar(mix):
+        return _scalar(rng, nranks, cur, mix, int(rng.integers(1, 40)), profiled)
+
     yield [entry("terminal") for _ in range(3)]
     yield [entry("mixed") for _ in range(3)]
     yield [entry("forward") for _ in range(3)]
     yield [entry("terminal"), entry("mixed"), entry("forward"), entry("mixed")]
     if not combining:  # record dtypes may differ within one run
         yield [entry("mixed"), entry("forward", WIDE), entry("mixed", WIDE)]
-    # a scalar forward run between two batch runs splits them
-    dests = np.array([d for d in range(nranks) if d != cur][:5], dtype=np.int64)
-    lins = np.arange(len(dests), dtype=np.int64) if profiled else None
-    scalar = P2PColumns(
-        dests, np.array(list("abcde")[: len(dests)], dtype=object),
-        np.full(len(dests), 3, dtype=np.int64), lins,
-    )
-    yield [entry("mixed"), entry("terminal"), scalar, entry("forward"), entry("mixed")]
-    for _ in range(6):
+    yield [scalar("terminal") for _ in range(3)]
+    yield [scalar("mixed") for _ in range(3)]
+    yield [scalar("forward") for _ in range(3)]
+    # a scalar run between two batch runs splits them, and vice versa
+    yield [entry("mixed"), entry("terminal"), scalar("forward"), entry("forward")]
+    yield [scalar("mixed"), scalar("terminal"), entry("mixed"), scalar("mixed")]
+    for _ in range(8):
         mixes = rng.choice(["terminal", "mixed", "forward"], size=rng.integers(1, 7))
-        yield [entry(str(m)) for m in mixes]
+        yield [(entry if rng.random() < 0.5 else scalar)(str(m)) for m in mixes]
 
 
 def _reference_packet(mb, entries):
     for entry in entries:
+        mb.stats.entries_received += entry.count
         if entry.kind == "batch":
-            mb.stats.entries_received += entry.count
             reference.bin_batch(mb, entry, at_injection=False)
-        else:  # the scalar pure-forward run of _packets
-            mb.stats.entries_received += entry.count
-            reference.bin_by_hop(mb, entry, at_injection=False)
+            continue
+        # A scalar entry: its terminal messages in index order, then the
+        # rest, queued by the frozen binning.
+        here = entry.dests == mb.rank
+        if here.any():
+            mb._deliver_p2p_run(entry.take(here))
+        if not here.all():
+            reference.bin_by_hop(mb, entry.take(~here), at_injection=False)
 
 
 def _side(use_reference, scheme, nodes, cores, combiner, profiled, seed):
@@ -101,6 +124,7 @@ def _side(use_reference, scheme, nodes, cores, combiner, profiled, seed):
         if ctx.rank != cur:
             return
         delivered = []
+        scalars = []
 
         def on_batch(batch):
             # A post from the callback lands between the forwards of the
@@ -108,8 +132,12 @@ def _side(use_reference, scheme, nodes, cores, combiner, profiled, seed):
             delivered.append(batch)
             mb.post((cur + 1) % nranks, len(delivered))
 
+        def on_recv(payload):  # the same rule for a scalar entry
+            scalars.append(payload)
+            mb.post((cur + 1) % nranks, -len(scalars))
+
         mb = ctx.mailbox(
-            recv=delivered.append, recv_batch=on_batch,
+            recv=on_recv, recv_batch=on_batch,
             capacity=2**30, combiner=combiner,
         )
         rng = np.random.default_rng(seed)
@@ -150,15 +178,15 @@ def _side(use_reference, scheme, nodes, cores, combiner, profiled, seed):
         out["counts"] = {hop: b.count for hop, b in mb._buffers.items()}
         out["queued"] = mb.queued
         out["delivered"] = delivered
+        out["scalars"] = scalars
         out["stats"] = {k: getattr(mb.stats, k) for k in STATS}
 
     err = world.run(rank_main).values[cur]
     if isinstance(err, BaseException):
         raise err
     if profiled:
-        prof = tracer.lineage
-        out["enq_batch"] = prof.enq_batch
-        out["batch_deliveries"] = prof.batch_deliveries
+        for name in LOGS:
+            out[name] = getattr(tracer.lineage, name)
     return out
 
 
@@ -200,7 +228,10 @@ def test_one_pass_per_packet_matches_per_entry_reference(
     assert len(got["delivered"]) == len(want["delivered"]) > 0
     for g, w in zip(got["delivered"], want["delivered"]):
         assert _same_array(g, w)
+    assert got["scalars"] == want["scalars"] and want["scalars"]
     if profiled:
         _same_rows(got["enq_batch"], want["enq_batch"])
         _same_rows(got["batch_deliveries"], want["batch_deliveries"])
-        assert want["enq_batch"] and want["batch_deliveries"]
+        for name in ("msgs", "enq", "deliveries"):
+            assert got[name] == want[name], name
+        assert all(want[name] for name in LOGS)

@@ -2,9 +2,9 @@
 
 The exception escapes the rank's process, which the kernel records as
 that rank's value (the contract ``tests/pdes/test_engine.py`` pins for
-serial and partitioned runs alike).  A mixed run -- deliveries
-interleaved with forwards -- must not leave its deferred forwards
-behind for a later ``post*`` to re-bin from the dead packet.
+serial and partitioned runs alike).  An entry delivers what ends here
+before it queues its forwards, so the entry whose callback raises queues
+none of its forwards, and a later ``post*`` queues only its own message.
 
 In the first three tests the sender only flushes and the receiver only
 polls: no rank waits in ``wait_empty`` on the one that dies, so
@@ -71,7 +71,8 @@ def test_error_in_all_terminal_run_surfaces():
 
 def test_error_in_mixed_run_surfaces_and_drops_deferred_forwards():
     """node_remote on 2x2 relays 0 -> 3 through rank 2, so a packet that
-    interleaves messages for 2 and for 3 is a mixed run at rank 2."""
+    interleaves messages for 2 and for 3 is a mixed run at rank 2.  The
+    run's forwards would be queued after its deliveries: none are."""
     got = []
     boxes = {}
 
@@ -90,11 +91,13 @@ def test_error_in_mixed_run_surfaces_and_drops_deferred_forwards():
     assert got == [("here", i) for i in range(K)]
     relay = boxes[2]
     assert relay.stats.entries_received == 4 * K  # it really was one mixed run
-    assert relay._deferred_idx == []
-    assert relay._deferred_cols is None
+    assert relay.stats.entries_forwarded == 0
+    assert relay.queued == 0
     # A later post must not resurrect the dead packet's forwards.
     relay.post(3, "after")
     assert relay.queued == 1
+    entries, _, count = relay._buffers[3].take()
+    assert count == 1 and [e.payloads.tolist() for e in entries] == [["after"]]
 
 
 def test_error_in_recv_batch_surfaces():
@@ -120,7 +123,7 @@ def test_error_in_recv_batch_of_a_multi_entry_packet_keeps_earlier_forwards():
     3, and node_remote on 2x2 relays both through rank 2: one packet of
     four mixed batch entries.  ``recv_batch`` raises on the third entry.
     The forwards of the first two entries are queued, the third's and
-    the fourth's are not, and no deferred state survives."""
+    the fourth's are not, and a later post queues only its own message."""
     entries = 4
     dests = np.array([2, 3, 3, 2, 3])
     boxes = {}
@@ -154,10 +157,12 @@ def test_error_in_recv_batch_of_a_multi_entry_packet_keeps_earlier_forwards():
     forwarded = [e.batch["i"].tolist() for e in relay._buffers[3].entries]
     assert forwarded == [[1, 2, 4], [101, 102, 104]]
     assert relay.queued == 6
-    assert relay._deferred_idx == []
-    assert relay._deferred_cols is None
     relay.post(3, "after")  # one message, nothing re-binned with it
     assert relay.queued == 7
+    entries, _, count = relay._buffers[3].take()
+    assert count == 7
+    assert [e.kind for e in entries] == ["batch", "batch", "p2p_cols"]
+    assert entries[-1].payloads.tolist() == ["after"]
 
 
 def test_error_while_peers_wait_empty_chains_the_deadlock():

@@ -122,6 +122,9 @@ SERDE_EXPORTS = {
 #: Moved beside the PDES wire codec (``repro.pdes.packer``), the only code
 #: that writes or reads the bytes; serde keeps the sizes.
 SERDE_DELETED = {"pack", "pack_into", "pack_many", "unpack", "unpack_from", "unpack_many"}
+#: The scalar deferred-forward path: scalar runs route like record
+#: batches, through ``Mailbox._route``.
+MAILBOX_DELETED = {"_handle_mixed_run", "_flush_deferred", "_deferred_cols", "_deferred_idx"}
 #: The parallel engine's hooks, moved out of the serial layers into
 #: ``repro.pdes``: (module, class) -> the names that left it.
 PDES_HOOKS_MOVED = {
@@ -234,6 +237,22 @@ def test_serde_surface_stays_within_budget():
 
     assert set(serde.__all__) <= SERDE_EXPORTS  # 7 names
     assert not {n for n in dir(serde) if not n.startswith("_")} & SERDE_DELETED
+
+
+def test_mailbox_has_one_routing_rule():
+    from repro import YgmWorld
+    from repro.core import Mailbox
+    from repro.machine import small
+
+    boxes = []
+
+    def rank_main(ctx):
+        boxes.append(ctx.mailbox(recv=lambda v: None))
+        yield from ()
+
+    YgmWorld(small(nodes=1, cores_per_node=2), scheme="noroute").run(rank_main)
+    for obj in (Mailbox, boxes[0]):  # methods, and slots set per instance
+        assert not {n for n in MAILBOX_DELETED if hasattr(obj, n)}, obj
 
 
 def test_pdes_hooks_left_the_serial_layers():

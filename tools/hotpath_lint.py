@@ -74,8 +74,9 @@ A static route depends on the machine shape alone, so
 ``take`` from it plus a radix sort, and a scalar ``post`` is one index
 into its list view (``RoutingScheme.hop_list``, held by the mailbox).
 Inside ``RoutingScheme.bin_by_hop`` and ``Mailbox._route`` (the one
-routing pass over a received packet's record batches, and over every
-injected or re-binned run) any reference to ``next_hop`` or ``next_hop_vec`` (called or not, nested
+routing pass over every point-to-point run: a received packet's record
+batches and scalar runs alike, and every injected or re-binned run) any
+reference to ``next_hop`` or ``next_hop_vec`` (called or not, nested
 helpers included) is a violation; inside ``Mailbox.post`` so is
 ``_hop_keys``.  Evaluating the route per call gives the same hops, so
 only this lint and the counter gate's ``core.routing.calls`` would
